@@ -28,6 +28,8 @@ from .adversaries import (
 )
 from .charging import (
     ChargingError,
+    FairTreeCertificate,
+    FFTreeCertificate,
     VerdictReport,
     build_ledger,
     case1_polynomial,
@@ -57,6 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BunchPlan",
     "ChargingError",
+    "FFTreeCertificate",
+    "FairTreeCertificate",
     "FirstFit",
     "Graph",
     "GraphError",

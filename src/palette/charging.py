@@ -143,11 +143,11 @@ class RootedView:
 
 
 def rooted_view(g: Graph, root: int) -> RootedView:
+    """Parent relations of g from root; g must be a tree (the certificates
+    check that once per trace, not once per root)."""
     n = g.num_vertices
     if not 0 <= root < n:
         raise GraphError(f"root {root} out of range")
-    if not g.is_tree():
-        raise GraphError("charging strategies for trees require a tree")
     parent_vertex = [-1] * n
     parent_edge = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
@@ -209,13 +209,6 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
     return klass, tallies
 
 
-def _check_tree_preconditions(trace, witness):
-    g = trace.graph
-    if not g.is_tree():
-        raise GraphError("charging strategies for trees require a tree")
-    audit_witness(g, trace.k, witness)
-
-
 def _first_fit_replay_matches(trace: engine.Trace) -> bool:
     replay = engine.run(
         engine.FirstFit(), RevealSequence(edges=trace.reveal_order(), k=trace.k)
@@ -223,9 +216,52 @@ def _first_fit_replay_matches(trace: engine.Trace) -> bool:
     return [s.color for s in replay.steps] == [s.color for s in trace.steps]
 
 
-def ff_tree_charge(
-    trace: engine.Trace, witness: OptWitness, *, root: int = 0
-) -> VerdictReport:
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
+class _TreeCertificate:
+    """The half of a tree certificate that does not depend on the root.
+
+    Construction audits the tree and the witness and derives the edge
+    classes and vertex tallies once per trace; `charge(root)` then runs the
+    root-dependent redistribution and returns its verdict.
+    """
+
+    def __init__(self, trace: engine.Trace, witness: OptWitness, C):
+        g = trace.graph
+        if not g.is_tree():
+            raise GraphError("charging strategies for trees require a tree")
+        audit_witness(g, trace.k, witness)
+        self.trace, self.witness, self.C = trace, witness, C
+        self.klass, self.tallies = edge_classes(trace, witness)
+        self.color_of = {s.edge: s.color for s in trace.steps if s.color is not None}
+
+    def _report(self, view: RootedView, v_f: dict, margin: dict) -> VerdictReport:
+        """Ledger rows and verdict from the final values v_f and the margins
+        (final value minus C) of the optimum edges."""
+        g, klass = self.trace.graph, self.klass
+        rows = []
+        for step in self.trace.steps:
+            e = step.edge
+            kl = klass[e]
+            case = ""
+            if kl == "opt-only":
+                x, _ = view.parent_side(g, e)
+                pe = view.parent_edge[x]
+                case = self.case_of_parent[klass[pe] if pe != -1 else ""]
+            v_i = _ONE if step.color is not None else _ZERO
+            rows.append(EdgeReport(e, kl, v_i, v_f[e], margin.get(e), case))
+        min_margin = min(margin.values(), default=None)
+        return VerdictReport(
+            strategy=self.strategy,
+            C=self.C,
+            rows=rows,
+            passed=min_margin is None or min_margin >= 0,
+            min_margin=min_margin,
+        )
+
+
+class FFTreeCertificate(_TreeCertificate):
     """Certify a first-fit run on a tree at ratio C = (k-1)/k.
 
     Redistribution: each colored edge sends 1/k up past its parent edge when
@@ -235,110 +271,108 @@ def ff_tree_charge(
     child edges.  Two structural facts about first-fit (a vertex holds at
     least c/k after seeing color c; high-colored double edges are fed by
     their children) are checked on the way.
+
+    Construction refuses traces first-fit did not produce; `charge(root)`
+    certifies from one root.
     """
-    if not _first_fit_replay_matches(trace):
-        raise ValueError("trace was not produced by first-fit; refusing to certify")
-    _check_tree_preconditions(trace, witness)
-    g, k = trace.graph, trace.k
-    C = Fraction(k - 1, k)
-    view = rooted_view(g, root)
-    klass, tallies = edge_classes(trace, witness)
-    color_of = {s.edge: s.color for s in trace.steps if s.color is not None}
 
-    m = defaultdict(Fraction)  # value parked at each vertex after step 1
-    via_credit = defaultdict(Fraction)  # step-1(a) value routed past each edge
-    unit = Fraction(1, k)
-    for e, c in color_of.items():
-        x, _y = view.parent_side(g, e)
-        surplus = 1 - C if klass[e] == "double" else Fraction(1)
-        pe = view.parent_edge[x]
-        if pe != -1 and klass[pe] == "double" and color_of[pe] > c:
-            w = view.parent_vertex[x]
-            m[w] += unit
-            via_credit[pe] += unit
-            surplus -= unit
-        m[x] += surplus
-
-    v_f: dict[int, object] = {}
-    for e in klass:
-        if klass[e] == "double":
-            v_f[e] = C
-        elif klass[e] == "single":
-            v_f[e] = Fraction(0)
-        else:
-            v_f[e] = Fraction(0)
-    received_from: dict[int, dict[int, object]] = defaultdict(dict)
-    residual = defaultdict(Fraction)
-    for v in range(g.num_vertices):
-        rem = m[v]
-        pe = view.parent_edge[v]
-        if pe != -1 and klass[pe] == "opt-only":
-            t = min(rem, C)
-            v_f[pe] += t
-            received_from[pe][v] = t
-            rem -= t
-        minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
-        if minus_children and rem > 0:
-            share = rem / len(minus_children)
-            for f in minus_children:
-                v_f[f] += share
-                received_from[f][v] = share
-            rem = Fraction(0)
-        residual[v] = rem
-
-    # structural facts of the strategy (violations mean a bug, not a bad run);
-    # the vertex-holdings fact is checked where the guarantee invokes it:
-    # below an uncolored (or absent) parent edge -- a merely single-colored
-    # parent edge may itself hold one of the counted colors
-    for e, c in color_of.items():
-        x, _ = view.parent_side(g, e)
-        pe = view.parent_edge[x]
-        if pe == -1 or pe not in color_of:
-            if m[x] < Fraction(c, k):
-                raise ChargingError(
-                    f"vertex {x} holds {m[x]} < {c}/{k} despite color {c} at a "
-                    "child edge with no colored parent edge"
-                )
-    for e, c in color_of.items():
-        if klass[e] != "double":
-            continue
-        x, _ = view.parent_side(g, e)
-        if c > largest_available_color(trace.coloring, x, k):
-            need = Fraction(k - tallies[x]["d_c"], k)
-            if via_credit[e] < need:
-                raise ChargingError(
-                    f"high-colored double edge {e} routed only {via_credit[e]} "
-                    f"< {need} past itself"
-                )
-
-    total_initial = sum(Fraction(1) for _ in color_of)
-    total_final = sum(v_f.values()) + sum(residual.values())
-    if total_final != total_initial:
-        raise ChargingError("ledger leaked value during redistribution")
-
+    strategy = "ff-tree"
     # rejected non-optimum parent edges move no value, same as absent ones
     case_of_parent = {"double": "1", "single": "2", "opt-only": "3",
                       "neither": "2", "": "2"}
-    rows = []
-    for step in trace.steps:
-        e = step.edge
-        kl = klass[e]
-        v_i = Fraction(1) if step.color is not None else Fraction(0)
-        margin = v_f[e] - C if e in witness.edges else None
-        case = ""
-        if kl == "opt-only":
+
+    def __init__(self, trace: engine.Trace, witness: OptWitness):
+        if not _first_fit_replay_matches(trace):
+            raise ValueError("trace was not produced by first-fit; refusing to certify")
+        k = trace.k
+        super().__init__(trace, witness, Fraction(k - 1, k))
+        self.top_free = [
+            largest_available_color(trace.coloring, v, k)
+            for v in range(trace.graph.num_vertices)
+        ]
+        self._fractions: dict[int, Fraction] = {}
+
+    def charge(self, root: int) -> VerdictReport:
+        g, k = self.trace.graph, self.trace.k
+        klass, color_of = self.klass, self.color_of
+        view = rooted_view(g, root)
+        # every ledger value is kept multiplied by k: C is k-1 and a unit of
+        # 1/k is 1, so values stay ints until a vertex splits its rest among
+        # several rejected child edges
+        held = [0] * g.num_vertices  # value parked at each vertex after step 1
+        via_credit = dict.fromkeys(color_of, 0)  # step-1(a) value routed past each edge
+        parent_of = []  # parent endpoint of each colored edge, in color_of order
+        for e, c in color_of.items():
             x, _ = view.parent_side(g, e)
+            parent_of.append(x)
+            surplus = 1 if klass[e] == "double" else k
             pe = view.parent_edge[x]
-            case = case_of_parent[klass[pe] if pe != -1 else ""]
-        rows.append(EdgeReport(e, kl, v_i, v_f[e], margin, case))
-    margins = [r.margin for r in rows if r.margin is not None]
-    return VerdictReport(
-        strategy="ff-tree",
-        C=C,
-        rows=rows,
-        passed=all(mg >= 0 for mg in margins),
-        min_margin=min(margins) if margins else None,
-    )
+            if pe != -1 and klass[pe] == "double" and color_of[pe] > c:
+                held[view.parent_vertex[x]] += 1
+                via_credit[pe] += 1
+                surplus -= 1
+            held[x] += surplus
+
+        v_f = {e: k - 1 if kl == "double" else 0 for e, kl in klass.items()}
+        residual = 0
+        for v, rem in enumerate(held):
+            pe = view.parent_edge[v]
+            if pe != -1 and klass[pe] == "opt-only":
+                t = min(rem, k - 1)
+                v_f[pe] += t
+                rem -= t
+            minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
+            if minus_children and rem > 0:
+                share = Fraction(rem, len(minus_children))
+                for f in minus_children:
+                    v_f[f] += share
+                rem = 0
+            residual += rem
+
+        # structural facts of the strategy (violations mean a bug, not a bad run);
+        # the vertex-holdings fact is checked where the guarantee invokes it:
+        # below an uncolored (or absent) parent edge -- a merely single-colored
+        # parent edge may itself hold one of the counted colors
+        for (e, c), x in zip(color_of.items(), parent_of):
+            pe = view.parent_edge[x]
+            if (pe == -1 or pe not in color_of) and held[x] < c:
+                raise ChargingError(
+                    f"vertex {x} holds {Fraction(held[x], k)} < {c}/{k} despite "
+                    f"color {c} at a child edge with no colored parent edge"
+                )
+            if klass[e] == "double" and c > self.top_free[x]:
+                need = k - self.tallies[x]["d_c"]
+                if via_credit[e] < need:
+                    raise ChargingError(
+                        f"high-colored double edge {e} routed only "
+                        f"{Fraction(via_credit[e], k)} < {Fraction(need, k)} past itself"
+                    )
+
+        if sum(v_f.values()) + residual != k * len(color_of):
+            raise ChargingError("ledger leaked value during redistribution")
+        unscale = self._unscale
+        return self._report(
+            view,
+            {e: unscale(v) for e, v in v_f.items()},
+            {e: unscale(v_f[e] - (k - 1)) for e in self.witness.edges},
+        )
+
+    def _unscale(self, v):
+        """A ledger value v (kept multiplied by k) as the Fraction v/k; each
+        int is converted once per certificate."""
+        if type(v) is not int:
+            return v / self.trace.k
+        f = self._fractions.get(v)
+        if f is None:
+            f = self._fractions[v] = Fraction(v, self.trace.k)
+        return f
+
+
+def ff_tree_charge(
+    trace: engine.Trace, witness: OptWitness, *, root: int = 0
+) -> VerdictReport:
+    """Certify a first-fit run on a tree from one root (see FFTreeCertificate)."""
+    return FFTreeCertificate(trace, witness).charge(root)
 
 
 def fair_ratio(k: int):
@@ -350,9 +384,7 @@ def fair_ratio(k: int):
     return (2 * r - 2) / (2 * r - 1)
 
 
-def fair_tree_charge(
-    trace: engine.Trace, witness: OptWitness, *, root: int = 0
-) -> VerdictReport:
+class FairTreeCertificate(_TreeCertificate):
     """Certify any fair run on a tree at C = (2*sqrt(k)-2)/(2*sqrt(k)-1).
 
     Redistribution: every colored edge sends its whole surplus to its parent
@@ -361,90 +393,83 @@ def fair_tree_charge(
     rejected optimum edge whose child endpoint cannot already cover C, the
     case inequalities behind the guarantee are re-checked numerically on the
     run's actual vertex tallies.
+
+    Construction refuses unfair traces and checks the fairness facts of the
+    final coloring; `charge(root)` certifies from one root.
     """
-    if not engine.audit_fair(trace):
-        raise ValueError("trace is not fair; refusing to certify")
-    _check_tree_preconditions(trace, witness)
-    g, k = trace.graph, trace.k
-    C = fair_ratio(k)
-    exact = isinstance(C, Fraction)
-    zero = Fraction(0) if exact else 0.0
-    view = rooted_view(g, root)
-    klass, tallies = edge_classes(trace, witness)
-    color_of = {s.edge: s.color for s in trace.steps if s.color is not None}
 
-    # fairness facts on the final coloring
-    for v in range(g.num_vertices):
-        t = tallies[v]
-        if t["d_d"] + t["d_r"] > k:
-            raise ChargingError(f"optimum keeps more than k edges at vertex {v}")
-    for step in trace.steps:
-        if step.color is None:
-            if tallies[step.u]["d_c"] + tallies[step.v]["d_c"] < k:
-                raise ChargingError(
-                    f"rejected edge {step.edge} sees fewer than k colored "
-                    "edges in total; the run cannot have been fair"
-                )
-
-    m = defaultdict(lambda: zero)
-    for e in color_of:
-        x, _ = view.parent_side(g, e)
-        m[x] += 1 - C if klass[e] == "double" else 1
-
-    v_f: dict[int, object] = {
-        e: (C if kl == "double" else zero) for e, kl in klass.items()
-    }
-    received_from: dict[int, dict[int, object]] = defaultdict(dict)
-    residual = defaultdict(lambda: zero)
-    for v in range(g.num_vertices):
-        rem = m[v]
-        pe = view.parent_edge[v]
-        if pe != -1 and klass[pe] == "opt-only":
-            t = min(rem, C)
-            v_f[pe] += t
-            received_from[pe][v] = t
-            rem -= t
-        minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
-        if minus_children and rem > 0:
-            share = rem / len(minus_children)
-            for f in minus_children:
-                v_f[f] += share
-                received_from[f][v] = share
-            rem = zero
-        residual[v] = rem
-
-    total_initial = len(color_of)
-    total_final = sum(v_f.values()) + sum(residual.values())
-    if exact:
-        if total_final != total_initial:
-            raise ChargingError("ledger leaked value during redistribution")
-    elif abs(float(total_final) - total_initial) > 1e-9:
-        raise ChargingError("ledger drifted by more than 1e-9")
-
+    strategy = "fair-tree"
     # rejected non-optimum parent edges move no value, same as absent ones
     case_of_parent = {"opt-only": "1", "single": "2", "double": "3",
                       "neither": "4", "": "4"}
-    rows = []
-    for step in trace.steps:
-        e = step.edge
-        kl = klass[e]
-        v_i = Fraction(1) if step.color is not None else Fraction(0)
-        margin = v_f[e] - C if e in witness.edges else None
-        case = ""
-        if kl == "opt-only":
-            x, y = view.parent_side(g, e)
-            pe = view.parent_edge[x]
-            case = case_of_parent[klass[pe] if pe != -1 else ""]
-            _check_fair_case(k, C, case, tallies[x], tallies[y], m[y], e)
-        rows.append(EdgeReport(e, kl, v_i, v_f[e], margin, case))
-    margins = [r.margin for r in rows if r.margin is not None]
-    return VerdictReport(
-        strategy="fair-tree",
-        C=C,
-        rows=rows,
-        passed=all(mg >= 0 for mg in margins),
-        min_margin=min(margins) if margins else None,
-    )
+
+    def __init__(self, trace: engine.Trace, witness: OptWitness):
+        if not engine.audit_fair(trace):
+            raise ValueError("trace is not fair; refusing to certify")
+        k = trace.k
+        super().__init__(trace, witness, fair_ratio(k))
+        tallies = self.tallies
+        for v, t in enumerate(tallies):
+            if t["d_d"] + t["d_r"] > k:
+                raise ChargingError(f"optimum keeps more than k edges at vertex {v}")
+        for step in trace.steps:
+            if step.color is None:
+                if tallies[step.u]["d_c"] + tallies[step.v]["d_c"] < k:
+                    raise ChargingError(
+                        f"rejected edge {step.edge} sees fewer than k colored "
+                        "edges in total; the run cannot have been fair"
+                    )
+
+    def charge(self, root: int) -> VerdictReport:
+        g, k, C, klass = self.trace.graph, self.trace.k, self.C, self.klass
+        exact = isinstance(C, Fraction)
+        zero = Fraction(0) if exact else 0.0
+        view = rooted_view(g, root)
+
+        held = [zero] * g.num_vertices
+        for e in self.color_of:
+            x, _ = view.parent_side(g, e)
+            held[x] += 1 - C if klass[e] == "double" else 1
+
+        v_f = {e: (C if kl == "double" else zero) for e, kl in klass.items()}
+        residual = zero
+        for v, rem in enumerate(held):
+            pe = view.parent_edge[v]
+            if pe != -1 and klass[pe] == "opt-only":
+                t = min(rem, C)
+                v_f[pe] += t
+                rem -= t
+            minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
+            if minus_children and rem > 0:
+                share = rem / len(minus_children)
+                for f in minus_children:
+                    v_f[f] += share
+                rem = zero
+            residual += rem
+
+        total_initial = len(self.color_of)
+        total_final = sum(v_f.values()) + residual
+        if exact:
+            if total_final != total_initial:
+                raise ChargingError("ledger leaked value during redistribution")
+        elif abs(float(total_final) - total_initial) > 1e-9:
+            raise ChargingError("ledger drifted by more than 1e-9")
+
+        report = self._report(view, v_f, {e: v_f[e] - C for e in self.witness.edges})
+        for r in report.rows:
+            if r.klass == "opt-only":
+                x, y = view.parent_side(g, r.edge)
+                _check_fair_case(
+                    k, C, r.case, self.tallies[x], self.tallies[y], held[y], r.edge
+                )
+        return report
+
+
+def fair_tree_charge(
+    trace: engine.Trace, witness: OptWitness, *, root: int = 0
+) -> VerdictReport:
+    """Certify a fair run on a tree from one root (see FairTreeCertificate)."""
+    return FairTreeCertificate(trace, witness).charge(root)
 
 
 def _check_fair_case(k, C, case, tx, ty, m_y, e):

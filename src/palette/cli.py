@@ -163,11 +163,20 @@ def cmd_opt(args) -> int:
     return 0
 
 
+NF_ORDER_COLUMNS = ("u", "v", "decision", "color")
+
+
 def cmd_nf_order(args) -> int:
     import csv as _csv
 
     with open(args.file) as fh:
-        rows = list(_csv.DictReader(fh))
+        reader = _csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in NF_ORDER_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"trace CSV {args.file} lacks column(s) {', '.join(missing)}")
+    if any(row[c] is None for row in rows for c in NF_ORDER_COLUMNS):
+        raise ValueError(f"trace CSV {args.file} has a row with missing fields")
     g = build_graph((int(r["u"]), int(r["v"])) for r in rows)
     from .graph import PartialColoring
 

@@ -2,9 +2,9 @@
 
 Vertices and edges are dense 0-based integer ids.  Vertices come into
 existence the first time an edge mentions them; edge ids are assigned in
-reveal order, which is what the isolation test and the charging machinery
-rely on.  Colors are the integers ``1..k`` and sets of colors are stored as
-bitmasks (bit ``c-1`` set means color ``c`` is present).
+reveal order, which is what the isolation test relies on.  Colors are the
+integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
+set means color ``c`` is present).
 """
 
 from __future__ import annotations

@@ -289,6 +289,8 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
             f"unknown construction {config.adversary!r}; "
             f"choices: {', '.join(sorted(CONSTRUCTIONS))}"
         )
+    if config.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {config.trials}")
     spec = CONSTRUCTIONS[config.adversary]
     if config.algorithm not in spec.algorithms:
         raise ValueError(
@@ -385,6 +387,8 @@ def yao_experiment(
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     for name in algorithms:
         if not engine.make_algorithm(name, 0.5).deterministic:
             raise ValueError("the distribution experiment needs deterministic algorithms")
@@ -459,8 +463,8 @@ class ExhaustiveSummary:
 def exhaustive_paths(max_edges: int, k: int, algorithm: str = "ff") -> ExhaustiveSummary:
     """Minimum colored/opt of a deterministic algorithm over every reveal
     order of every path with up to max_edges edges."""
-    if max_edges > ORDER_EXHAUSTIVE_LIMIT:
-        raise ValueError(f"order-exhaustive mode is limited to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
+        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
     alg = engine.make_algorithm(algorithm, None)
     if not alg.deterministic:
         raise ValueError("exhaustive path mode enumerates deterministic algorithms only")
@@ -496,8 +500,8 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
     flat per-position array rather than the engine, so it doubles as an
     independent check of the fair floor.
     """
-    if max_edges > ORDER_EXHAUSTIVE_LIMIT:
-        raise ValueError(f"order-exhaustive mode is limited to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
+        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
     best: tuple[Fraction, list] | None = None
     instances = 0
 
@@ -652,45 +656,43 @@ def exhaustive_trees(
     (instances without such edges pass vacuously).  all_roots re-certifies
     from every root, covering every labeled instance's default-root run.
     """
-    if max_edges > ORDER_EXHAUSTIVE_LIMIT:
-        raise ValueError(f"order-exhaustive mode is limited to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
+        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
     if algorithm != "ff":
         raise ValueError("the tree sweep certifies first-fit")
-    summaries = []
-    for k in ks:
-        bound = Fraction(k - 1, k)
-        best: tuple[Fraction, list] | None = None
-        instances = 0
-        failures = 0
-        for m in range(1, max_edges + 1):
-            for edges in tree_reveal_orders(m):
-                seq = RevealSequence(edges=edges, k=k)
-                trace = engine.run("ff", seq)
+    # the classes do not depend on k: enumerate them once and play each for every k
+    best: list[tuple[Fraction, list] | None] = [None] * len(ks)
+    instances = [0] * len(ks)
+    failures = [0] * len(ks)
+    for m in range(1, max_edges + 1):
+        for edges in tree_reveal_orders(m):
+            for i, k in enumerate(ks):
+                trace = engine.run("ff", RevealSequence(edges=edges, k=k))
                 witness = opt_tree(trace.graph, k)
                 ratio = Fraction(trace.colored_count, witness.count)
-                instances += 1
-                if best is None or ratio < best[0]:
-                    best = (ratio, edges)
+                instances[i] += 1
+                if best[i] is None or ratio < best[i][0]:
+                    best[i] = (ratio, edges)
                 if charge and (witness.edges - set(trace.coloring.colored_edges())):
+                    certificate = charging.FFTreeCertificate(trace, witness)
                     roots = range(trace.graph.num_vertices) if all_roots else (0,)
                     for root in roots:
-                        report = charging.ff_tree_charge(trace, witness, root=root)
-                        if not report.passed:
-                            failures += 1
-        summaries.append(
-            ExhaustiveSummary(
-                mode="tree",
-                max_edges=max_edges,
-                k=k,
-                algorithm="ff",
-                instances=instances,
-                min_ratio=best[0],
-                bound=bound,
-                witness=best[1],
-                charge_failures=failures,
-            )
+                        if not certificate.charge(root).passed:
+                            failures[i] += 1
+    return [
+        ExhaustiveSummary(
+            mode="tree",
+            max_edges=max_edges,
+            k=k,
+            algorithm="ff",
+            instances=instances[i],
+            min_ratio=best[i][0],
+            bound=Fraction(k - 1, k),
+            witness=best[i][1],
+            charge_failures=failures[i],
         )
-    return summaries
+        for i, k in enumerate(ks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +791,10 @@ def verify_ff_trees(
         edges = random_reveal(rng, random_tree_edges(rng, m))
         trace = engine.run("ff", RevealSequence(edges=edges, k=k))
         witness = opt_tree(trace.graph, k)
+        certificate = charging.FFTreeCertificate(trace, witness)
         roots = range(trace.graph.num_vertices) if all_roots else (0,)
         for root in roots:
-            report = charging.ff_tree_charge(trace, witness, root=root)
+            report = certificate.charge(root)
             min_margin = _merge_margin(min_margin, report.min_margin)
             if not report.passed:
                 failures += 1
@@ -819,9 +822,10 @@ def verify_fair_trees(
             rng=engine.derive_rng(seed, "fair-alg", t),
         )
         witness = opt_tree(trace.graph, k)
+        certificate = charging.FairTreeCertificate(trace, witness)
         roots = range(trace.graph.num_vertices) if all_roots else (0,)
         for root in roots:
-            report = charging.fair_tree_charge(trace, witness, root=root)
+            report = certificate.charge(root)
             min_margin = _merge_margin(min_margin, report.min_margin)
             if not report.passed:
                 failures += 1

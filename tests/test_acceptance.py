@@ -32,7 +32,6 @@ from palette.adversaries import (
 )
 from palette.charging import (
     fair_tree_charge,
-    ff_tree_charge,
     rp_competitive_ratio,
     rp_path_charge,
 )
@@ -159,8 +158,9 @@ def test_criterion_07_first_fit_tree_floor_exhaustive():
                 instances += 1
                 if witness.edges - set(trace.coloring.colored_edges()):
                     charged += 1
+                    certificate = charging.FFTreeCertificate(trace, witness)
                     for root in range(trace.graph.num_vertices):
-                        assert ff_tree_charge(trace, witness, root=root).passed
+                        assert certificate.charge(root).passed
     elapsed = time.perf_counter() - t0
     assert elapsed < 300
     report(7, f"{instances} (tree, order) classes x k in {{2,3}}: ratio >= (k-1)/k, "

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import RandomFair, random_tree_sequence
+from conftest import RandomFair, RejectAll, random_tree_sequence
 from palette import engine, harness
 from palette.adversaries import (
     RevealSequence,
@@ -15,6 +16,8 @@ from palette.adversaries import (
 )
 from palette.charging import (
     ChargingError,
+    FairTreeCertificate,
+    FFTreeCertificate,
     build_ledger,
     case1_polynomial,
     compute_l,
@@ -27,7 +30,7 @@ from palette.charging import (
     rp_path_charge,
 )
 from palette.exact import PHI_OVER_SQRT5
-from palette.graph import build_graph
+from palette.graph import GraphError, build_graph
 from palette.oracle import OptWitness, opt_tree
 
 
@@ -132,6 +135,68 @@ def test_ff_charge_every_root():
             assert ff_tree_charge(trace, witness, root=root).passed
 
 
+# sha256 of one line "passed repr(min_margin) repr(rows)" per certified root,
+# dumped from the per-root implementation before the certificates were split
+# into a per-trace preparation and a per-root pass
+FF_ALL_ROOTS_SHA256 = "4cbd06cbb5a856ef889fc8121a65f91e9ac0dd4445c8967b058d46c721b47246"
+FAIR_ALL_ROOTS_SHA256 = "4e994faf75674c2252ce3a70a56dde6c39039d4256584cd6c3c43bea3b128ecd"
+
+
+def _all_roots_digest(certify, charge_one_root, cases):
+    """Charge every root of every (trace, witness) once through a prepared
+    certificate, check the one-call entry point agrees row for row, and hash
+    the verdicts."""
+    lines = []
+    for trace, witness in cases:
+        certificate = certify(trace, witness)
+        for root in range(trace.graph.num_vertices):
+            report = certificate.charge(root)
+            single = charge_one_root(trace, witness, root=root)
+            assert single.rows == report.rows
+            assert (single.passed, single.min_margin) == (report.passed, report.min_margin)
+            lines.append(f"{report.passed} {report.min_margin!r} {report.rows!r}")
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _played(alg, seq, seed=None):
+    trace = engine.run(alg, seq, seed=seed)
+    return trace, opt_tree(trace.graph, seq.k)
+
+
+def test_prepared_certificates_reproduce_per_root_verdicts():
+    ff_cases = [
+        _played("ff", RevealSequence(edges=edges, k=k))
+        for k in (2, 3)
+        for m in range(1, 6)
+        for edges in harness.tree_reveal_orders(m)
+    ]
+    assert _all_roots_digest(
+        FFTreeCertificate, ff_tree_charge, ff_cases
+    ) == (2884, FF_ALL_ROOTS_SHA256)
+    fair_cases = [
+        _played(("nf", "ff", RandomFair())[t % 3], random_tree_sequence(t, 12, 4), seed=t)
+        for t in range(50)
+    ]
+    assert _all_roots_digest(
+        FairTreeCertificate, fair_tree_charge, fair_cases
+    ) == (379, FAIR_ALL_ROOTS_SHA256)
+
+
+def test_prepared_certificates_refuse_and_range_check():
+    seq = RevealSequence(edges=[(0, 1), (1, 2)], k=2)
+    rejected = engine.run(RejectAll(), seq)  # first-fit would color both edges
+    with pytest.raises(ValueError):
+        FFTreeCertificate(rejected, opt_tree(rejected.graph, 2))
+    with pytest.raises(ValueError):
+        FairTreeCertificate(rejected, opt_tree(rejected.graph, 2))
+    trace = ff_trace([(0, 1), (1, 2), (3, 4), (2, 3)], 2)
+    witness = opt_tree(trace.graph, 2)
+    for certificate in (FFTreeCertificate(trace, witness), FairTreeCertificate(trace, witness)):
+        for root in (-1, trace.graph.num_vertices):
+            with pytest.raises(GraphError):
+                certificate.charge(root)
+
+
 def test_ff_strict_ratio_on_trees():
     rng = random.Random(57)
     for t in range(200):
@@ -218,8 +283,6 @@ def test_fair_strict_ratio_on_trees():
 
 
 def test_fair_charge_refuses_unfair_trace():
-    from conftest import RejectAll
-
     seq = RevealSequence(edges=[(0, 1), (1, 2)], k=2)
     trace = engine.run(RejectAll(), seq)
     with pytest.raises(ValueError):

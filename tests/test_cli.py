@@ -146,3 +146,39 @@ def test_list_command(capsys):
     for name in ("nf-path-killer", "det-path-killer", "star-chain", "yao",
                  "nf-tree", "path-then-stars", "rp-mod3", "rp-oddeven"):
         assert name in out
+
+
+def _assert_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_non_positive_trials_exit_two(capsys, trials):
+    _assert_usage_error(capsys, ["run", "--adv", "rp-oddeven", "--alg", "rp", "--p", "0.7",
+                                 "--m", "11", "--trials", trials])
+    _assert_usage_error(capsys, ["yao", "--b", "3", "--trials", trials])
+
+
+@pytest.mark.parametrize("missing", ["decision", "u", "v", "color"])
+def test_nf_order_csv_without_column_exits_two(tmp_path, capsys, missing):
+    trace = engine.run("nf", nf_path_killer(4))
+    lines = trace.to_csv().strip().split("\n")
+    drop = lines[0].split(",").index(missing)
+    kept = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
+    src = tmp_path / "trace.csv"
+    src.write_text("\n".join(kept) + "\n")
+    _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+
+
+def test_nf_order_short_row_exits_two(tmp_path, capsys):
+    src = tmp_path / "trace.csv"
+    src.write_text("step,u,v,decision,color\n0,0,1,C,1\n1,1,2\n")
+    _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+
+
+def test_exhaustive_without_edges_exits_two(capsys):
+    for klass in ("path", "fair-path", "tree"):
+        _assert_usage_error(capsys, ["exhaustive", "--class", klass, "--max-edges", "0"])
