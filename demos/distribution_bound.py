@@ -31,7 +31,7 @@ print("\nsampling the full distribution (100000 draws):")
 for report in yao_experiment(B, trials=100_000, seed=7):
     print(f"  {report.algorithm}: mean colored {report.colored_mean:.2f} "
           f"+- {report.colored_stderr:.3f} "
-          f"(ratio {report.ratio:.4f}, ceiling ratio {report.bound:.4f})")
+          f"(ratio {float(report.ratio):.4f}, ceiling ratio {float(report.bound):.4f})")
 
 print("\na single fresh sample, for flavor:")
 inst = yao_sample(B, random.Random(1))

@@ -31,7 +31,6 @@ from .charging import (
     FairTreeCertificate,
     FFTreeCertificate,
     VerdictReport,
-    build_ledger,
     case1_polynomial,
     compute_l,
     critical_edges,
@@ -77,7 +76,6 @@ __all__ = [
     "audit_fair",
     "audit_witness",
     "build_graph",
-    "build_ledger",
     "bunch_plan",
     "case1_polynomial",
     "colors_at",

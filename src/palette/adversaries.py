@@ -27,10 +27,6 @@ class RevealSequence:
     name: str = ""
     params: dict = field(default_factory=dict)
 
-    @property
-    def max_reveals(self) -> int:
-        return len(self.edges)
-
     def session(self):
         for e in self.edges:
             yield e
@@ -191,7 +187,6 @@ class AdversaryScript:
     name = ""
     k = 2
     params: dict = {}
-    max_reveals = 0
 
     def session(self):
         raise NotImplementedError
@@ -220,7 +215,6 @@ class _DetPathKiller(AdversaryScript):
             )
         self.n = n
         self.params = {"n": n}
-        self.max_reveals = 3 * n - 1
 
     def session(self):
         n = self.n
@@ -277,7 +271,6 @@ class _StarChain(AdversaryScript):
         self.N = N
         self.rng = rng
         self.params = {"k": k, "N": N}
-        self.max_reveals = N * (k + 1)
 
     def session(self):
         k, rng = self.k, self.rng
@@ -326,7 +319,6 @@ class _PathThenStars(AdversaryScript):
         self.trials = trials
         self.seed = seed
         self.params = {"k": k, "m": m, "trials": trials}
-        self.max_reveals = m + k * (m + 1)
         self.stars_revealed: bool | None = None
 
     def _expected_path_score(self, path_decisions) -> Fraction:

@@ -9,8 +9,9 @@ strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
 random pair strategy on two-colorable paths.
 
-All ledger arithmetic is exact (fractions, extended with sqrt(5) where the
-bias parameter needs it); the tight instances end with zero margin, which
+All ledger arithmetic is exact, for every k: fractions, extended with
+sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
+floor at non-square k.  The tight instances end with zero margin, which
 floating point would turn into coin flips.
 """
 
@@ -20,61 +21,18 @@ import csv
 import io
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine
 from .adversaries import RevealSequence
-from .exact import Sqrt5
+from .exact import Sqrt5, surd
 from .graph import Graph, GraphError, path_positions
 from .oracle import OptWitness, audit_witness
 
 
 class ChargingError(RuntimeError):
     """An internal consistency rule of a charging strategy was violated."""
-
-
-# ---------------------------------------------------------------------------
-# the plain ledger
-
-
-@dataclass
-class ChargeLedger:
-    """Initial values, surpluses and the running redistribution state."""
-
-    C: object
-    initial: dict[int, object]
-    surplus: dict[int, object]
-    plus: frozenset[int]  # edges with positive surplus
-    minus: frozenset[int]  # edges with negative surplus (optimum-only edges)
-    final: dict[int, object] = field(default_factory=dict)
-    transfers: list[tuple[object, object, object]] = field(default_factory=list)
-
-    def total_initial(self):
-        return sum(self.initial.values())
-
-
-def build_ledger(trace: engine.Trace, witness: OptWitness, C) -> ChargeLedger:
-    """Ledger for a deterministic trace: per-edge values in {0, 1}."""
-    if not 0 <= C <= 1:
-        raise ValueError(f"target ratio must lie in [0, 1], got {C}")
-    initial: dict[int, object] = {}
-    surplus: dict[int, object] = {}
-    for step in trace.steps:
-        v = Fraction(1) if step.color is not None else Fraction(0)
-        initial[step.edge] = v
-        surplus[step.edge] = v - C if step.edge in witness.edges else v
-    plus = frozenset(e for e, s in surplus.items() if s > 0)
-    minus = frozenset(e for e, s in surplus.items() if s < 0)
-    ledger = ChargeLedger(
-        C=C,
-        initial=initial,
-        surplus=surplus,
-        plus=plus,
-        minus=minus,
-        final=dict(initial),
-    )
-    return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +177,35 @@ def _first_fit_replay_matches(trace: engine.Trace) -> bool:
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
+def _settle(view: RootedView, klass: dict, held: list, v_f: dict, C, total) -> None:
+    """The per-vertex pass shared by both tree strategies.
+
+    Each vertex pays its rejected optimum parent edge up to C, splits the rest
+    of its holding equally among its rejected optimum child edges, and keeps
+    what is left as residual; v_f is updated in place.  Values may be ints,
+    Fractions or surds: `rem * Fraction(1, n)` is the same exact split for all
+    of them, and a single child (by far the common case) takes rem as it is.
+    Raises when the final values and the residual no longer add up to total.
+    """
+    residual = 0
+    for v, rem in enumerate(held):
+        pe = view.parent_edge[v]
+        if pe != -1 and klass[pe] == "opt-only":
+            t = min(rem, C)
+            v_f[pe] += t
+            rem -= t
+        minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
+        if minus_children and rem > 0:
+            n = len(minus_children)
+            share = rem if n == 1 else rem * Fraction(1, n)
+            for f in minus_children:
+                v_f[f] += share
+            rem = 0
+        residual += rem
+    if sum(v_f.values()) + residual != total:
+        raise ChargingError("ledger leaked value during redistribution")
+
+
 class _TreeCertificate:
     """The half of a tree certificate that does not depend on the root.
 
@@ -314,20 +301,7 @@ class FFTreeCertificate(_TreeCertificate):
             held[x] += surplus
 
         v_f = {e: k - 1 if kl == "double" else 0 for e, kl in klass.items()}
-        residual = 0
-        for v, rem in enumerate(held):
-            pe = view.parent_edge[v]
-            if pe != -1 and klass[pe] == "opt-only":
-                t = min(rem, k - 1)
-                v_f[pe] += t
-                rem -= t
-            minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
-            if minus_children and rem > 0:
-                share = Fraction(rem, len(minus_children))
-                for f in minus_children:
-                    v_f[f] += share
-                rem = 0
-            residual += rem
+        _settle(view, klass, held, v_f, k - 1, k * len(color_of))
 
         # structural facts of the strategy (violations mean a bug, not a bad run);
         # the vertex-holdings fact is checked where the guarantee invokes it:
@@ -348,8 +322,6 @@ class FFTreeCertificate(_TreeCertificate):
                         f"{Fraction(via_credit[e], k)} < {Fraction(need, k)} past itself"
                     )
 
-        if sum(v_f.values()) + residual != k * len(color_of):
-            raise ChargingError("ledger leaked value during redistribution")
         unscale = self._unscale
         return self._report(
             view,
@@ -376,12 +348,12 @@ def ff_tree_charge(
 
 
 def fair_ratio(k: int):
-    """(2*sqrt(k)-2)/(2*sqrt(k)-1): exact for square k, float otherwise."""
+    """(2*sqrt(k)-2)/(2*sqrt(k)-1), exact for every k: a Fraction for square
+    k, otherwise the surd (4k-2-2*sqrt(k))/(4k-1)."""
     s = math.isqrt(k)
     if s * s == k:
         return Fraction(2 * s - 2, 2 * s - 1)
-    r = math.sqrt(k)
-    return (2 * r - 2) / (2 * r - 1)
+    return surd(Fraction(4 * k - 2, 4 * k - 1), Fraction(-2, 4 * k - 1), k)
 
 
 class FairTreeCertificate(_TreeCertificate):
@@ -391,7 +363,7 @@ class FairTreeCertificate(_TreeCertificate):
     vertex; each vertex settles its rejected-optimum parent edge up to C and
     splits the rest among its rejected-optimum child edges.  For each
     rejected optimum edge whose child endpoint cannot already cover C, the
-    case inequalities behind the guarantee are re-checked numerically on the
+    case inequalities behind the guarantee are re-checked exactly on the
     run's actual vertex tallies.
 
     Construction refuses unfair traces and checks the fairness facts of the
@@ -408,6 +380,7 @@ class FairTreeCertificate(_TreeCertificate):
             raise ValueError("trace is not fair; refusing to certify")
         k = trace.k
         super().__init__(trace, witness, fair_ratio(k))
+        self.double_surplus = 1 - self.C  # what a double-colored edge sends up
         tallies = self.tallies
         for v, t in enumerate(tallies):
             if t["d_d"] + t["d_r"] > k:
@@ -422,38 +395,13 @@ class FairTreeCertificate(_TreeCertificate):
 
     def charge(self, root: int) -> VerdictReport:
         g, k, C, klass = self.trace.graph, self.trace.k, self.C, self.klass
-        exact = isinstance(C, Fraction)
-        zero = Fraction(0) if exact else 0.0
         view = rooted_view(g, root)
-
-        held = [zero] * g.num_vertices
+        held = [0] * g.num_vertices
         for e in self.color_of:
             x, _ = view.parent_side(g, e)
-            held[x] += 1 - C if klass[e] == "double" else 1
-
-        v_f = {e: (C if kl == "double" else zero) for e, kl in klass.items()}
-        residual = zero
-        for v, rem in enumerate(held):
-            pe = view.parent_edge[v]
-            if pe != -1 and klass[pe] == "opt-only":
-                t = min(rem, C)
-                v_f[pe] += t
-                rem -= t
-            minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
-            if minus_children and rem > 0:
-                share = rem / len(minus_children)
-                for f in minus_children:
-                    v_f[f] += share
-                rem = zero
-            residual += rem
-
-        total_initial = len(self.color_of)
-        total_final = sum(v_f.values()) + residual
-        if exact:
-            if total_final != total_initial:
-                raise ChargingError("ledger leaked value during redistribution")
-        elif abs(float(total_final) - total_initial) > 1e-9:
-            raise ChargingError("ledger drifted by more than 1e-9")
+            held[x] += self.double_surplus if klass[e] == "double" else 1
+        v_f = {e: (C if kl == "double" else _ZERO) for e, kl in klass.items()}
+        _settle(view, klass, held, v_f, C, len(self.color_of))
 
         report = self._report(view, v_f, {e: v_f[e] - C for e in self.witness.edges})
         for r in report.rows:

@@ -1,15 +1,19 @@
-"""Exact arithmetic over numbers of the form a + b*sqrt(5).
+"""Exact arithmetic over numbers of the form a + b*sqrt(d).
 
 The charging ledgers must not be computed in floating point: the tight
-instances have zero margin, and the bias parameter that maximizes the
-randomized path guarantee is irrational (golden ratio over sqrt(5)), so
+instances have zero margin, and the targets are irrational -- the bias that
+maximizes the randomized path guarantee is the golden ratio over sqrt(5),
+and the fair tree floor (2*sqrt(k)-2)/(2*sqrt(k)-1) involves sqrt(k) -- so
 plain fractions are not enough either.  This tiny quadratic-field type
-supports the ring operations, division by rationals, and exact ordering,
-which is all the ledgers need.
+supports the ring operations, division, and exact ordering, which is all
+the ledgers need.  The radicand d is stored per value: `Sqrt5(a, b)` has
+d = 5 and `surd(a, b, d)` any other; arithmetic or comparison between
+values with different radicands raises.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -20,21 +24,35 @@ def _as_fraction(x) -> Fraction:
 
 
 class Sqrt5:
-    """The number a + b*sqrt(5) with rational a, b."""
+    """The number a + b*sqrt(d) with rational a, b and a positive non-square
+    integer d.  The constructor always gives d = 5; every value, whatever its
+    radicand, is built by the same two-argument call and then given its d,
+    so code that wraps the constructor sees one signature."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0):
         self.a = Fraction(a)
         self.b = Fraction(b)
+        self.d = 5
+
+    def _like(self, a, b) -> "Sqrt5":
+        """a + b*sqrt(d) with this value's radicand."""
+        r = Sqrt5(a, b)
+        r.d = self.d
+        return r
 
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other) -> "Sqrt5 | None":
         if isinstance(other, Sqrt5):
+            if other.d != self.d:
+                raise ValueError(
+                    f"cannot mix radicands sqrt({self.d}) and sqrt({other.d})"
+                )
             return other
         try:
-            return Sqrt5(_as_fraction(other))
+            return self._like(_as_fraction(other), 0)
         except TypeError:
             return None
 
@@ -42,44 +60,46 @@ class Sqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Sqrt5(self.a + o.a, self.b + o.b)
+        return self._like(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Sqrt5(-self.a, -self.b)
+        return self._like(-self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Sqrt5(self.a - o.a, self.b - o.b)
+        return self._like(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Sqrt5(o.a - self.a, o.b - self.b)
+        return self._like(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Sqrt5(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        return self._like(
+            self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Sqrt5):
-            # multiply by the conjugate; norm is a*a - 5*b*b
-            norm = other.a * other.a - 5 * other.b * other.b
+            # multiply by the conjugate; norm is a*a - d*b*b
+            o = self._coerce(other)
+            norm = o.a * o.a - o.d * o.b * o.b
             if norm == 0:
                 raise ZeroDivisionError("division by zero")
-            conj = Sqrt5(other.a, -other.b)
-            num = self * conj
-            return Sqrt5(num.a / norm, num.b / norm)
+            num = self * o._like(o.a, -o.b)
+            return self._like(num.a / norm, num.b / norm)
         q = _as_fraction(other)
-        return Sqrt5(self.a / q, self.b / q)
+        return self._like(self.a / q, self.b / q)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -90,7 +110,7 @@ class Sqrt5:
     # -- exact ordering -----------------------------------------------------
 
     def _sign(self) -> int:
-        """Sign of a + b*sqrt(5), decided without leaving the rationals."""
+        """Sign of a + b*sqrt(d), decided without leaving the rationals."""
         a, b = self.a, self.b
         if b == 0:
             return (a > 0) - (a < 0)
@@ -100,11 +120,12 @@ class Sqrt5:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 with 5 b^2 on the dominant side
-        if a > 0:  # b < 0: positive iff a^2 > 5 b^2
-            return 1 if a * a > 5 * b * b else (-1 if a * a < 5 * b * b else 0)
-        # a < 0 < b: positive iff 5 b^2 > a^2
-        return 1 if 5 * b * b > a * a else (-1 if 5 * b * b < a * a else 0)
+        # opposite signs: compare a^2 with d b^2 on the dominant side
+        aa, dbb = a * a, self.d * b * b
+        if a > 0:  # b < 0: positive iff a^2 > d b^2
+            return 1 if aa > dbb else (-1 if aa < dbb else 0)
+        # a < 0 < b: positive iff d b^2 > a^2
+        return 1 if dbb > aa else (-1 if dbb < aa else 0)
 
     def _cmp(self, other) -> int | None:
         o = self._coerce(other)
@@ -140,12 +161,31 @@ class Sqrt5:
     # -- conversions ----------------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * 5 ** 0.5
+        return float(self.a) + float(self.b) * self.d ** 0.5
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = f"{abs(self.b)}*sqrt({self.d})"
+        if self.a == 0:
+            return root if self.b > 0 else f"-{root}"
+        return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
 
     def __repr__(self):
+        if self.d != 5:
+            return f"surd({self.a}, {self.b}, {self.d})"
         if self.b == 0:
             return f"Sqrt5({self.a})"
         return f"Sqrt5({self.a}, {self.b})"
+
+
+def surd(a, b, d: int) -> Sqrt5:
+    """The number a + b*sqrt(d) for a positive non-square integer d."""
+    if not isinstance(d, int) or d < 2 or math.isqrt(d) ** 2 == d:
+        raise ValueError(f"radicand must be a positive non-square integer, got {d!r}")
+    r = Sqrt5(a, b)
+    r.d = d
+    return r
 
 
 #: (1 + sqrt(5)) / (2 sqrt(5)) = 1/2 + sqrt(5)/10, the golden ratio over sqrt(5)

@@ -2,7 +2,7 @@
 
 Vertices and edges are dense 0-based integer ids.  Vertices come into
 existence the first time an edge mentions them; edge ids are assigned in
-reveal order, which is what the isolation test relies on.  Colors are the
+reveal order.  Colors are the
 integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
 set means color ``c`` is present).
 """
@@ -95,17 +95,6 @@ class Graph:
     def other_end(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
         return w if v == u else u
-
-    def is_isolated_at_reveal(self, eid: int) -> bool:
-        """True iff no edge incident to eid's endpoints was revealed earlier.
-
-        Edge ids grow in reveal order, so "earlier" means a smaller id.
-        Rejected edges count: they are part of the structure.
-        """
-        u, v = self.edges[eid]
-        return all(f >= eid for f in self.incident[u]) and all(
-            f >= eid for f in self.incident[v]
-        )
 
     def adjacent_edges(self, eid: int):
         """Edge ids sharing an endpoint with eid."""

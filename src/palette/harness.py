@@ -42,7 +42,6 @@ class ExperimentConfig:
     b: int | None = None
     trials: int = 1
     seed: object = 0
-    out: str | None = None
 
 
 @dataclass
@@ -56,22 +55,24 @@ class RatioReport:
     colored_mean: float
     colored_stderr: float | None  # None for deterministic runs
     opt: float
-    ratio: float
-    bound: float | None
+    ratio: Fraction  # exact mean of colored/opt over the trials
+    bound: Fraction | None  # None when no bound is proven for the algorithm
     per_trial: list[tuple[int, int]] = field(default_factory=list)  # (colored, opt)
 
     @property
-    def margin(self) -> float | None:
+    def margin(self) -> Fraction | None:
         return None if self.bound is None else self.bound - self.ratio
 
     def violates_bound(self) -> bool:
-        """True when the observed ratio exceeds the construction's ceiling."""
-        if self.bound is None:
+        """True when the observed ratio exceeds the construction's ceiling:
+        exactly for a run without spread, by more than three standard errors
+        for a sampled mean."""
+        if self.bound is None or self.ratio <= self.bound:
             return False
         slack = 0.0
         if self.colored_stderr is not None and self.opt > 0:
             slack = 3 * self.colored_stderr / self.opt
-        return self.ratio > self.bound + slack
+        return self.ratio - self.bound > slack
 
     def write_csv(self, out) -> None:
         import csv
@@ -91,9 +92,11 @@ class RatioReport:
         body = f"colored {self.colored_mean:g}"
         if self.colored_stderr is not None:
             body += f" +- {self.colored_stderr:.3g} (stderr, {self.trials} trials)"
-        body += f", opt {self.opt:g}, ratio {self.ratio:.6f}"
+        body += f", opt {self.opt:g}, ratio {float(self.ratio):.6f}"
         if self.bound is not None:
             body += f", bound {float(self.bound):.6f}, margin {float(self.margin):+.6f}"
+        else:
+            body += f", no bound proven for {self.algorithm}"
         return head + ": " + body
 
 
@@ -172,12 +175,12 @@ def _bound_det_path_killer(config, opt):
 
 
 def _bound_rp_mod3(config, opt):
-    p = config.p
+    p = Fraction(config.p)
     return (Fraction(2, 3) * (-p * p + p + 1) * (config.m - 1) + 1) / opt
 
 
 def _bound_rp_oddeven(config, opt):
-    p = config.p
+    p = Fraction(config.p)
     return ((p * p - p + 1) * (config.m - 1) + 1) / opt
 
 
@@ -219,9 +222,10 @@ class Construction:
     name: str
     build: object  # (config, rng) -> script
     needed: tuple[str, ...]
-    bound: object  # (config, opt) -> Fraction | None
+    bound: object  # (config, exact mean opt) -> Fraction
     resamples: bool = False  # a fresh instance per trial
     algorithms: tuple[str, ...] = ("ff", "nf", "rp")
+    proven_for: tuple[str, ...] | None = None  # algorithms the bound holds for; None: all
     note: str = ""
 
 
@@ -230,6 +234,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
     for c in [
         Construction(
             "nf-path-killer", _build_nf_path_killer, ("m",), _bound_nf_path_killer,
+            proven_for=("nf",),
             note="path order that pins next-fit at (m+1)/(2m+1)",
         ),
         Construction(
@@ -239,10 +244,12 @@ CONSTRUCTIONS: dict[str, Construction] = {
         ),
         Construction(
             "rp-mod3", _build_rp_mod3, ("m",), _bound_rp_mod3,
+            proven_for=("rp",),
             note="path order hitting the mixed-parity branch of the rp ratio",
         ),
         Construction(
             "rp-oddeven", _build_rp_oddeven, ("m",), _bound_rp_oddeven,
+            proven_for=("rp",),
             note="path order hitting the equal-parity branch of the rp ratio",
         ),
         Construction(
@@ -283,6 +290,8 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     randomized runs config.trials times with per-trial derived seeds.  A
     biased-pair run on a fixed path order is delegated to the vectorized
     path runner, which is decision-for-decision equivalent to the engine.
+    The report carries the k the script actually played, and a bound only
+    when the construction's bound is proven for the configured algorithm.
     """
     if config.adversary not in CONSTRUCTIONS:
         raise ValueError(
@@ -325,6 +334,7 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
             fixed_script.edges, config.p, trials, seed=_int_seed(config.seed)
         )
         per_trial = [(int(c), opt) for c in counts]
+        k = fixed_script.k
     else:
         for t in range(trials):
             script = fixed_script
@@ -334,30 +344,31 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
                 algorithm.clone(), script, rng=engine.derive_rng(config.seed, "alg", t)
             )
             per_trial.append((trace.colored_count, opt_value(trace.graph, trace.k)))
+            k = trace.k
 
     colored = np.array([c for c, _ in per_trial], dtype=float)
-    opts = np.array([o for _, o in per_trial], dtype=float)
     mean = float(colored.mean())
     stderr = (
         float(colored.std(ddof=1) / math.sqrt(len(colored)))
         if randomized and len(colored) > 1
         else None
     )
-    ratio = float((colored / opts).mean())
-    mean_opt = float(opts.mean())
-    bound = spec.bound(config, Fraction(int(opts[0])) if len(set(opts)) == 1 else mean_opt)
+    tally = Counter(per_trial)
+    ratio = sum(Fraction(c, o) * n for (c, o), n in tally.items()) / len(per_trial)
+    mean_opt = Fraction(sum(o * n for (_, o), n in tally.items()), len(per_trial))
+    proven = spec.proven_for is None or config.algorithm in spec.proven_for
     return RatioReport(
         construction=config.adversary,
         algorithm=config.algorithm,
-        k=config.k,
+        k=k,
         params=params,
         trials=trials,
         seed=config.seed,
         colored_mean=mean,
         colored_stderr=stderr,
-        opt=mean_opt,
+        opt=float(mean_opt),
         ratio=ratio,
-        bound=float(bound) if bound is not None else None,
+        bound=spec.bound(config, mean_opt) if proven else None,
         per_trial=per_trial,
     )
 
@@ -411,6 +422,7 @@ def yao_experiment(
         )
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(trials))
+        total = sum(colored_by_round[L] * n for L, n in draws.items())
         reports.append(
             RatioReport(
                 construction="yao",
@@ -422,8 +434,8 @@ def yao_experiment(
                 colored_mean=mean,
                 colored_stderr=stderr,
                 opt=float(opt),
-                ratio=mean / opt,
-                bound=float(bound / opt),
+                ratio=Fraction(total, trials * opt),
+                bound=bound / opt,
                 per_trial=[(colored_by_round[L], opt) for L in sorted(draws)],
             )
         )
@@ -731,23 +743,6 @@ def random_reveal(rng, edges) -> list[tuple[int, int]]:
     return order
 
 
-def estimate_initial_values(alg, script, trials: int, seed=0) -> list[float]:
-    """Per-step colored frequency of a randomized algorithm over fresh seeds."""
-    counts = None
-    for t in range(trials):
-        trace = engine.run(
-            alg.clone() if not isinstance(alg, str) else alg,
-            script,
-            rng=engine.derive_rng(seed, "vi", t),
-        )
-        if counts is None:
-            counts = [0] * len(trace.steps)
-        for i, step in enumerate(trace.steps):
-            if step.color is not None:
-                counts[i] += 1
-    return [c / trials for c in counts]
-
-
 # ---------------------------------------------------------------------------
 # charging verification loops
 
@@ -764,7 +759,8 @@ class VerifySummary:
         return self.failures == 0
 
     def summary(self) -> str:
-        mm = "n/a" if self.min_margin is None else f"{float(self.min_margin):.6f}"
+        mm = self.min_margin
+        mm = "n/a" if mm is None else f"{mm} (= {float(mm):.6f})"
         return (
             f"{self.strategy}: {self.instances} instances, "
             f"{self.failures} failures, min margin {mm}"

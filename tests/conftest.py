@@ -52,3 +52,20 @@ def random_tree_sequence(seed: int, max_edges: int, k: int) -> RevealSequence:
     m = rng.randrange(1, max_edges + 1)
     edges = harness.random_reveal(rng, harness.random_tree_edges(rng, m))
     return RevealSequence(edges=edges, k=k)
+
+
+def estimate_initial_values(alg, script, trials: int, seed=0) -> list[float]:
+    """Per-step colored frequency of a randomized algorithm over fresh seeds."""
+    counts = None
+    for t in range(trials):
+        trace = engine.run(
+            alg.clone() if not isinstance(alg, str) else alg,
+            script,
+            rng=engine.derive_rng(seed, "vi", t),
+        )
+        if counts is None:
+            counts = [0] * len(trace.steps)
+        for i, step in enumerate(trace.steps):
+            if step.color is not None:
+                counts[i] += 1
+    return [c / trials for c in counts]

@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RandomFair, RejectAll, random_tree_sequence
+from conftest import (
+    RandomFair,
+    RejectAll,
+    estimate_initial_values,
+    random_tree_sequence,
+)
 from palette import engine, harness
 from palette.adversaries import (
     RevealSequence,
     nf_tree_worstcase,
+    nf_tree_worstcase_rounded,
     path_edges,
     rp_strategy_mod3,
     rp_strategy_oddeven,
@@ -18,7 +24,6 @@ from palette.charging import (
     ChargingError,
     FairTreeCertificate,
     FFTreeCertificate,
-    build_ledger,
     case1_polynomial,
     compute_l,
     critical_edges,
@@ -29,47 +34,13 @@ from palette.charging import (
     rp_competitive_ratio,
     rp_path_charge,
 )
-from palette.exact import PHI_OVER_SQRT5
+from palette.exact import PHI_OVER_SQRT5, Sqrt5
 from palette.graph import GraphError, build_graph
 from palette.oracle import OptWitness, opt_tree
 
 
 def ff_trace(edges, k):
     return engine.run("ff", RevealSequence(edges=edges, k=k))
-
-
-# ---------------------------------------------------------------------------
-# the plain ledger
-
-
-def test_ledger_all_colored():
-    trace = ff_trace([(0, 1), (1, 2)], 2)
-    witness = opt_tree(trace.graph, 2)
-    C = Fraction(2, 3)
-    ledger = build_ledger(trace, witness, C)
-    assert not ledger.minus
-    assert sum(ledger.surplus[e] for e in ledger.plus) == 2 * (1 - C)
-
-
-def test_ledger_rejected_opt_edge_starts_at_zero():
-    trace = ff_trace([(0, 1), (1, 2), (3, 4), (2, 3)], 2)
-    witness = opt_tree(trace.graph, 2)
-    ledger = build_ledger(trace, witness, Fraction(2, 3))
-    assert ledger.initial[3] == 0
-    assert 3 in ledger.minus
-
-
-def test_ledger_c_zero_everything_satisfied():
-    trace = ff_trace([(0, 1), (1, 2), (3, 4), (2, 3)], 2)
-    witness = opt_tree(trace.graph, 2)
-    ledger = build_ledger(trace, witness, Fraction(0))
-    assert not ledger.minus
-
-
-def test_ledger_rejects_bad_ratio():
-    trace = ff_trace([(0, 1)], 2)
-    with pytest.raises(ValueError):
-        build_ledger(trace, opt_tree(trace.graph, 2), Fraction(3, 2))
 
 
 def test_edge_class_tallies():
@@ -241,7 +212,10 @@ def test_ff_charge_alternative_witnesses():
 def test_fair_ratio_values():
     assert fair_ratio(4) == Fraction(2, 3)
     assert fair_ratio(9) == Fraction(4, 5)
-    assert abs(fair_ratio(5) - (2 * math.sqrt(5) - 2) / (2 * math.sqrt(5) - 1)) < 1e-12
+    r = Sqrt5(0, 1)  # sqrt(5)
+    assert fair_ratio(5) == (2 * r - 2) / (2 * r - 1)
+    for k in range(1, 30):
+        assert not isinstance(fair_ratio(k), float)
 
 
 def test_fair_charge_tight_on_nf_worstcase():
@@ -249,6 +223,15 @@ def test_fair_charge_tight_on_nf_worstcase():
     report = fair_tree_charge(trace, opt_tree(trace.graph, 4))
     assert report.passed
     assert report.min_margin == 0
+
+
+def test_fair_charge_tight_on_rounded_nf_worstcase():
+    # non-square k: the ledger runs in a + b*sqrt(5) and still ends at zero exactly
+    trace = engine.run("nf", nf_tree_worstcase_rounded(5, 10))
+    report = fair_tree_charge(trace, opt_tree(trace.graph, 5))
+    assert report.passed
+    assert report.min_margin == 0
+    assert not any(isinstance(r.v_f, float) for r in report.rows)
 
 
 def test_fair_charge_margin_shrinks_with_size():
@@ -264,7 +247,7 @@ def test_fair_charge_margin_shrinks_with_size():
 def test_fair_charge_random_suite():
     rng = random.Random(60)
     for t in range(120):
-        k = rng.choice([4, 9])
+        k = rng.choice([2, 3, 4, 5, 9])
         seq = random_tree_sequence(rng.randrange(10**9), 12, k)
         alg = rng.choice(["nf", "ff", None])
         trace = engine.run(alg or RandomFair(), seq, seed=t)
@@ -371,7 +354,7 @@ def test_rp_charge_monte_carlo_initial_values():
     order = rp_strategy_mod3(16)
     p = 0.7236068
     trials = 10_000
-    freq = harness.estimate_initial_values(engine.RandomParity(p), order, trials, seed=3)
+    freq = estimate_initial_values(engine.RandomParity(p), order, trials, seed=3)
     report = rp_path_charge(order, p)
     for row in report.rows:
         expect = float(row.v_i)

@@ -1,8 +1,9 @@
+import dataclasses
 import os
 
 import pytest
 
-from palette import engine
+from palette import engine, harness
 from palette.adversaries import nf_path_killer
 from palette.cli import main
 
@@ -18,10 +19,57 @@ def test_run_ok(capsys):
     assert "ratio 0.50" in out
 
 
-def test_run_bound_violation_exits_one(capsys):
-    # first-fit colors the whole order, far above the next-fit ceiling
+def test_run_bound_violation_exits_one(capsys, monkeypatch):
+    # first-fit colors the whole order, far above the next-fit ceiling; the
+    # registry holds only next-fit to it, so widen it to reach the exit code
+    spec = harness.CONSTRUCTIONS["nf-path-killer"]
+    monkeypatch.setitem(harness.CONSTRUCTIONS, "nf-path-killer",
+                        dataclasses.replace(spec, proven_for=("nf", "ff")))
     code = main(["run", "--adv", "nf-path-killer", "--alg", "ff", "--m", "100"])
     assert code == 1
+
+
+# small sizes per construction; a new construction needs an entry here
+SMALL_RUNS = {
+    "nf-path-killer": ["--m", "5"],
+    "det-path-killer": ["--n", "5"],
+    "rp-mod3": ["--m", "7"],
+    "rp-oddeven": ["--m", "7"],
+    "star-chain": ["--N", "5"],
+    "path-then-stars": ["--m", "5"],
+    "nf-tree": ["--k", "4", "--N", "2"],
+    "nf-tree-rounded": ["--k", "5", "--N", "2"],
+    "yao": ["--b", "3"],
+}
+
+
+@pytest.mark.parametrize("adv,alg", [
+    (name, alg) for name, spec in harness.CONSTRUCTIONS.items() for alg in spec.algorithms
+])
+def test_run_every_accepted_pair(capsys, adv, alg):
+    argv = ["run", "--adv", adv, "--alg", alg, "--trials", "40", "--seed", "3"]
+    if alg == "rp":
+        argv += ["--p", "0.7"]
+    assert main(argv + SMALL_RUNS[adv]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert f"{adv} vs {alg} (k=" in captured.out
+
+
+def test_run_reports_the_k_played_and_no_unproven_verdict(capsys):
+    # the fixed path orders always play k=2; next-fit's ceiling does not bind ff
+    assert main(["run", "--adv", "nf-path-killer", "--alg", "ff", "--m", "5", "--k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "(k=2, m=5)" in out and "no bound proven for ff" in out
+    assert main(["run", "--adv", "rp-mod3", "--alg", "ff", "--m", "7"]) == 0
+
+
+def test_run_compares_ratio_and_bound_exactly(capsys):
+    # every trial colors exactly 6 of 10: the ratio meets the bound 6/10 with
+    # no spread, which a float mean (0.6000000000000001) would count as a violation
+    assert main(["run", "--adv", "star-chain", "--alg", "rp", "--p", "0.7",
+                 "--N", "5", "--trials", "50"]) == 0
+    assert "margin +0.000000" in capsys.readouterr().out
 
 
 def test_usage_error_exits_two(capsys):
@@ -68,6 +116,9 @@ def test_yao_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "yao vs ff" in out and "yao vs nf" in out
+    # the ceiling bounds the expectation; here ff's sample mean lands about one
+    # standard error above it, and only three or more count as a violation
+    assert main(["yao", "--b", "7", "--trials", "100000", "--seed", "16"]) == 0
 
 
 def test_exhaustive_path_command(capsys):

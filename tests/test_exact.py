@@ -5,31 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette.exact import PHI_OVER_SQRT5, Sqrt5
+from palette.exact import PHI_OVER_SQRT5, Sqrt5, surd
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=50
 )
+radicands = st.sampled_from([2, 3, 5, 7])
 
 
-def as_float(a, b):
-    return float(a) + float(b) * math.sqrt(5)
+def as_float(a, b, rad):
+    return float(a) + float(b) * math.sqrt(rad)
 
 
 @settings(max_examples=150, deadline=None)
-@given(fractions, fractions, fractions, fractions)
-def test_ring_ops_match_floats(a, b, c, d):
-    x, y = Sqrt5(a, b), Sqrt5(c, d)
-    assert float(x + y) == pytest.approx(as_float(a + c, b + d))
-    assert float(x - y) == pytest.approx(as_float(a - c, b - d))
+@given(radicands, fractions, fractions, fractions, fractions)
+def test_ring_ops_match_floats(rad, a, b, c, d):
+    x, y = surd(a, b, rad), surd(c, d, rad)
+    assert float(x + y) == pytest.approx(as_float(a + c, b + d, rad))
+    assert float(x - y) == pytest.approx(as_float(a - c, b - d, rad))
     prod = x * y
     assert float(prod) == pytest.approx(float(x) * float(y), abs=1e-9)
+    if y != 0:
+        assert (x / y) * y == x
 
 
 @settings(max_examples=150, deadline=None)
-@given(fractions, fractions, fractions, fractions)
-def test_ordering_matches_floats(a, b, c, d):
-    x, y = Sqrt5(a, b), Sqrt5(c, d)
+@given(radicands, fractions, fractions, fractions, fractions)
+def test_ordering_matches_floats(rad, a, b, c, d):
+    x, y = surd(a, b, rad), surd(c, d, rad)
     fx, fy = float(x), float(y)
     if abs(fx - fy) > 1e-9:
         assert (x < y) == (fx < fy)
@@ -62,6 +65,10 @@ def test_sign_of_conjugate_pairs():
     assert Sqrt5(-3, 1) < 0
     assert Sqrt5(-2, 1) > 0
     assert Sqrt5(Fraction(5), Fraction(-1)) * Sqrt5(Fraction(5), Fraction(1)) == 20
+    assert surd(2, -1, 3) > 0 and surd(1, -1, 3) < 0  # 4 > 3 > 1
+    assert str(Sqrt5(Fraction(1, 2), Fraction(-1, 10))) == "1/2 - 1/10*sqrt(5)"
+    assert repr(surd(1, 2, 3)) == "surd(1, 2, 3)"
+    assert surd(5, 0, 5) == Sqrt5(5)  # d = 5 either way
 
 
 def test_golden_ratio_constant():
@@ -76,3 +83,7 @@ def test_golden_ratio_constant():
 def test_rejects_unsupported_types():
     with pytest.raises(TypeError):
         Sqrt5(1) + 0.5  # floats stay out of the exact domain
+    with pytest.raises(ValueError):
+        Sqrt5(1, 1) + surd(1, 1, 3)  # sqrt(5) and sqrt(3) do not mix
+    with pytest.raises(ValueError):
+        surd(1, 1, 4)  # sqrt(4) is rational: not a quadratic field

@@ -64,26 +64,6 @@ def test_colors_at_unknown_vertex():
         colors_at(PartialColoring(2), g, 7)
 
 
-def test_isolated_at_reveal():
-    g = Graph()
-    e0 = g.add_edge(0, 1)
-    assert g.is_isolated_at_reveal(e0)
-    e1 = g.add_edge(2, 3)  # disjoint: still isolated
-    assert g.is_isolated_at_reveal(e1)
-    e2 = g.add_edge(1, 2)
-    assert not g.is_isolated_at_reveal(e2)
-
-
-def test_isolated_counts_rejected_neighbors():
-    # a rejected edge still occupies its endpoints structurally
-    g = Graph()
-    g.add_edge(0, 1)
-    e = g.add_edge(1, 2)
-    c = PartialColoring(2)
-    c.reject(0)
-    assert not g.is_isolated_at_reveal(e)
-
-
 def test_classify():
     assert build_graph([(0, 1), (1, 2), (2, 3)]).classify() == "path"
     assert build_graph([(0, i) for i in range(1, 5)]).classify() == "star"
