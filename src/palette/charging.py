@@ -89,7 +89,6 @@ class VerdictReport:
 class RootedView:
     """Parent relations of a tree from a chosen root."""
 
-    root: int
     parent_vertex: list[int]  # -1 at the root
     parent_edge: list[int]  # -1 at the root
     children: list[list[int]]  # child edge ids per vertex
@@ -122,7 +121,7 @@ def rooted_view(g: Graph, root: int) -> RootedView:
                 parent_edge[y] = f
                 children[x].append(f)
                 stack.append(y)
-    return RootedView(root, parent_vertex, parent_edge, children)
+    return RootedView(parent_vertex, parent_edge, children)
 
 
 def largest_available_color(coloring, v: int, k: int) -> int:
@@ -480,6 +479,8 @@ def _as_exact(p):
     if isinstance(p, (int, Fraction)):
         return Fraction(p)
     if isinstance(p, float):
+        if not math.isfinite(p):
+            raise ValueError(f"bias parameter must be finite, got {p}")
         return Fraction(p)  # exact binary expansion of the float
     raise TypeError(f"unsupported bias parameter type {type(p).__name__}")
 

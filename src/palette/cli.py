@@ -94,14 +94,13 @@ def cmd_verify(args) -> int:
     if args.strategy == "rp-path":
         p = args.p if args.p is not None else 0.7236068
         summary = harness.verify_rp_paths(args.random, args.max_edges, p, seed)
-    elif args.adv in ("nf-tree", "nf-tree-rounded"):
-        builder = (
-            adversaries.nf_tree_worstcase
-            if args.adv == "nf-tree"
-            else adversaries.nf_tree_worstcase_rounded
-        )
-        seq = builder(args.k, args.N if args.N is not None else 10)
-        trace = engine.run("nf", seq)
+    elif args.adv is not None:
+        config = _config_from(args)
+        if config.N is None:
+            config.N = 10
+        nf = engine.make_algorithm("nf")
+        seq = harness.construction_for(config).build(config, nf, None)
+        trace = engine.run(nf, seq)
         witness = opt_tree(trace.graph, args.k)
         charge = (
             charging.fair_tree_charge
@@ -136,8 +135,11 @@ def _instance_graph(args):
         return build_graph(edges)
     if args.adv:
         config = _config_from(args)
-        spec = harness.CONSTRUCTIONS[args.adv]
-        script = spec.build(config, engine.derive_rng(config.seed, "opt"))
+        spec = harness.construction_for(config)
+        # --alg plays no part here: a fixed order never reads the opponent,
+        # and an adaptive one is refused below whichever opponent it gets
+        opponent = engine.make_algorithm("ff")
+        script = spec.build(config, opponent, engine.derive_rng(config.seed, "opt"))
         if not isinstance(script, adversaries.RevealSequence):
             raise ValueError(
                 f"construction {args.adv!r} is adaptive; run it via 'run' instead"

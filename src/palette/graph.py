@@ -82,10 +82,6 @@ class Graph:
         self.incident[v].append(eid)
         return eid
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._seen
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
 
@@ -182,14 +178,6 @@ class PartialColoring:
     def available_mask(self, g: Graph, eid: int) -> int:
         u, v = g.endpoints(eid)
         return ~(self.used_mask(u) | self.used_mask(v)) & full_mask(self.k)
-
-    def decision(self, eid: int) -> int | None:
-        """Color for colored edges, None for rejected; KeyError if pending."""
-        c = self.state[eid]
-        return None if c == REJECTED else c
-
-    def is_pending(self, eid: int) -> bool:
-        return eid not in self.state
 
     def color(self, g: Graph, eid: int, c: int) -> None:
         if not 1 <= c <= self.k:

@@ -104,123 +104,23 @@ class RatioReport:
 # construction registry
 
 
-def _require(config: ExperimentConfig, *names):
-    got = {}
-    for name in names:
-        val = getattr(config, name)
-        if val is None:
-            raise ValueError(
-                f"construction {config.adversary!r} needs --{name}"
-            )
-        got[name] = val
-    return got
-
-
-def _build_nf_path_killer(config, rng):
-    p = _require(config, "m")
-    return adversaries.nf_path_killer(p["m"])
-
-
-def _build_rp_mod3(config, rng):
-    p = _require(config, "m")
-    return adversaries.rp_strategy_mod3(p["m"])
-
-
-def _build_rp_oddeven(config, rng):
-    p = _require(config, "m")
-    return adversaries.rp_strategy_oddeven(p["m"])
-
-
-def _build_det_path_killer(config, rng):
-    p = _require(config, "n")
-    return adversaries.det_path_killer(p["n"], _algorithm_for(config))
-
-
-def _build_star_chain(config, rng):
-    p = _require(config, "N")
-    return adversaries.star_chain(config.k, p["N"], _algorithm_for(config))
-
-
-def _build_path_then_stars(config, rng):
-    p = _require(config, "m")
-    return adversaries.path_then_stars(
-        config.k, p["m"], _algorithm_for(config), trials=config.trials,
-        seed=config.seed,
-    )
-
-
-def _build_nf_tree(config, rng):
-    p = _require(config, "N")
-    return adversaries.nf_tree_worstcase(config.k, p["N"])
-
-
-def _build_nf_tree_rounded(config, rng):
-    p = _require(config, "N")
-    return adversaries.nf_tree_worstcase_rounded(config.k, p["N"])
-
-
-def _build_yao(config, rng):
-    p = _require(config, "b")
-    return adversaries.yao_sample(p["b"], rng).reveal_sequence()
-
-
-def _bound_nf_path_killer(config, opt):
-    m = config.m
-    return Fraction(m + 1, 2 * m + 1)
-
-
-def _bound_det_path_killer(config, opt):
-    n = config.n
-    return Fraction(2 * n, 3 * n - 1)
-
-
-def _bound_rp_mod3(config, opt):
-    p = Fraction(config.p)
-    return (Fraction(2, 3) * (-p * p + p + 1) * (config.m - 1) + 1) / opt
-
-
-def _bound_rp_oddeven(config, opt):
-    p = Fraction(config.p)
-    return ((p * p - p + 1) * (config.m - 1) + 1) / opt
-
-
-def _bound_star_chain(config, opt):
-    return Fraction(config.N * (config.k - 1) + 1, config.N * config.k)
-
-
-def _bound_path_then_stars(config, opt):
-    k = config.k
-    return Fraction(k, k + 1) + Fraction(k, (k + 1) * int(opt))
-
-
-def _bound_nf_tree(config, opt, star_size=None):
-    k = config.k
-    s = star_size if star_size is not None else math.isqrt(k)
-    colored = k * config.N * (k + s * s - 2 * s) + k - 1
-    return Fraction(colored, int(opt))
-
-
-def _bound_nf_tree_rounded(config, opt):
-    s = math.isqrt(config.k)
-    if s * s != config.k:
-        s += 1
-    return _bound_nf_tree(config, opt, star_size=s)
-
-
 def yao_colored_bound(b: int) -> Fraction:
     """Expected-colored ceiling for any deterministic algorithm: 4a/5 + 1/(5*2^b) + 1."""
     a = 3**b
     return Fraction(4 * a, 5) + Fraction(1, 5 * 2**b) + 1
 
 
-def _bound_yao(config, opt):
-    return yao_colored_bound(config.b) / opt
+def _nf_tree_ceiling(c, opt):
+    # next-fit's count on the bunch tree with star size s = ceil(sqrt(k));
+    # nf-tree only accepts square k, where that is sqrt(k)
+    s = math.isqrt(c.k - 1) + 1
+    return Fraction(c.k * c.N * (c.k + s * s - 2 * s) + c.k - 1, int(opt))
 
 
 @dataclass(frozen=True)
 class Construction:
     name: str
-    build: object  # (config, rng) -> script
+    build: object  # (config, algorithm, rng) -> script; fixed orders ignore the algorithm
     needed: tuple[str, ...]
     bound: object  # (config, exact mean opt) -> Fraction
     resamples: bool = False  # a fresh instance per trial
@@ -230,48 +130,82 @@ class Construction:
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    c.name: c
-    for c in [
+    spec.name: spec
+    for spec in [
         Construction(
-            "nf-path-killer", _build_nf_path_killer, ("m",), _bound_nf_path_killer,
+            "nf-path-killer",
+            lambda c, alg, rng: adversaries.nf_path_killer(c.m),
+            ("m",),
+            lambda c, opt: Fraction(c.m + 1, 2 * c.m + 1),
             proven_for=("nf",),
             note="path order that pins next-fit at (m+1)/(2m+1)",
         ),
         Construction(
-            "det-path-killer", _build_det_path_killer, ("n",), _bound_det_path_killer,
+            "det-path-killer",
+            lambda c, alg, rng: adversaries.det_path_killer(c.n, alg),
+            ("n",),
+            lambda c, opt: Fraction(2 * c.n, 3 * c.n - 1),
             algorithms=("ff", "nf"),
             note="adaptive path capping deterministic algorithms at 2n/(3n-1)",
         ),
         Construction(
-            "rp-mod3", _build_rp_mod3, ("m",), _bound_rp_mod3,
+            "rp-mod3",
+            lambda c, alg, rng: adversaries.rp_strategy_mod3(c.m),
+            ("m",),
+            lambda c, opt: (
+                Fraction(2, 3) * (-Fraction(c.p) ** 2 + Fraction(c.p) + 1) * (c.m - 1) + 1
+            ) / opt,
             proven_for=("rp",),
             note="path order hitting the mixed-parity branch of the rp ratio",
         ),
         Construction(
-            "rp-oddeven", _build_rp_oddeven, ("m",), _bound_rp_oddeven,
+            "rp-oddeven",
+            lambda c, alg, rng: adversaries.rp_strategy_oddeven(c.m),
+            ("m",),
+            lambda c, opt: (
+                (Fraction(c.p) ** 2 - Fraction(c.p) + 1) * (c.m - 1) + 1
+            ) / opt,
             proven_for=("rp",),
             note="path order hitting the equal-parity branch of the rp ratio",
         ),
         Construction(
-            "star-chain", _build_star_chain, ("N",), _bound_star_chain,
+            "star-chain",
+            lambda c, alg, rng: adversaries.star_chain(c.k, c.N, alg),
+            ("N",),
+            lambda c, opt: Fraction(c.N * (c.k - 1) + 1, c.N * c.k),
             note="adaptive tree capping deterministic-or-fair algorithms at (k-1)/k",
         ),
         Construction(
-            "path-then-stars", _build_path_then_stars, ("m",), _bound_path_then_stars,
+            "path-then-stars",
+            lambda c, alg, rng: adversaries.path_then_stars(
+                c.k, c.m, alg, trials=c.trials, seed=c.seed
+            ),
+            ("m",),
+            lambda c, opt: Fraction(c.k, c.k + 1) + Fraction(c.k, (c.k + 1) * int(opt)),
             note="adaptive tree capping any algorithm at k/(k+1)",
         ),
         Construction(
-            "nf-tree", _build_nf_tree, ("N",), _bound_nf_tree,
+            "nf-tree",
+            lambda c, alg, rng: adversaries.nf_tree_worstcase(c.k, c.N),
+            ("N",),
+            _nf_tree_ceiling,
             algorithms=("nf",),
             note="square-k tree family pinning next-fit at its fair floor",
         ),
         Construction(
-            "nf-tree-rounded", _build_nf_tree_rounded, ("N",), _bound_nf_tree_rounded,
+            "nf-tree-rounded",
+            lambda c, alg, rng: adversaries.nf_tree_worstcase_rounded(c.k, c.N),
+            ("N",),
+            _nf_tree_ceiling,
             algorithms=("nf",),
             note="non-square variant of nf-tree using rounded-up star sizes",
         ),
         Construction(
-            "yao", _build_yao, ("b",), _bound_yao, resamples=True,
+            "yao",
+            lambda c, alg, rng: adversaries.yao_sample(c.b, rng).reveal_sequence(),
+            ("b",),
+            lambda c, opt: yao_colored_bound(c.b) / opt,
+            resamples=True,
             algorithms=("ff", "nf"),
             note="randomized path-order distribution; 4/5 ceiling for deterministic algorithms",
         ),
@@ -279,8 +213,22 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 
-def _algorithm_for(config: ExperimentConfig):
-    return engine.make_algorithm(config.algorithm, config.p)
+def _require(config: ExperimentConfig, *names) -> None:
+    for name in names:
+        if getattr(config, name) is None:
+            raise ValueError(f"construction {config.adversary!r} needs --{name}")
+
+
+def construction_for(config: ExperimentConfig) -> Construction:
+    """The registry entry config.adversary names, once every flag it needs is set."""
+    spec = CONSTRUCTIONS.get(config.adversary)
+    if spec is None:
+        raise ValueError(
+            f"unknown construction {config.adversary!r}; "
+            f"choices: {', '.join(sorted(CONSTRUCTIONS))}"
+        )
+    _require(config, *spec.needed)
+    return spec
 
 
 def run_experiment(config: ExperimentConfig) -> RatioReport:
@@ -293,20 +241,15 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     The report carries the k the script actually played, and a bound only
     when the construction's bound is proven for the configured algorithm.
     """
-    if config.adversary not in CONSTRUCTIONS:
-        raise ValueError(
-            f"unknown construction {config.adversary!r}; "
-            f"choices: {', '.join(sorted(CONSTRUCTIONS))}"
-        )
+    spec = construction_for(config)
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
-    spec = CONSTRUCTIONS[config.adversary]
     if config.algorithm not in spec.algorithms:
         raise ValueError(
             f"construction {config.adversary!r} does not accept algorithm "
             f"{config.algorithm!r} (allowed: {', '.join(spec.algorithms)})"
         )
-    algorithm = _algorithm_for(config)
+    algorithm = engine.make_algorithm(config.algorithm, config.p)
     randomized = not algorithm.deterministic or spec.resamples
     trials = config.trials if randomized else 1
 
@@ -321,7 +264,7 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     per_trial: list[tuple[int, int]] = []
     fixed_script = None
     if not spec.resamples:
-        fixed_script = spec.build(config, None)
+        fixed_script = spec.build(config, algorithm, None)
 
     if (
         isinstance(fixed_script, RevealSequence)
@@ -339,7 +282,9 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
         for t in range(trials):
             script = fixed_script
             if spec.resamples:
-                script = spec.build(config, engine.derive_rng(config.seed, "adv", t))
+                script = spec.build(
+                    config, algorithm, engine.derive_rng(config.seed, "adv", t)
+                )
             trace = engine.run(
                 algorithm.clone(), script, rng=engine.derive_rng(config.seed, "alg", t)
             )
@@ -477,6 +422,8 @@ def exhaustive_paths(max_edges: int, k: int, algorithm: str = "ff") -> Exhaustiv
     order of every path with up to max_edges edges."""
     if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
         raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    if k < 2:
+        raise ValueError(f"the path floors are proven for k >= 2, got k={k}")
     alg = engine.make_algorithm(algorithm, None)
     if not alg.deterministic:
         raise ValueError("exhaustive path mode enumerates deterministic algorithms only")
@@ -767,6 +714,13 @@ class VerifySummary:
         )
 
 
+def _check_sweep(count: int, max_edges: int) -> None:
+    if count < 1:
+        raise ValueError(f"need at least one random instance, got {count}")
+    if max_edges < 1:
+        raise ValueError(f"max_edges must be >= 1, got {max_edges}")
+
+
 def _merge_margin(current, margin):
     if margin is None:
         return current
@@ -779,6 +733,7 @@ def verify_ff_trees(
     count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
     """Charge first-fit runs on random trees with random reveal orders."""
+    _check_sweep(count, max_edges)
     failures = 0
     min_margin = None
     for t in range(count):
@@ -807,6 +762,7 @@ def verify_fair_trees(
     all_roots: bool = False,
 ) -> VerifySummary:
     """Charge fair runs (next-fit by default) on random trees."""
+    _check_sweep(count, max_edges)
     failures = 0
     min_margin = None
     for t in range(count):
@@ -830,6 +786,7 @@ def verify_fair_trees(
 
 def verify_rp_paths(count: int, max_edges: int, p, seed=0) -> VerifySummary:
     """Run the analytic pair-strategy ledger on random path reveal orders."""
+    _check_sweep(count, max_edges)
     failures = 0
     min_margin = None
     for t in range(count):

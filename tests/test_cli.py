@@ -2,6 +2,8 @@ import dataclasses
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palette import engine, harness
 from palette.adversaries import nf_path_killer
@@ -233,3 +235,105 @@ def test_nf_order_short_row_exits_two(tmp_path, capsys):
 def test_exhaustive_without_edges_exits_two(capsys):
     for klass in ("path", "fair-path", "tree"):
         _assert_usage_error(capsys, ["exhaustive", "--class", klass, "--max-edges", "0"])
+
+
+def test_unknown_construction_for_opt_exits_two(capsys):
+    _assert_usage_error(capsys, ["opt", "--adv", "nope"])
+
+
+@pytest.mark.parametrize("strategy", ["ff-tree", "fair-tree", "rp-path"])
+@pytest.mark.parametrize("flag,value", [("--random", "0"), ("--random", "-3"),
+                                        ("--max-edges", "0"), ("--max-edges", "-2")])
+def test_verify_empty_sweep_exits_two(capsys, strategy, flag, value):
+    _assert_usage_error(capsys, ["verify", "--strategy", strategy, "--random", "5",
+                                 "--max-edges", "5", flag, value])
+
+
+def test_exhaustive_path_below_two_colors_exits_two(capsys):
+    # no path floor is proven at k=1: first-fit colors 1 of 2 on order 2,1,3
+    for alg in ("ff", "nf"):
+        _assert_usage_error(capsys, ["exhaustive", "--class", "path", "--max-edges", "3",
+                                     "--k", "1", "--alg", alg])
+
+
+def _small_int(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+P_VALUES = st.sampled_from(["-1", "0", "0.3", "0.5", "0.7", "1", "1.5", "nan", "inf"])
+ADV_NAMES = st.sampled_from(sorted(harness.CONSTRUCTIONS) + ["nope"])
+
+
+def _argv(head, required, optional):
+    """argv for one subcommand: every required flag, any subset of the optional ones."""
+    def flatten(parts):
+        argv = list(head)
+        for flag, value in {**parts[0], **parts[1]}.items():
+            argv += [flag] if value is None else [flag, value]
+        return argv
+
+    return st.tuples(
+        st.fixed_dictionaries(required), st.fixed_dictionaries({}, optional=optional)
+    ).map(flatten)
+
+
+SIZES = {"--k": _small_int(-1, 6), "--m": _small_int(-1, 5), "--n": _small_int(-1, 4),
+         "--N": _small_int(-1, 3), "--b": _small_int(-1, 4), "--seed": _small_int(0, 3)}
+
+
+def _cli_argv(files):
+    algs = st.sampled_from(["ff", "nf", "rp", "xx"])
+    flag = st.just(None)
+    return st.one_of(
+        _argv(["run"], {"--adv": ADV_NAMES, "--trials": _small_int(-1, 4)},
+              {"--alg": algs, "--p": P_VALUES, **SIZES}),
+        _argv(["yao"], {"--b": _small_int(-1, 4), "--trials": _small_int(-1, 4)},
+              {"--alg": st.sampled_from(["ff", "nf", "rp"]), "--seed": _small_int(0, 3)}),
+        _argv(["exhaustive"], {"--max-edges": _small_int(-1, 4)},
+              {"--class": st.sampled_from(["path", "fair-path", "tree", "cycle"]),
+               "--alg": algs, "--k": _small_int(-1, 4), "--all-roots": flag}),
+        _argv(["verify"], {"--strategy": st.sampled_from(["ff-tree", "fair-tree", "rp-path",
+                                                          "nope"]),
+                           "--random": _small_int(-1, 3), "--max-edges": _small_int(-1, 6),
+                           "--N": _small_int(-1, 3)},
+              {"--adv": st.sampled_from(["nf-tree", "nf-tree-rounded", "nope"]),
+               "--p": P_VALUES, "--k": _small_int(-1, 6), "--all-roots": flag,
+               "--seed": _small_int(0, 3)}),
+        _argv(["opt"], {},
+              {"--adv": ADV_NAMES, "--file": st.sampled_from(files), "--alg": algs,
+               "--p": P_VALUES, **SIZES}),
+        _argv(["nf-order"], {"--file": st.sampled_from(files), "--k": _small_int(-1, 4)}, {}),
+        st.just(["list"]),
+        st.just(["no-such-command"]),
+    )
+
+
+def test_every_subcommand_exits_zero_one_or_two(tmp_path):
+    trace = engine.run("nf", nf_path_killer(2))
+    contents = {
+        "trace.csv": trace.to_csv(),
+        "no-decision.csv": "step,u,v,color\n0,0,1,1\n",
+        "short-row.csv": "step,u,v,decision,color\n0,0,1,C,1\n1,1,2\n",
+        "path.txt": "0 1\n1 2\n2 3\n",
+        "triangle.txt": "0 1\n1 2\n0 2\n",
+        "loop.txt": "0 0\n",
+        "garbage.txt": "0 x\n",
+    }
+    for name, text in contents.items():
+        (tmp_path / name).write_text(text)
+    files = [str(tmp_path / name) for name in contents] + [str(tmp_path / "missing.txt")]
+
+    @settings(max_examples=250, deadline=None)
+    @given(_cli_argv(files))
+    @example(["opt", "--adv", "nope"])
+    @example(["verify", "--strategy", "rp-path", "--random", "1", "--max-edges", "1",
+              "--p", "inf"])
+    def check(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1, 2), argv
+
+    check()

@@ -1,11 +1,12 @@
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from palette import harness
+from palette import engine, harness
 from palette.harness import (
     CONSTRUCTIONS,
     ExperimentConfig,
@@ -80,6 +81,26 @@ def test_run_star_chain_and_bound():
     assert report.opt == 200
     assert report.colored_mean <= 40 * 4 + 1
     assert not report.violates_bound()
+
+
+@pytest.mark.parametrize("trials", [5, 20])
+def test_path_then_stars_estimates_a_randomized_opponent_once(monkeypatch, trials):
+    # the replayed path estimate does not depend on a session's decisions, so
+    # run plays each trial once plus `trials` replays in all, not per session
+    calls = []
+    real_run = engine.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", counting_run)
+    report = run_experiment(config(adversary="path-then-stars", algorithm="rp", p=0.7,
+                                   m=20, trials=trials))
+    assert len(calls) == 2 * trials
+    # rp colors the whole path, so every trial enters the stars phase
+    assert Counter(report.per_trial) == {(22, 42): trials}
+    assert report.ratio == Fraction(11, 21)
 
 
 def test_report_csv_reproducible():
