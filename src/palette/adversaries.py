@@ -25,8 +25,7 @@ class RevealSequence:
 
     edges: list[tuple[int, int]]
     k: int
-    name: str = ""
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # set by nextfit_order: edge_ids, targets
 
     def session(self):
         for e in self.edges:
@@ -62,9 +61,7 @@ def nf_path_killer(m: int) -> RevealSequence:
         raise ValueError(f"m must be >= 0, got {m}")
     total = 2 * m + 1
     order = list(range(1, total + 1, 2)) + list(range(2, total + 1, 2))
-    return RevealSequence(
-        edges=_path_pairs(order), k=2, name="nf-path-killer", params={"m": m}
-    )
+    return RevealSequence(edges=_path_pairs(order), k=2)
 
 
 def rp_strategy_mod3(m: int) -> RevealSequence:
@@ -81,9 +78,7 @@ def rp_strategy_mod3(m: int) -> RevealSequence:
         + [i for i in range(1, m + 1) if i % 3 == 0]
         + [i for i in range(1, m + 1) if i % 3 == 2]
     )
-    return RevealSequence(
-        edges=_path_pairs(order), k=2, name="rp-mod3", params={"m": m}
-    )
+    return RevealSequence(edges=_path_pairs(order), k=2)
 
 
 def rp_strategy_oddeven(m: int) -> RevealSequence:
@@ -94,9 +89,7 @@ def rp_strategy_oddeven(m: int) -> RevealSequence:
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 1, got {m}")
     order = list(range(1, m + 1, 2)) + list(range(2, m + 1, 2))
-    return RevealSequence(
-        edges=_path_pairs(order), k=2, name="rp-oddeven", params={"m": m}
-    )
+    return RevealSequence(edges=_path_pairs(order), k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +119,7 @@ class YaoInstance:
         return self.a - 2
 
     def reveal_sequence(self) -> RevealSequence:
-        return RevealSequence(
-            edges=_path_pairs(self.order),
-            k=2,
-            name="yao",
-            params={"b": self.b, "L": self.L},
-        )
+        return RevealSequence(edges=_path_pairs(self.order), k=2)
 
 
 def sample_subphase_count(b: int, rng) -> int:
@@ -185,9 +173,7 @@ def yao_instance(b: int, L: int) -> YaoInstance:
 class AdversaryScript:
     """Base for adaptive adversaries; subclasses implement session()."""
 
-    name = ""
     k = 2
-    params: dict = {}
 
     def session(self):
         raise NotImplementedError
@@ -202,9 +188,6 @@ class _DetPathKiller(AdversaryScript):
     joins the two chains into one path of 3n-1 edges.
     """
 
-    name = "det-path-killer"
-    k = 2
-
     def __init__(self, n: int, alg):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -215,7 +198,6 @@ class _DetPathKiller(AdversaryScript):
                 "fragment classification relies on observed decisions"
             )
         self.n = n
-        self.params = {"n": n}
 
     def session(self):
         n = self.n
@@ -255,8 +237,6 @@ class _StarChain(AdversaryScript):
     offline all k non-chain edges of every star are colorable.
     """
 
-    name = "star-chain"
-
     def __init__(self, k: int, N: int, alg, rng=None):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
@@ -271,7 +251,6 @@ class _StarChain(AdversaryScript):
         self.k = k
         self.N = N
         self.rng = rng
-        self.params = {"k": k, "N": N}
 
     def session(self):
         k, rng = self.k, self.rng
@@ -305,8 +284,6 @@ class _PathThenStars(AdversaryScript):
     blocking the stars.
     """
 
-    name = "path-then-stars"
-
     def __init__(self, k: int, m: int, alg, trials: int = 1000, seed=None):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
@@ -319,7 +296,6 @@ class _PathThenStars(AdversaryScript):
         self.algorithm = engine.resolve_algorithm(alg)
         self.trials = trials
         self.seed = seed
-        self.params = {"k": k, "m": m, "trials": trials}
         self.stars_revealed: bool | None = None
 
     def _expected_path_score(self, path_decisions) -> Fraction:
@@ -410,7 +386,6 @@ def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
     return RevealSequence(
         edges=[g.endpoints(eid) for eid in order],
         k=coloring.k,
-        name="nextfit-order",
         params={"rename": rename, "targets": targets, "edge_ids": order},
     )
 
@@ -465,16 +440,8 @@ class BunchPlan:
 
     @property
     def reveal(self) -> RevealSequence:
-        name = (
-            "nf-tree"
-            if self.star_size * self.star_size == self.k
-            else "nf-tree-rounded"
-        )
         return RevealSequence(
-            edges=list(self.colored_part.edges) + self.connectors + self.joins,
-            k=self.k,
-            name=name,
-            params={"k": self.k, "N": self.bunches, "s": self.star_size},
+            edges=list(self.colored_part.edges) + self.connectors + self.joins, k=self.k
         )
 
     @property

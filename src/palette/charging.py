@@ -23,6 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from . import engine
 from .adversaries import RevealSequence
@@ -493,60 +494,45 @@ def rp_competitive_ratio(p):
     return same if same <= mixed else mixed
 
 
-def critical_edges(order) -> set[int]:
-    """Steps (edge ids) whose path edge already had both neighbors revealed."""
+def _path_layout(order):
+    """Everything the path ledger reads off a reveal order, computed once.
+
+    Returns (positions, by_pos, crit, depth): the path position of each
+    step, the step at each position, the critical steps (both neighbors
+    revealed earlier), and the depth of each non-critical step.  Non-critical
+    edges form contiguous runs of path positions; within a run the depth of
+    an edge is its distance from the run's earliest-revealed edge plus one,
+    so depths alternate parity along the run.
+    """
     edges = order.edges if isinstance(order, RevealSequence) else list(order)
     positions = path_positions(edges)
-    m = len(edges)
-    reveal_of_pos = {pos: step for step, pos in enumerate(positions)}
-    crit = set()
-    for step, pos in enumerate(positions):
-        if (
-            pos - 1 in reveal_of_pos
-            and pos + 1 in reveal_of_pos
-            and reveal_of_pos[pos - 1] < step
-            and reveal_of_pos[pos + 1] < step
-        ):
-            crit.add(step)
-    return crit
-
-
-def _component_depths(positions, crit):
-    """Distance-plus-one from each run's earliest-revealed edge.
-
-    Non-critical edges form contiguous runs of path positions; within a run
-    the depth of an edge is its distance from the run's earliest edge plus
-    one, so depths alternate parity along the run.
-    """
     by_pos = {pos: step for step, pos in enumerate(positions)}
-    noncrit_pos = sorted(pos for step, pos in enumerate(positions) if step not in crit)
-    depth_by_step: dict[int, int] = {}
-    run: list[int] = []
-
-    def flush(run):
-        if not run:
-            return
-        first = min(run, key=lambda pos: by_pos[pos])
+    crit = {
+        step
+        for step, pos in enumerate(positions)
+        if by_pos.get(pos - 1, step) < step and by_pos.get(pos + 1, step) < step
+    }
+    noncrit = sorted(pos for step, pos in enumerate(positions) if step not in crit)
+    depth: dict[int, int] = {}
+    for _, group in groupby(enumerate(noncrit), key=lambda item: item[1] - item[0]):
+        run = [pos for _, pos in group]
+        first = min(run, key=by_pos.__getitem__)
         for pos in run:
-            depth_by_step[by_pos[pos]] = abs(pos - first) + 1
+            depth[by_pos[pos]] = abs(pos - first) + 1
+    return positions, by_pos, crit, depth
 
-    for pos in noncrit_pos:
-        if run and pos != run[-1] + 1:
-            flush(run)
-            run = []
-        run.append(pos)
-    flush(run)
-    return depth_by_step
+
+def critical_edges(order) -> set[int]:
+    """Steps (edge ids) whose path edge already had both neighbors revealed."""
+    return _path_layout(order)[2]
 
 
 def compute_l(order, step: int) -> int:
     """Depth of a non-critical edge in its non-critical run (1 = earliest)."""
-    edges = order.edges if isinstance(order, RevealSequence) else list(order)
-    crit = critical_edges(edges)
+    _, _, crit, depth = _path_layout(order)
     if step in crit:
         raise ValueError(f"edge at step {step} is critical; depth is undefined")
-    positions = path_positions(edges)
-    return _component_depths(positions, crit)[step]
+    return depth[step]
 
 
 def rp_path_charge(order, p, *, C=None) -> VerdictReport:
@@ -560,21 +546,17 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
     neighbor and the even neighbor's far mate (mixed case).  Over-drafts
     are checked, not assumed.
     """
-    edges = order.edges if isinstance(order, RevealSequence) else list(order)
     if isinstance(order, RevealSequence) and order.k != 2:
         raise ValueError("the random pair strategy needs k = 2")
     p = _as_exact(p)
     if not (Fraction(1, 2) <= p <= 1):
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
     target = rp_competitive_ratio(p) if C is None else C
-    positions = path_positions(edges)
-    by_pos = {pos: step for step, pos in enumerate(positions)}
-    crit = critical_edges(edges)
-    depth = _component_depths(positions, crit)
+    positions, by_pos, crit, depth = _path_layout(order)
 
     one = Fraction(1)
     v_i: dict[int, object] = {}
-    for step in range(len(edges)):
+    for step in range(len(positions)):
         if step not in crit:
             v_i[step] = one
             continue
@@ -623,7 +605,7 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
             )
 
     rows = []
-    for step in range(len(edges)):
+    for step in range(len(positions)):
         if step in crit:
             vf = v_i[step] + received[step]
             klass = "critical"

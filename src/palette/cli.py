@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import adversaries, charging, engine, harness
+from . import adversaries, engine, harness
 from .graph import GraphError, build_graph, format_edge_list, parse_edge_list
 from .oracle import opt_bruteforce, opt_tree
 
@@ -32,16 +32,17 @@ def _write_out(path, text):
 
 
 def _config_from(args) -> harness.ExperimentConfig:
+    # verify and opt take no --alg or --trials, and opt no --p
     return harness.ExperimentConfig(
-        algorithm=args.alg,
-        p=args.p,
-        adversary=getattr(args, "adv", "") or "",
+        algorithm=getattr(args, "alg", "ff"),
+        p=getattr(args, "p", None),
+        adversary=args.adv or "",
         k=args.k,
         m=args.m,
         n=args.n,
         N=args.N,
         b=args.b,
-        trials=args.trials,
+        trials=getattr(args, "trials", 1),
         seed=_seed_from(args),
     )
 
@@ -72,6 +73,11 @@ def cmd_yao(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
+    if args.klass != "path" and args.alg != "ff":
+        raise ValueError(
+            f"--alg {args.alg} applies to --class path only; --class {args.klass} "
+            f"sweeps {'first-fit' if args.klass == 'tree' else 'every fair algorithm'}"
+        )
     if args.klass == "path":
         summaries = [harness.exhaustive_paths(args.max_edges, args.k, args.alg)]
     elif args.klass == "fair-path":
@@ -90,24 +96,16 @@ def cmd_exhaustive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _seed_from(args)
-    if args.strategy == "rp-path":
-        p = args.p if args.p is not None else 0.7236068
-        summary = harness.verify_rp_paths(args.random, args.max_edges, p, seed)
-    elif args.adv is not None:
+    if args.adv is not None:
+        if args.strategy != "fair-tree":
+            raise ValueError(
+                f"--adv {args.adv} is played by next-fit and certified by fair-tree, "
+                f"not {args.strategy}"
+            )
         config = _config_from(args)
         if config.N is None:
             config.N = 10
-        nf = engine.make_algorithm("nf")
-        seq = harness.construction_for(config).build(config, nf, None)
-        trace = engine.run(nf, seq)
-        witness = opt_tree(trace.graph, args.k)
-        charge = (
-            charging.fair_tree_charge
-            if args.strategy == "fair-tree"
-            else charging.ff_tree_charge
-        )
-        report = charge(trace, witness)
+        report = harness.verify_construction(config)
         print(
             f"{args.strategy} on {args.adv}(k={args.k}): passed={report.passed}, "
             f"min margin {report.min_margin}"
@@ -116,13 +114,13 @@ def cmd_verify(args) -> int:
             _write_out(args.out, report.to_csv())
             print(f"wrote {args.out}")
         return 0 if report.passed else 1
-    elif args.strategy == "ff-tree":
-        summary = harness.verify_ff_trees(
-            args.random, args.max_edges, args.k, seed, all_roots=args.all_roots
-        )
+    seed = _seed_from(args)
+    if args.strategy == "rp-path":
+        p = args.p if args.p is not None else 0.7236068
+        summary = harness.verify_rp_paths(args.random, args.max_edges, p, seed)
     else:
-        summary = harness.verify_fair_trees(
-            args.random, args.max_edges, args.k, seed, all_roots=args.all_roots
+        summary = harness.verify_trees(
+            args.strategy, args.random, args.max_edges, args.k, seed, all_roots=args.all_roots
         )
     print(summary.summary())
     return 0 if summary.passed else 1
@@ -136,8 +134,8 @@ def _instance_graph(args):
     if args.adv:
         config = _config_from(args)
         spec = harness.construction_for(config)
-        # --alg plays no part here: a fixed order never reads the opponent,
-        # and an adaptive one is refused below whichever opponent it gets
+        # a fixed order never reads the opponent, and an adaptive one is
+        # refused below whichever opponent it gets
         opponent = engine.make_algorithm("ff")
         script = spec.build(config, opponent, engine.derive_rng(config.seed, "opt"))
         if not isinstance(script, adversaries.RevealSequence):
@@ -224,21 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, alg=True):
-        if alg:
-            sp.add_argument("--alg", default="ff", choices=["ff", "nf", "rp"])
-            sp.add_argument("--p", type=float, default=None, help="bias for --alg rp")
+    def common(sp):
         sp.add_argument("--k", type=int, default=2)
         sp.add_argument("--m", type=int, default=None)
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--N", type=int, default=None)
         sp.add_argument("--b", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=1000)
         sp.add_argument("--seed", default=0)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("run", help="one algorithm-vs-construction matchup")
     sp.add_argument("--adv", required=True)
+    sp.add_argument("--alg", default="ff", choices=["ff", "nf", "rp"])
+    sp.add_argument("--p", type=float, default=None, help="bias for --alg rp")
+    sp.add_argument("--trials", type=int, default=1000)
     common(sp)
     sp.set_defaults(fn=cmd_run)
 
@@ -269,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of random instances when no --adv is given")
     sp.add_argument("--max-edges", type=int, default=12)
     sp.add_argument("--all-roots", action="store_true")
+    sp.add_argument("--p", type=float, default=None, help="bias for --strategy rp-path")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 

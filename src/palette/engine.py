@@ -135,10 +135,10 @@ def make_algorithm(name: str, p=None):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def resolve_algorithm(alg, p=None):
+def resolve_algorithm(alg):
     """Accept an algorithm instance or its name."""
     if isinstance(alg, str):
-        return make_algorithm(alg, p)
+        return make_algorithm(alg)
     return alg
 
 
@@ -159,7 +159,6 @@ class Trace:
     graph: Graph
     steps: list[Step]
     coloring: PartialColoring
-    seed: object = None
 
     @property
     def colored_count(self) -> int:
@@ -198,14 +197,14 @@ class Trace:
         return buf.getvalue()
 
 
-def run(alg, script, *, seed=None, rng=None, p=None) -> Trace:
+def run(alg, script, *, seed=None, rng=None) -> Trace:
     """Play ``alg`` against ``script`` and return the full Trace.
 
     ``script`` is anything with a ``k`` attribute and a ``session()`` method
     returning a generator that yields (u, v) pairs and receives each decision
     through ``send`` (fixed reveal sequences simply ignore what is sent).
     """
-    algorithm = resolve_algorithm(alg, p)
+    algorithm = resolve_algorithm(alg)
     if rng is None:
         rng = random.Random(seed)
     k = script.k
@@ -235,7 +234,6 @@ def run(alg, script, *, seed=None, rng=None, p=None) -> Trace:
         graph=g,
         steps=steps,
         coloring=coloring,
-        seed=seed,
     )
 
 

@@ -53,7 +53,7 @@ class RatioReport:
     trials: int
     seed: object
     colored_mean: float
-    colored_stderr: float | None  # None for deterministic runs
+    colored_stderr: float | None  # None exactly when the run is not sampled
     opt: float
     ratio: Fraction  # exact mean of colored/opt over the trials
     bound: Fraction | None  # None when no bound is proven for the algorithm
@@ -234,8 +234,9 @@ def construction_for(config: ExperimentConfig) -> Construction:
 def run_experiment(config: ExperimentConfig) -> RatioReport:
     """Play the configured matchup and aggregate colored/opt over trials.
 
-    Deterministic algorithm on a fixed construction runs once; anything
-    randomized runs config.trials times with per-trial derived seeds.  A
+    Deterministic algorithm on a fixed construction runs once; a sampled
+    run (randomized algorithm or resampled construction) runs config.trials
+    >= 2 times with per-trial derived seeds, and only it reports a spread.  A
     biased-pair run on a fixed path order is delegated to the vectorized
     path runner, which is decision-for-decision equivalent to the engine.
     The report carries the k the script actually played, and a bound only
@@ -250,8 +251,10 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
             f"{config.algorithm!r} (allowed: {', '.join(spec.algorithms)})"
         )
     algorithm = engine.make_algorithm(config.algorithm, config.p)
-    randomized = not algorithm.deterministic or spec.resamples
-    trials = config.trials if randomized else 1
+    sampled = not algorithm.deterministic or spec.resamples
+    if sampled and config.trials < 2:
+        raise ValueError(f"a sampled run needs trials >= 2 for its spread, got {config.trials}")
+    trials = config.trials if sampled else 1
 
     params = {
         name: getattr(config, name)
@@ -293,11 +296,7 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
 
     colored = np.array([c for c, _ in per_trial], dtype=float)
     mean = float(colored.mean())
-    stderr = (
-        float(colored.std(ddof=1) / math.sqrt(len(colored)))
-        if randomized and len(colored) > 1
-        else None
-    )
+    stderr = float(colored.std(ddof=1) / math.sqrt(len(colored))) if sampled else None
     tally = Counter(per_trial)
     ratio = sum(Fraction(c, o) * n for (c, o), n in tally.items()) / len(per_trial)
     mean_opt = Fraction(sum(o * n for (_, o), n in tally.items()), len(per_trial))
@@ -343,8 +342,8 @@ def yao_experiment(
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials < 2:
+        raise ValueError(f"the sampled distribution needs trials >= 2, got {trials}")
     for name in algorithms:
         if not engine.make_algorithm(name, 0.5).deterministic:
             raise ValueError("the distribution experiment needs deterministic algorithms")
@@ -601,28 +600,21 @@ def tree_reveal_orders(m: int):
 
 
 def exhaustive_trees(
-    max_edges: int,
-    ks=(2, 3),
-    *,
-    charge: bool = True,
-    all_roots: bool = False,
-    algorithm: str = "ff",
+    max_edges: int, ks=(2, 3), *, all_roots: bool = False
 ) -> list[ExhaustiveSummary]:
     """First-fit over every tree reveal order (up to isomorphism) per k.
 
-    Checks the colored count against the (k-1)/k floor and, when charge is
-    set, certifies every instance where the optimum keeps a rejected edge
-    (instances without such edges pass vacuously).  all_roots re-certifies
-    from every root, covering every labeled instance's default-root run.
+    Checks the colored count against the (k-1)/k floor and certifies every
+    instance where the optimum keeps a rejected edge (instances without such
+    edges pass vacuously).  all_roots re-certifies from every root, covering
+    every labeled instance's default-root run.
     """
     if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
         raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
-    if algorithm != "ff":
-        raise ValueError("the tree sweep certifies first-fit")
     # the classes do not depend on k: enumerate them once and play each for every k
     best: list[tuple[Fraction, list] | None] = [None] * len(ks)
     instances = [0] * len(ks)
-    failures = [0] * len(ks)
+    tallies = [VerifySummary("ff-tree") for _ in ks]
     for m in range(1, max_edges + 1):
         for edges in tree_reveal_orders(m):
             for i, k in enumerate(ks):
@@ -632,12 +624,10 @@ def exhaustive_trees(
                 instances[i] += 1
                 if best[i] is None or ratio < best[i][0]:
                     best[i] = (ratio, edges)
-                if charge and (witness.edges - set(trace.coloring.colored_edges())):
+                if witness.edges - set(trace.coloring.colored_edges()):
                     certificate = charging.FFTreeCertificate(trace, witness)
-                    roots = range(trace.graph.num_vertices) if all_roots else (0,)
-                    for root in roots:
-                        if not certificate.charge(root).passed:
-                            failures[i] += 1
+                    for report in _charge_roots(certificate, all_roots):
+                        tallies[i].add(report)
     return [
         ExhaustiveSummary(
             mode="tree",
@@ -648,7 +638,7 @@ def exhaustive_trees(
             min_ratio=best[i][0],
             bound=Fraction(k - 1, k),
             witness=best[i][1],
-            charge_failures=failures[i],
+            charge_failures=tallies[i].failures,
         )
         for i, k in enumerate(ks)
     ]
@@ -696,10 +686,19 @@ def random_reveal(rng, edges) -> list[tuple[int, int]]:
 
 @dataclass
 class VerifySummary:
+    """Running tally of a certification sweep: the verdicts that failed and
+    the exact minimum margin over all of them."""
+
     strategy: str
-    instances: int
-    failures: int
-    min_margin: object | None
+    instances: int = 0
+    failures: int = 0
+    min_margin: object | None = None
+
+    def add(self, report: charging.VerdictReport) -> None:
+        self.failures += not report.passed
+        margin = report.min_margin
+        if margin is not None and (self.min_margin is None or margin < self.min_margin):
+            self.min_margin = margin
 
     @property
     def passed(self) -> bool:
@@ -721,88 +720,68 @@ def _check_sweep(count: int, max_edges: int) -> None:
         raise ValueError(f"max_edges must be >= 1, got {max_edges}")
 
 
-def _merge_margin(current, margin):
-    if margin is None:
-        return current
-    if current is None or margin < current:
-        return margin
-    return current
+def _charge_roots(certificate, all_roots: bool):
+    """The prepared tree certificate's verdicts: from every root when
+    all_roots is set, else from root 0."""
+    roots = range(certificate.trace.graph.num_vertices) if all_roots else (0,)
+    return (certificate.charge(root) for root in roots)
+
+
+# strategy name -> (algorithm that plays, certificate that judges it)
+TREE_CERTIFICATES = {
+    "ff-tree": ("ff", charging.FFTreeCertificate),
+    "fair-tree": ("nf", charging.FairTreeCertificate),
+}
+
+
+def verify_trees(
+    strategy: str, count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
+) -> VerifySummary:
+    """Charge the strategy's algorithm on random trees with random reveal orders."""
+    _check_sweep(count, max_edges)
+    algorithm, certify = TREE_CERTIFICATES[strategy]
+    tally = VerifySummary(strategy, count)
+    for t in range(count):
+        rng = engine.derive_rng(seed, strategy, t)
+        m = rng.randrange(1, max_edges + 1)
+        edges = random_reveal(rng, random_tree_edges(rng, m))
+        trace = engine.run(algorithm, RevealSequence(edges=edges, k=k))
+        for report in _charge_roots(certify(trace, opt_tree(trace.graph, k)), all_roots):
+            tally.add(report)
+    return tally
 
 
 def verify_ff_trees(
     count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
     """Charge first-fit runs on random trees with random reveal orders."""
-    _check_sweep(count, max_edges)
-    failures = 0
-    min_margin = None
-    for t in range(count):
-        rng = engine.derive_rng(seed, "ff-tree", t)
-        m = rng.randrange(1, max_edges + 1)
-        edges = random_reveal(rng, random_tree_edges(rng, m))
-        trace = engine.run("ff", RevealSequence(edges=edges, k=k))
-        witness = opt_tree(trace.graph, k)
-        certificate = charging.FFTreeCertificate(trace, witness)
-        roots = range(trace.graph.num_vertices) if all_roots else (0,)
-        for root in roots:
-            report = certificate.charge(root)
-            min_margin = _merge_margin(min_margin, report.min_margin)
-            if not report.passed:
-                failures += 1
-    return VerifySummary("ff-tree", count, failures, min_margin)
+    return verify_trees("ff-tree", count, max_edges, k, seed, all_roots=all_roots)
 
 
 def verify_fair_trees(
-    count: int,
-    max_edges: int,
-    k: int,
-    seed=0,
-    *,
-    algorithm="nf",
-    all_roots: bool = False,
+    count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
-    """Charge fair runs (next-fit by default) on random trees."""
-    _check_sweep(count, max_edges)
-    failures = 0
-    min_margin = None
-    for t in range(count):
-        rng = engine.derive_rng(seed, "fair-tree", t)
-        m = rng.randrange(1, max_edges + 1)
-        edges = random_reveal(rng, random_tree_edges(rng, m))
-        trace = engine.run(
-            algorithm, RevealSequence(edges=edges, k=k),
-            rng=engine.derive_rng(seed, "fair-alg", t),
-        )
-        witness = opt_tree(trace.graph, k)
-        certificate = charging.FairTreeCertificate(trace, witness)
-        roots = range(trace.graph.num_vertices) if all_roots else (0,)
-        for root in roots:
-            report = certificate.charge(root)
-            min_margin = _merge_margin(min_margin, report.min_margin)
-            if not report.passed:
-                failures += 1
-    return VerifySummary("fair-tree", count, failures, min_margin)
+    """Charge next-fit, a fair algorithm, on random trees."""
+    return verify_trees("fair-tree", count, max_edges, k, seed, all_roots=all_roots)
 
 
 def verify_rp_paths(count: int, max_edges: int, p, seed=0) -> VerifySummary:
     """Run the analytic pair-strategy ledger on random path reveal orders."""
     _check_sweep(count, max_edges)
-    failures = 0
-    min_margin = None
+    tally = VerifySummary("rp-path", count)
     for t in range(count):
         rng = engine.derive_rng(seed, "rp-path", t)
         m = rng.randrange(1, max_edges + 1)
         edges = random_reveal(rng, path_edges(m))
-        report = charging.rp_path_charge(RevealSequence(edges=edges, k=2), p)
-        min_margin = _merge_margin(min_margin, report.min_margin)
-        if not report.passed:
-            failures += 1
-    return VerifySummary("rp-path", count, failures, min_margin)
+        tally.add(charging.rp_path_charge(RevealSequence(edges=edges, k=2), p))
+    return tally
 
 
-def verify_nf_tree_tightness(k: int, N: int) -> charging.VerdictReport:
-    """Charge the next-fit worst-case tree; the minimum margin should be zero."""
-    seq = adversaries.nf_tree_worstcase(k, N)
-    trace = engine.run("nf", seq)
-    witness = opt_tree(trace.graph, k)
-    return charging.fair_tree_charge(trace, witness)
+def verify_construction(config: ExperimentConfig) -> charging.VerdictReport:
+    """Let next-fit play the configured tree construction and charge the fair
+    certificate from root 0; on the nf-tree family the minimum margin is 0."""
+    nf = engine.make_algorithm("nf")
+    trace = engine.run(nf, construction_for(config).build(config, nf, None))
+    certificate = charging.FairTreeCertificate(trace, opt_tree(trace.graph, trace.k))
+    [report] = _charge_roots(certificate, all_roots=False)
+    return report

@@ -125,6 +125,41 @@ def test_yao_experiment_means_below_bound():
         assert report.colored_stderr is not None
 
 
+def test_sampled_runs_need_two_trials():
+    # one sample has no spread, so a report on it could only be judged as if exact
+    for cfg in (config(adversary="yao", algorithm="ff", m=None, b=3, trials=1),
+                config(adversary="rp-oddeven", algorithm="rp", p=0.7, m=11, trials=1)):
+        with pytest.raises(ValueError, match="trials >= 2"):
+            run_experiment(cfg)
+    with pytest.raises(ValueError, match="trials >= 2"):
+        yao_experiment(3, trials=1)
+
+
+@pytest.mark.parametrize("kw,sampled", [
+    (dict(algorithm="nf", m=5, trials=1), False),
+    (dict(algorithm="nf", m=5, trials=7), False),
+    (dict(adversary="star-chain", algorithm="ff", m=None, N=3, trials=9), False),
+    (dict(adversary="rp-oddeven", algorithm="rp", p=0.7, m=11, trials=2), True),
+    (dict(adversary="star-chain", algorithm="rp", p=0.7, m=None, N=3, trials=3), True),
+    (dict(adversary="yao", algorithm="nf", m=None, b=3, trials=2), True),
+])
+def test_spread_reported_exactly_for_sampled_runs(kw, sampled):
+    report = run_experiment(config(**kw))
+    assert (report.colored_stderr is not None) == sampled
+    assert report.trials == (kw["trials"] if sampled else 1)
+
+
+def test_verify_summary_folds_failures_and_the_exact_minimum():
+    from palette.charging import VerdictReport
+
+    tally = harness.VerifySummary("ff-tree", 3)
+    for passed, margin in [(True, Fraction(1, 3)), (True, None), (False, Fraction(-1, 2)),
+                           (True, Fraction(0))]:
+        tally.add(VerdictReport("ff-tree", Fraction(1, 2), [], passed, margin))
+    assert (tally.instances, tally.failures, tally.min_margin) == (3, 1, Fraction(-1, 2))
+    assert not tally.passed
+
+
 def test_yao_experiment_rejects_randomized():
     with pytest.raises(ValueError):
         yao_experiment(3, algorithms=("rp",), trials=10)
@@ -218,5 +253,5 @@ def test_verify_loops():
     assert harness.verify_ff_trees(40, 10, 2, seed=1).passed
     assert harness.verify_fair_trees(40, 10, 4, seed=2).passed
     assert harness.verify_rp_paths(40, 30, Fraction(7, 10), seed=3).passed
-    report = harness.verify_nf_tree_tightness(4, 3)
+    report = harness.verify_construction(ExperimentConfig(adversary="nf-tree", k=4, N=3))
     assert report.passed and report.min_margin == 0
