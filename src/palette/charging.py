@@ -7,7 +7,9 @@ value otherwise), the surplus is moved around by a redistribution strategy,
 and the certificate holds if every optimum edge ends with at least C.  Each
 strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
-random pair strategy on two-colorable paths.
+random pair strategy on two-colorable paths.  All three keep their books in
+their own unit and end in one ledger close, `_close`, which checks that no
+value leaked and builds the rows and the verdict.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -18,9 +20,7 @@ floating point would turn into coin flips.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -58,9 +58,6 @@ class VerdictReport:
     passed: bool
     min_margin: object | None
 
-    def failures(self) -> list[EdgeReport]:
-        return [r for r in self.rows if r.margin is not None and r.margin < 0]
-
     def write_csv(self, out) -> None:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["edge", "class", "v_i", "v_f", "margin", "case"])
@@ -76,10 +73,31 @@ class VerdictReport:
                 ]
             )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+
+def _as_is(v):
+    return v
+
+
+def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=_as_is):
+    """Close a strategy's books: the one place a ledger becomes a verdict.
+
+    klass maps every edge id, in reveal order, to its class; v_i and v_f give
+    each edge's initial and final value, and case its case label (edges
+    without one are absent).  Values, C, total (the sum of v_i) and residual
+    (value the redistribution left unassigned) are in the strategy's own
+    unit, and exact turns such a value into the exact value reported.  The
+    margins v_f - C of the judged edges decide the verdict.
+    """
+    if sum(v_f) + residual != total:
+        raise ChargingError("ledger leaked value during redistribution")
+    margin = {e: exact(v_f[e] - C) for e in judged}
+    rows = [
+        EdgeReport(e, kl, exact(v_i[e]), exact(v_f[e]), margin.get(e), case.get(e, ""))
+        for e, kl in klass.items()
+    ]
+    min_margin = min(margin.values(), default=None)
+    return VerdictReport(strategy=strategy, C=exact(C), rows=rows,
+                         passed=min_margin is None or min_margin >= 0, min_margin=min_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +195,15 @@ def _first_fit_replay_matches(trace: engine.Trace) -> bool:
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
-def _settle(view: RootedView, klass: dict, held: list, v_f: dict, C, total) -> None:
+def _settle(view: RootedView, klass: dict, held: list, v_f: list, C):
     """The per-vertex pass shared by both tree strategies.
 
     Each vertex pays its rejected optimum parent edge up to C, splits the rest
     of its holding equally among its rejected optimum child edges, and keeps
-    what is left as residual; v_f is updated in place.  Values may be ints,
-    Fractions or surds: `rem * Fraction(1, n)` is the same exact split for all
-    of them, and a single child (by far the common case) takes rem as it is.
-    Raises when the final values and the residual no longer add up to total.
+    what is left; v_f is updated in place and the residual kept by all
+    vertices is returned.  Values may be ints, Fractions or surds:
+    `rem * Fraction(1, n)` is the same exact split for all of them, and a
+    single child (by far the common case) takes rem as it is.
     """
     residual = 0
     for v, rem in enumerate(held):
@@ -202,50 +220,40 @@ def _settle(view: RootedView, klass: dict, held: list, v_f: dict, C, total) -> N
                 v_f[f] += share
             rem = 0
         residual += rem
-    if sum(v_f.values()) + residual != total:
-        raise ChargingError("ledger leaked value during redistribution")
+    return residual
 
 
 class _TreeCertificate:
     """The half of a tree certificate that does not depend on the root.
 
     Construction audits the tree and the witness and derives the edge
-    classes and vertex tallies once per trace; `charge(root)` then runs the
-    root-dependent redistribution and returns its verdict.
+    classes, vertex tallies and initial values (one `unit` per colored edge)
+    once per trace; `charge(root)` then runs the root-dependent
+    redistribution and closes the books.
     """
 
-    def __init__(self, trace: engine.Trace, witness: OptWitness, C):
+    def __init__(self, trace: engine.Trace, witness: OptWitness, unit):
         g = trace.graph
         if not g.is_tree():
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
-        self.trace, self.witness, self.C = trace, witness, C
+        self.trace, self.witness = trace, witness
         self.klass, self.tallies = edge_classes(trace, witness)
         self.color_of = {s.edge: s.color for s in trace.steps if s.color is not None}
+        self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
+        zero = 0 * unit
+        self.v_i = [zero if s.color is None else unit for s in trace.steps]
+        self.total = unit * len(self.color_of)
 
-    def _report(self, view: RootedView, v_f: dict, margin: dict) -> VerdictReport:
-        """Ledger rows and verdict from the final values v_f and the margins
-        (final value minus C) of the optimum edges."""
-        g, klass = self.trace.graph, self.klass
-        rows = []
-        for step in self.trace.steps:
-            e = step.edge
-            kl = klass[e]
-            case = ""
-            if kl == "opt-only":
-                x, _ = view.parent_side(g, e)
-                pe = view.parent_edge[x]
-                case = self.case_of_parent[klass[pe] if pe != -1 else ""]
-            v_i = _ONE if step.color is not None else _ZERO
-            rows.append(EdgeReport(e, kl, v_i, v_f[e], margin.get(e), case))
-        min_margin = min(margin.values(), default=None)
-        return VerdictReport(
-            strategy=self.strategy,
-            C=self.C,
-            rows=rows,
-            passed=min_margin is None or min_margin >= 0,
-            min_margin=min_margin,
-        )
+    def _cases(self, view: RootedView) -> dict:
+        """Each rejected optimum edge's case from this root, named after the
+        class of the edge above it."""
+        g, klass, parent_edge = self.trace.graph, self.klass, view.parent_edge
+        cases = {}
+        for e in self.opt_only:
+            pe = parent_edge[view.parent_side(g, e)[0]]
+            cases[e] = self.case_of_parent[klass[pe] if pe != -1 else ""]
+        return cases
 
 
 class FFTreeCertificate(_TreeCertificate):
@@ -272,7 +280,7 @@ class FFTreeCertificate(_TreeCertificate):
         if not _first_fit_replay_matches(trace):
             raise ValueError("trace was not produced by first-fit; refusing to certify")
         k = trace.k
-        super().__init__(trace, witness, Fraction(k - 1, k))
+        super().__init__(trace, witness, k)  # values are kept multiplied by k
         self.top_free = [
             largest_available_color(trace.coloring, v, k)
             for v in range(trace.graph.num_vertices)
@@ -300,8 +308,8 @@ class FFTreeCertificate(_TreeCertificate):
                 surplus -= 1
             held[x] += surplus
 
-        v_f = {e: k - 1 if kl == "double" else 0 for e, kl in klass.items()}
-        _settle(view, klass, held, v_f, k - 1, k * len(color_of))
+        v_f = [k - 1 if kl == "double" else 0 for kl in klass.values()]
+        residual = _settle(view, klass, held, v_f, k - 1)
 
         # structural facts of the strategy (violations mean a bug, not a bad run);
         # the vertex-holdings fact is checked where the guarantee invokes it:
@@ -322,12 +330,8 @@ class FFTreeCertificate(_TreeCertificate):
                         f"{Fraction(via_credit[e], k)} < {Fraction(need, k)} past itself"
                     )
 
-        unscale = self._unscale
-        return self._report(
-            view,
-            {e: unscale(v) for e, v in v_f.items()},
-            {e: unscale(v_f[e] - (k - 1)) for e in self.witness.edges},
-        )
+        return _close(self.strategy, k - 1, klass, self._cases(view), self.v_i, v_f,
+                      self.total, self.witness.edges, residual, self._unscale)
 
     def _unscale(self, v):
         """A ledger value v (kept multiplied by k) as the Fraction v/k; each
@@ -379,7 +383,8 @@ class FairTreeCertificate(_TreeCertificate):
         if not engine.audit_fair(trace):
             raise ValueError("trace is not fair; refusing to certify")
         k = trace.k
-        super().__init__(trace, witness, fair_ratio(k))
+        super().__init__(trace, witness, _ONE)
+        self.C = fair_ratio(k)
         self.double_surplus = 1 - self.C  # what a double-colored edge sends up
         tallies = self.tallies
         for v, t in enumerate(tallies):
@@ -400,16 +405,14 @@ class FairTreeCertificate(_TreeCertificate):
         for e in self.color_of:
             x, _ = view.parent_side(g, e)
             held[x] += self.double_surplus if klass[e] == "double" else 1
-        v_f = {e: (C if kl == "double" else _ZERO) for e, kl in klass.items()}
-        _settle(view, klass, held, v_f, C, len(self.color_of))
-
-        report = self._report(view, v_f, {e: v_f[e] - C for e in self.witness.edges})
-        for r in report.rows:
-            if r.klass == "opt-only":
-                x, y = view.parent_side(g, r.edge)
-                _check_fair_case(
-                    k, C, r.case, self.tallies[x], self.tallies[y], held[y], r.edge
-                )
+        v_f = [C if kl == "double" else _ZERO for kl in klass.values()]
+        residual = _settle(view, klass, held, v_f, C)
+        cases = self._cases(view)
+        report = _close(self.strategy, C, klass, cases, self.v_i, v_f, self.total,
+                        self.witness.edges, residual)
+        for e, case in cases.items():
+            x, y = view.parent_side(g, e)
+            _check_fair_case(k, C, case, self.tallies[x], self.tallies[y], held[y], e)
         return report
 
 
@@ -544,45 +547,37 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
     redistribution moves half the slack from the neighbors (same-parity
     case) or the full slack of the even neighbor plus halves from the odd
     neighbor and the even neighbor's far mate (mixed case).  Over-drafts
-    are checked, not assumed.
+    (a non-critical edge left below C) are checked, not assumed.
     """
     if isinstance(order, RevealSequence) and order.k != 2:
         raise ValueError("the random pair strategy needs k = 2")
-    p = _as_exact(p)
-    if not (Fraction(1, 2) <= p <= 1):
+    bias = _as_exact(p)
+    if not (Fraction(1, 2) <= bias <= 1):
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
-    target = rp_competitive_ratio(p) if C is None else C
+    target = rp_competitive_ratio(bias) if C is None else C
     positions, by_pos, crit, depth = _path_layout(order)
 
-    one = Fraction(1)
-    v_i: dict[int, object] = {}
-    for step in range(len(positions)):
-        if step not in crit:
-            v_i[step] = one
-            continue
-        pos = positions[step]
-        dl = depth[by_pos[pos - 1]]
-        dr = depth[by_pos[pos + 1]]
-        if dl % 2 != dr % 2:
-            v_i[step] = 2 * p * (1 - p)
-        else:
-            v_i[step] = p * p + (1 - p) * (1 - p)
-
+    # a critical edge's initial value: its neighbors agree with probability
+    # p^2 + (1-p)^2 at equal depth parities and 2p(1-p) at mixed ones
+    same = bias * bias + (1 - bias) * (1 - bias)
+    mixed = 2 * bias * (1 - bias)
     slack = 1 - target
-    outgoing = defaultdict(lambda: Fraction(0))
-    received = defaultdict(lambda: Fraction(0))
-    case_of: dict[int, str] = {}
+    m = len(positions)
+    klass, v_i, v_f = dict.fromkeys(range(m), "noncritical"), [_ONE] * m, [_ONE] * m
+    case: dict[int, str] = {}
+    payers = set()
+    total = m - len(crit)
     for step in sorted(crit):
         pos = positions[step]
         left, right = by_pos[pos - 1], by_pos[pos + 1]
         dl, dr = depth[left], depth[right]
+        klass[step] = "critical"
         if dl % 2 == dr % 2:
-            case_of[step] = "2"
-            for n in (left, right):
-                outgoing[n] += slack / 2
-                received[step] += slack / 2
+            case[step], v_i[step], v_f[step] = "2", same, same + slack
+            v_f[left] -= slack / 2
+            v_f[right] -= slack / 2
+            payers.update((left, right))
         else:
-            case_of[step] = "1"
             odd_n, even_n = (left, right) if dl % 2 == 1 else (right, left)
             even_pos = positions[even_n]
             far_pos = even_pos + (even_pos - pos)
@@ -592,36 +587,17 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
                     "non-critical far mate; the parity analysis is broken"
                 )
             far = by_pos[far_pos]
-            outgoing[even_n] += slack
-            outgoing[odd_n] += slack / 2
-            outgoing[far] += slack / 2
-            received[step] += 2 * slack
+            case[step], v_i[step], v_f[step] = "1", mixed, mixed + 2 * slack
+            v_f[even_n] -= slack
+            v_f[odd_n] -= slack / 2
+            v_f[far] -= slack / 2
+            payers.update((even_n, odd_n, far))
+        total += v_i[step]
 
-    for step, out in outgoing.items():
-        if out > slack:
+    for step in payers:
+        if v_f[step] < target:
             raise ChargingError(
-                f"non-critical edge at step {step} was asked for {out} "
-                f"> its surplus {slack}"
+                f"non-critical edge at step {step} was left with {v_f[step]} "
+                f"< C = {target}"
             )
-
-    rows = []
-    for step in range(len(positions)):
-        if step in crit:
-            vf = v_i[step] + received[step]
-            klass = "critical"
-        else:
-            vf = v_i[step] - outgoing[step]
-            klass = "noncritical"
-        rows.append(
-            EdgeReport(step, klass, v_i[step], vf, vf - target, case_of.get(step, ""))
-        )
-    if sum(r.v_f for r in rows) != sum(r.v_i for r in rows):
-        raise ChargingError("ledger leaked value during redistribution")
-    margins = [r.margin for r in rows]
-    return VerdictReport(
-        strategy="rp-path",
-        C=target,
-        rows=rows,
-        passed=all(mg >= 0 for mg in margins),
-        min_margin=min(margins) if margins else None,
-    )
+    return _close("rp-path", target, klass, case, v_i, v_f, total, range(m))

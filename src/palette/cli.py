@@ -96,31 +96,41 @@ def cmd_exhaustive(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.adv is not None and args.strategy != "fair-tree":
+        raise ValueError(
+            f"--adv {args.adv} is played by next-fit and certified by fair-tree, "
+            f"not {args.strategy}"
+        )
+    mode = f"--strategy {args.strategy} " + (f"--adv {args.adv}" if args.adv else "without --adv")
+    unread = ["--m", "--n", "--b"]
+    unread += ["--random", "--max-edges", "--all-roots"] if args.adv else ["--out", "--N"]
+    unread += ["--k", "--all-roots"] if args.strategy == "rp-path" else ["--p"]
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+            raise ValueError(f"verify {mode} does not read {flag}")
+    k = 2 if args.k is None else args.k
     if args.adv is not None:
-        if args.strategy != "fair-tree":
-            raise ValueError(
-                f"--adv {args.adv} is played by next-fit and certified by fair-tree, "
-                f"not {args.strategy}"
-            )
         config = _config_from(args)
-        if config.N is None:
-            config.N = 10
+        config.k, config.N = k, 10 if args.N is None else args.N
         report = harness.verify_construction(config)
         print(
-            f"{args.strategy} on {args.adv}(k={args.k}): passed={report.passed}, "
+            f"{args.strategy} on {args.adv}(k={k}): passed={report.passed}, "
             f"min margin {report.min_margin}"
         )
         if args.out:
-            _write_out(args.out, report.to_csv())
+            with open(args.out, "w") as fh:
+                report.write_csv(fh)
             print(f"wrote {args.out}")
         return 0 if report.passed else 1
     seed = _seed_from(args)
+    count = 200 if args.random is None else args.random
+    max_edges = 12 if args.max_edges is None else args.max_edges
     if args.strategy == "rp-path":
         p = args.p if args.p is not None else 0.7236068
-        summary = harness.verify_rp_paths(args.random, args.max_edges, p, seed)
+        summary = harness.verify_rp_paths(count, max_edges, p, seed)
     else:
         summary = harness.verify_trees(
-            args.strategy, args.random, args.max_edges, args.k, seed, all_roots=args.all_roots
+            args.strategy, count, max_edges, k, seed, all_roots=args.all_roots
         )
     print(summary.summary())
     return 0 if summary.passed else 1
@@ -262,13 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", required=True,
                     choices=["ff-tree", "fair-tree", "rp-path"])
     sp.add_argument("--adv", default=None, choices=["nf-tree", "nf-tree-rounded"])
-    sp.add_argument("--random", type=int, default=200,
-                    help="number of random instances when no --adv is given")
-    sp.add_argument("--max-edges", type=int, default=12)
+    # None defaults where a real default would hide whether the flag was given
+    sp.add_argument("--random", type=int, default=None,
+                    help="number of random instances when no --adv is given (200)")
+    sp.add_argument("--max-edges", type=int, default=None, help="(12)")
     sp.add_argument("--all-roots", action="store_true")
     sp.add_argument("--p", type=float, default=None, help="bias for --strategy rp-path")
     common(sp)
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify, k=None)
 
     sp = sub.add_parser("opt", help="offline optimum of an instance")
     sp.add_argument("--file", default=None, help="edge-list file, one 'u v' per line")

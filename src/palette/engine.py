@@ -5,7 +5,8 @@ An algorithm sees each revealed edge immediately and must either color it
 are small stateful objects so that adaptive adversaries can attack
 user-supplied strategies through the same interface:
 
-    reset(k, rng)                  -- start a fresh run
+    reset(k, rng)                  -- start a fresh run (rng is None when
+                                      the algorithm is deterministic)
     decide(coloring, g, eid)       -- return a color in 1..k, or None to reject
     clone()                        -- unstarted copy (used for replays)
     deterministic / fair           -- declared properties, used by adversaries
@@ -205,8 +206,8 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     through ``send`` (fixed reveal sequences simply ignore what is sent).
     """
     algorithm = resolve_algorithm(alg)
-    if rng is None:
-        rng = random.Random(seed)
+    if rng is None and not algorithm.deterministic:
+        rng = random.Random(seed)  # a deterministic algorithm never reads one
     k = script.k
     algorithm.reset(k, rng)
     g = Graph()

@@ -611,6 +611,7 @@ def exhaustive_trees(
     """
     if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
         raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    _check_tree_k(*ks)
     # the classes do not depend on k: enumerate them once and play each for every k
     best: list[tuple[Fraction, list] | None] = [None] * len(ks)
     instances = [0] * len(ks)
@@ -720,6 +721,13 @@ def _check_sweep(count: int, max_edges: int) -> None:
         raise ValueError(f"max_edges must be >= 1, got {max_edges}")
 
 
+def _check_tree_k(*ks) -> None:
+    # the floor (k-1)/k is 0 at k = 1, so such a sweep would certify nothing
+    for k in ks:
+        if k < 2:
+            raise ValueError(f"the tree floors need k >= 2, got k={k}")
+
+
 def _charge_roots(certificate, all_roots: bool):
     """The prepared tree certificate's verdicts: from every root when
     all_roots is set, else from root 0."""
@@ -739,6 +747,7 @@ def verify_trees(
 ) -> VerifySummary:
     """Charge the strategy's algorithm on random trees with random reveal orders."""
     _check_sweep(count, max_edges)
+    _check_tree_k(k)
     algorithm, certify = TREE_CERTIFICATES[strategy]
     tally = VerifySummary(strategy, count)
     for t in range(count):

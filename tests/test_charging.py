@@ -389,3 +389,30 @@ def test_rp_charge_bisection_matches_formula():
             else:
                 hi = mid
         assert abs(lo - rp_competitive_ratio(p)) < Fraction(1, 10**6)
+
+
+RP_ROWS_SHA256 = "16443b0fe0b25b61d6ea0fedb26f49da9504f8f4737731e8c431845a098d90c2"
+
+
+def test_rp_ledger_rows_are_pinned():
+    """Every rp verdict (rows with exact value reprs) on random and adversarial
+    path orders, for the optimal, rational, boundary and float biases, and at
+    an explicit C that passes (at the optimal bias) and one that fails."""
+    rng = random.Random(66)
+    orders = [
+        RevealSequence(edges=harness.random_reveal(rng, path_edges(rng.randrange(1, 40))), k=2)
+        for _ in range(40)
+    ]
+    orders += [rp_strategy_mod3(13), rp_strategy_oddeven(13),
+               rp_strategy_mod3(28), rp_strategy_oddeven(31)]
+    runs = [(p, None) for p in (PHI_OVER_SQRT5, Fraction(7, 10), Fraction(1, 2),
+                                Fraction(1), 0.7236068)]
+    runs += [(PHI_OVER_SQRT5, Fraction(4, 5)), (Fraction(1, 2), Fraction(4, 5))]
+    lines = []
+    for p, C in runs:
+        for order in orders:
+            report = rp_path_charge(order, p, C=C)
+            lines.append(f"{report.passed} {report.min_margin!r} {report.rows!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), sum(line.startswith("False") for line in lines), digest) == (
+        308, 40, RP_ROWS_SHA256)

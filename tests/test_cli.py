@@ -291,6 +291,47 @@ def test_unread_flags_are_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+SWEEP = ["--random", "2", "--max-edges", "5"]
+ADV = ["--adv", "nf-tree", "--k", "4", "--N", "2"]
+
+
+@pytest.mark.parametrize("base,extra", [
+    *[(["--strategy", s, *SWEEP], [f, "3"]) for s in ("ff-tree", "rp-path")
+      for f in ("--m", "--n", "--b")],
+    (["--strategy", "fair-tree", *ADV], ["--m", "3"]),
+    (["--strategy", "ff-tree", *SWEEP], ["--N", "3"]),
+    (["--strategy", "rp-path", *SWEEP], ["--out", "x.csv"]),
+    (["--strategy", "fair-tree", *ADV], ["--random", "5"]),
+    (["--strategy", "fair-tree", *ADV], ["--max-edges", "5"]),
+    (["--strategy", "fair-tree", *ADV], ["--all-roots"]),  # would certify root 0 only
+    (["--strategy", "ff-tree", *SWEEP], ["--p", "0.7"]),
+    (["--strategy", "fair-tree", *SWEEP], ["--p", "0.7"]),
+    (["--strategy", "rp-path", *SWEEP], ["--k", "3"]),  # always plays k=2
+    (["--strategy", "rp-path", *SWEEP], ["--all-roots"]),
+])
+def test_verify_refuses_flags_its_mode_never_reads(tmp_path, monkeypatch, capsys, base, extra):
+    monkeypatch.chdir(tmp_path)
+    _assert_usage_error(capsys, ["verify", *base, *extra])
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["verify", *base]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--strategy", "ff-tree", *SWEEP, "--k", "1"],
+    ["verify", "--strategy", "fair-tree", *SWEEP, "--k", "1"],
+    ["exhaustive", "--class", "tree", "--max-edges", "3", "--k", "1"],
+])
+def test_tree_sweeps_refuse_one_color(capsys, argv):
+    # the tree floor (k-1)/k is 0 at k=1, so such a sweep would certify nothing
+    _assert_usage_error(capsys, argv)
+
+
+def test_rp_range_error_shows_p_as_given(capsys):
+    # not the exact binary fraction the ledger converts the float into
+    assert main(["verify", "--strategy", "rp-path", *SWEEP, "--p", "0.3"]) == 2
+    assert capsys.readouterr().err == "error: p must lie in [1/2, 1], got 0.3\n"
+
+
 @pytest.mark.parametrize("klass", ["tree", "fair-path"])
 def test_exhaustive_alg_applies_to_paths_only(capsys, klass):
     _assert_usage_error(capsys, ["exhaustive", "--class", klass, "--max-edges", "3",
@@ -332,6 +373,7 @@ SIZES = {"--k": _small_int(-1, 6), "--m": _small_int(-1, 5), "--n": _small_int(-
 
 def _cli_argv(files):
     algs = st.sampled_from(["ff", "nf", "rp", "xx"])
+    strategies = st.sampled_from(["ff-tree", "fair-tree", "rp-path", "nope"])
     flag = st.just(None)
     return st.one_of(
         _argv(["run"], {"--adv": ADV_NAMES, "--trials": _small_int(-1, 4)},
@@ -341,13 +383,17 @@ def _cli_argv(files):
         _argv(["exhaustive"], {"--max-edges": _small_int(-1, 4)},
               {"--class": st.sampled_from(["path", "fair-path", "tree", "cycle"]),
                "--alg": algs, "--k": _small_int(-1, 4), "--all-roots": flag}),
-        _argv(["verify"], {"--strategy": st.sampled_from(["ff-tree", "fair-tree", "rp-path",
-                                                          "nope"]),
-                           "--random": _small_int(-1, 3), "--max-edges": _small_int(-1, 6),
+        # verify refuses the flags a mode never reads, so draw each mode's own
+        # flags as required and the other mode's as optional
+        _argv(["verify"], {"--strategy": strategies,
+                           "--random": _small_int(-1, 3), "--max-edges": _small_int(-1, 6)},
+              {"--p": P_VALUES, "--k": _small_int(-1, 6), "--all-roots": flag,
+               "--seed": _small_int(0, 3), "--N": _small_int(-1, 3)}),
+        _argv(["verify"], {"--strategy": strategies,
+                           "--adv": st.sampled_from(["nf-tree", "nf-tree-rounded", "nope"]),
                            "--N": _small_int(-1, 3)},
-              {"--adv": st.sampled_from(["nf-tree", "nf-tree-rounded", "nope"]),
-               "--p": P_VALUES, "--k": _small_int(-1, 6), "--all-roots": flag,
-               "--seed": _small_int(0, 3)}),
+              {"--k": _small_int(-1, 6), "--seed": _small_int(0, 3),
+               "--random": _small_int(-1, 3), "--all-roots": flag}),
         _argv(["opt"], {}, {"--adv": ADV_NAMES, "--file": st.sampled_from(files), **SIZES}),
         _argv(["nf-order"], {"--file": st.sampled_from(files), "--k": _small_int(-1, 4)}, {}),
         st.just(["list"]),

@@ -335,3 +335,18 @@ def test_color_one_frequency_follows_depth_parity():
         expect = p if depth % 2 == 1 else 1 - p
         sigma = math.sqrt(expect * (1 - expect) / trials)
         assert abs(color1[i] / trials - expect) <= 3 * sigma + 0.005
+
+
+def test_run_builds_an_rng_only_for_randomized_algorithms():
+    seen = []
+
+    class Spy(FirstFit):
+        def reset(self, k, rng):
+            seen.append(rng)
+            super().reset(k, rng)
+
+    run_fixed(Spy(), [(0, 1), (1, 2)], 2, seed=3)
+    assert seen == [None]
+    # a randomized algorithm still gets a generator seeded from seed=
+    plays = [run_fixed(RandomParity(0.7), path_edges(30), 2, seed=4) for _ in range(2)]
+    assert [s.color for s in plays[0].steps] == [s.color for s in plays[1].steps]

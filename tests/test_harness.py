@@ -185,6 +185,14 @@ def test_exhaustive_guard():
         exhaustive_paths(9, 2)
 
 
+def test_tree_sweeps_need_two_colors():
+    # at k=1 the floor (k-1)/k is 0 and the sweep would certify nothing
+    with pytest.raises(ValueError, match="k >= 2"):
+        harness.verify_trees("ff-tree", 3, 4, 1)
+    with pytest.raises(ValueError, match="k >= 2"):
+        exhaustive_trees(3, ks=(2, 1))
+
+
 def test_tree_reveal_orders_counts():
     # one sequence per isomorphism class: (m+1)^(m-2) of them
     for m, expect in [(1, 1), (2, 1), (3, 4), (4, 25), (5, 216)]:
