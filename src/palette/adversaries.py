@@ -445,16 +445,8 @@ class BunchPlan:
         )
 
     @property
-    def total_edges(self) -> int:
-        return len(self.colored_part.edges) + len(self.connectors) + len(self.joins)
-
-    @property
     def expected_colored(self) -> int:
         return len(self.colored_part.edges) + len(self.joins)
-
-    @property
-    def expected_rejected(self) -> int:
-        return len(self.connectors)
 
 
 def bunch_plan(k: int, N: int, star_size: int | None = None) -> BunchPlan:

@@ -8,8 +8,9 @@ and the certificate holds if every optimum edge ends with at least C.  Each
 strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
 random pair strategy on two-colorable paths.  All three keep their books in
-their own unit and end in one ledger close, `_close`, which checks that no
-value leaked and builds the rows and the verdict.
+their own unit (ints scaled by k for first-fit, exact values for fair, ints
+counting half-slacks (1-C)/2 for the pair strategy) and end in one ledger
+close, `_close`, which checks that no value leaked and builds the verdict.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -20,6 +21,7 @@ floating point would turn into coin flips.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +80,8 @@ def _as_is(v):
     return v
 
 
-def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=_as_is):
+def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=_as_is,
+           margin_of=None):
     """Close a strategy's books: the one place a ledger becomes a verdict.
 
     klass maps every edge id, in reveal order, to its class; v_i and v_f give
@@ -86,16 +89,21 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=
     without one are absent).  Values, C, total (the sum of v_i) and residual
     (value the redistribution left unassigned) are in the strategy's own
     unit, and exact turns such a value into the exact value reported.  The
-    margins v_f - C of the judged edges decide the verdict.
+    margins v_f - C (or margin_of(v_f) where exact is not linear) of the
+    judged edges decide the verdict.
     """
     if sum(v_f) + residual != total:
         raise ChargingError("ledger leaked value during redistribution")
-    margin = {e: exact(v_f[e] - C) for e in judged}
+    if margin_of is None:
+        margin = {e: exact(v_f[e] - C) for e in judged}
+        min_margin = min(margin.values(), default=None)
+    else:  # one comparison per distinct value, in order of first appearance
+        margin = {e: margin_of(v_f[e]) for e in judged}
+        min_margin = min(map(margin_of, dict.fromkeys(v_f[e] for e in judged)), default=None)
     rows = [
         EdgeReport(e, kl, exact(v_i[e]), exact(v_f[e]), margin.get(e), case.get(e, ""))
         for e, kl in klass.items()
     ]
-    min_margin = min(margin.values(), default=None)
     return VerdictReport(strategy=strategy, C=exact(C), rows=rows,
                          passed=min_margin is None or min_margin >= 0, min_margin=min_margin)
 
@@ -548,6 +556,11 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
     case) or the full slack of the even neighbor plus halves from the odd
     neighbor and the even neighbor's far mate (mixed case).  Over-drafts
     (a non-critical edge left below C) are checked, not assumed.
+
+    The ledger counts in half-slacks (1-C)/2: an edge's value is its base (1,
+    or a critical edge's agreement probability) plus n half-slacks, kept as
+    the int 3n + base index, so conservation is checked on ints and each
+    distinct value is made exact once.
     """
     if isinstance(order, RevealSequence) and order.k != 2:
         raise ValueError("the random pair strategy needs k = 2")
@@ -559,23 +572,30 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
 
     # a critical edge's initial value: its neighbors agree with probability
     # p^2 + (1-p)^2 at equal depth parities and 2p(1-p) at mixed ones
-    same = bias * bias + (1 - bias) * (1 - bias)
-    mixed = 2 * bias * (1 - bias)
-    slack = 1 - target
+    bases = (_ONE, bias * bias + (1 - bias) * (1 - bias), 2 * bias * (1 - bias))
+    half = (1 - target) / 2
+
+    @functools.cache
+    def exact(key):  # the ledger int 3n + b is bases[b] plus n half-slacks
+        n, b = divmod(key, 3)
+        return bases[b] if n == 0 else bases[b] + n * half
+
+    margin_of = functools.cache(lambda key: exact(key) - target)
     m = len(positions)
-    klass, v_i, v_f = dict.fromkeys(range(m), "noncritical"), [_ONE] * m, [_ONE] * m
+    klass = dict.fromkeys(range(m), "noncritical")
+    v_i, v_f = [0] * m, [0] * m  # base index 0 and no half-slacks moved yet
+    h = 3  # one half-slack, in ledger ints
     case: dict[int, str] = {}
     payers = set()
-    total = m - len(crit)
     for step in sorted(crit):
         pos = positions[step]
         left, right = by_pos[pos - 1], by_pos[pos + 1]
         dl, dr = depth[left], depth[right]
         klass[step] = "critical"
         if dl % 2 == dr % 2:
-            case[step], v_i[step], v_f[step] = "2", same, same + slack
-            v_f[left] -= slack / 2
-            v_f[right] -= slack / 2
+            case[step], v_i[step], v_f[step] = "2", 1, 1 + 2 * h
+            v_f[left] -= h
+            v_f[right] -= h
             payers.update((left, right))
         else:
             odd_n, even_n = (left, right) if dl % 2 == 1 else (right, left)
@@ -587,17 +607,19 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
                     "non-critical far mate; the parity analysis is broken"
                 )
             far = by_pos[far_pos]
-            case[step], v_i[step], v_f[step] = "1", mixed, mixed + 2 * slack
-            v_f[even_n] -= slack
-            v_f[odd_n] -= slack / 2
-            v_f[far] -= slack / 2
+            case[step], v_i[step], v_f[step] = "1", 2, 2 + 4 * h
+            v_f[even_n] -= 2 * h
+            v_f[odd_n] -= h
+            v_f[far] -= h
             payers.update((even_n, odd_n, far))
-        total += v_i[step]
 
-    for step in payers:
-        if v_f[step] < target:
-            raise ChargingError(
-                f"non-critical edge at step {step} was left with {v_f[step]} "
-                f"< C = {target}"
-            )
-    return _close("rp-path", target, klass, case, v_i, v_f, total, range(m))
+    overdrawn = {key for key in {v_f[step] for step in payers} if margin_of(key) < 0}
+    if overdrawn:
+        step = min(step for step in payers if v_f[step] in overdrawn)
+        raise ChargingError(
+            f"non-critical edge at step {step} was left with {exact(v_f[step])} "
+            f"< C = {target}"
+        )
+    # C is a non-critical edge's 1 less two half-slacks
+    return _close("rp-path", -2 * h, klass, case, v_i, v_f, sum(v_i), range(m),
+                  exact=exact, margin_of=margin_of)

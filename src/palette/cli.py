@@ -18,8 +18,7 @@ from .oracle import opt_bruteforce, opt_tree
 
 
 def _seed_from(args) -> object:
-    env = os.environ.get("PALETTE_SEED")
-    raw = env if env is not None else args.seed
+    raw = os.environ.get("PALETTE_SEED", 0 if args.seed is None else args.seed)
     try:
         return int(raw)
     except (TypeError, ValueError):
@@ -103,7 +102,8 @@ def cmd_verify(args) -> int:
         )
     mode = f"--strategy {args.strategy} " + (f"--adv {args.adv}" if args.adv else "without --adv")
     unread = ["--m", "--n", "--b"]
-    unread += ["--random", "--max-edges", "--all-roots"] if args.adv else ["--out", "--N"]
+    unread += (["--random", "--max-edges", "--all-roots", "--seed"] if args.adv
+               else ["--out", "--N"])
     unread += ["--k", "--all-roots"] if args.strategy == "rp-path" else ["--p"]
     for flag in unread:
         if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
@@ -138,6 +138,9 @@ def cmd_verify(args) -> int:
 
 def _instance_graph(args):
     if args.file:
+        for flag in ("--adv", "--m", "--n", "--N", "--b", "--seed"):
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"opt --file does not read {flag}")
         with open(args.file) as fh:
             edges = parse_edge_list(fh.read())
         return build_graph(edges)
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--N", type=int, default=None)
         sp.add_argument("--b", type=int, default=None)
-        sp.add_argument("--seed", default=0)
+        sp.add_argument("--seed", default=None, help="(0)")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("run", help="one algorithm-vs-construction matchup")

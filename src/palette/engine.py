@@ -257,6 +257,13 @@ def audit_fair(trace: Trace) -> bool:
     return True
 
 
+#: trials per chunk of the random-pair kernel, which bounds its state
+RP_CHUNK_TRIALS = 1 << 14
+_RP_STEP_BLOCK = 32  # steps whose uniforms are drawn in one call
+# (neighbours' color bits | 4 when a fresh draw picks color 2) -> new color bits
+_RP_TABLE = np.array([1, 2, 1, 0, 2, 2, 1, 0], dtype=np.uint8)
+
+
 def rp_path_colored_counts(
     order: list[tuple[int, int]],
     p: float,
@@ -268,32 +275,37 @@ def rp_path_colored_counts(
     """Colored-edge counts of many independent random-parity runs on a path.
 
     Vectorizes the runs across trials with numpy; the reveal order is fixed
-    and must form a path.  ``draws``, when given, supplies the uniform draw
-    for every (trial, step) pair and overrides the seeded generator; the
-    draw at a step is consumed only by trials whose edge has no colored
-    neighbor at that moment, which matches the sequential engine's behavior
-    edge for edge.
+    and must form a path.  The state holds color bits (0 open or rejected, 1
+    and 2 the colors) in an (m+2, trials) uint8 array, one row per path
+    position plus a sentinel at each end, and each step looks its new bits up
+    in an 8-entry table.  Trials run in chunks of RP_CHUNK_TRIALS: chunk 0
+    reads ``default_rng(seed)``, the stream of an unchunked run, and chunk
+    c > 0 the c-th child spawned by ``SeedSequence(seed)``.  ``draws``, when
+    given, is a (trials, m) array of the uniform for every (trial, step) pair
+    and overrides the seed; the draw at a step is consumed only by trials
+    whose edge has no colored neighbor at that moment, which matches the
+    sequential engine's behavior edge for edge.
     """
     if not 0.5 <= p <= 1:
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
     positions = path_positions(order)
     m = len(order)
-    if draws is None:
-        gen = np.random.default_rng(seed)
-    state = np.zeros((trials, m + 2), dtype=np.int8)  # 0 open, 1/2 colored, -1 rejected
-    colored = np.zeros(trials, dtype=np.int64)
-    for step, pos in enumerate(positions):
-        left = state[:, pos - 1]
-        right = state[:, pos + 1]
-        used1 = (left == 1) | (right == 1)
-        used2 = (left == 2) | (right == 2)
-        u = draws[:, step] if draws is not None else gen.random(trials)
-        fresh = np.where(u < p, 1, 2).astype(np.int8)
-        col = np.where(
-            used1 & used2,
-            np.int8(-1),
-            np.where(used1, np.int8(2), np.where(used2, np.int8(1), fresh)),
-        )
-        state[:, pos] = col
-        colored += col > 0
-    return colored
+    root = np.random.SeedSequence(seed)
+    counts = np.zeros(trials, dtype=np.int64)
+    for lo in range(0, trials, RP_CHUNK_TRIALS):
+        n = min(RP_CHUNK_TRIALS, trials - lo)
+        gen = np.random.default_rng(root if lo == 0 else root.spawn(1)[0])
+        uniforms = np.empty((_RP_STEP_BLOCK, n))
+        state = np.zeros((m + 2, n), dtype=np.uint8)
+        for b0 in range(0, m, _RP_STEP_BLOCK):
+            steps = positions[b0 : b0 + _RP_STEP_BLOCK]
+            block = (gen.random(out=uniforms[: len(steps)]) if draws is None
+                     else draws[lo : lo + n, b0 : b0 + len(steps)].T)
+            for pos, fresh in zip(steps, (block >= p).view(np.uint8) << 2):
+                row = state[pos]
+                np.bitwise_or(state[pos - 1], state[pos + 1], out=row)
+                row |= fresh
+                np.take(_RP_TABLE, row, out=row, mode="clip")
+        for r0 in range(1, m + 1, _RP_STEP_BLOCK):
+            counts[lo : lo + n] += np.count_nonzero(state[r0 : r0 + _RP_STEP_BLOCK], axis=0)
+    return counts

@@ -220,15 +220,6 @@ class PartialColoring:
                     return False
         return True
 
-    def recompute_used_mask(self, g: Graph, v: int) -> int:
-        """From-scratch recomputation of used_mask(v), for coherence checks."""
-        mask = 0
-        for eid in g.incident[v]:
-            c = self.state.get(eid, REJECTED)
-            if c != REJECTED:
-                mask |= color_bit(c)
-        return mask
-
 
 def colors_at(coloring: PartialColoring, g: Graph, v: int) -> frozenset[int]:
     """Colors used on colored edges incident to v."""

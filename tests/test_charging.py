@@ -349,6 +349,14 @@ def test_rp_charge_random_orders_at_optimum():
         assert report.passed
 
 
+@pytest.mark.parametrize("build", [rp_strategy_mod3, rp_strategy_oddeven])
+def test_rp_ledger_expectation_is_criterion_03_target(build):
+    """The v_i of the ledger sum to the exact expected colored count: 2401 on
+    both adversarial orders at m=3001 and the optimal bias."""
+    report = rp_path_charge(build(3001), PHI_OVER_SQRT5)
+    assert sum(r.v_i for r in report.rows) == 2401
+
+
 def test_rp_charge_monte_carlo_initial_values():
     """Simulated per-edge colored frequencies agree with the analytic ledger."""
     order = rp_strategy_mod3(16)

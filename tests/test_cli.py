@@ -317,6 +317,26 @@ def test_verify_refuses_flags_its_mode_never_reads(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "4", "--N", "2"],
+    ["verify", "--strategy", "fair-tree", "--adv", "nf-tree-rounded", "--k", "5", "--N", "2"],
+    ["opt", "--file", "path.txt", "--k", "2"],
+])
+def test_seed_is_refused_where_nothing_reads_it(tmp_path, monkeypatch, capsys, argv):
+    # these modes play fixed orders with deterministic algorithms
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path.txt").write_text("0 1\n1 2\n2 3\n")
+    _assert_usage_error(capsys, [*argv, "--seed", "0"])
+    assert main(argv) == 0
+
+
+def test_opt_file_refuses_construction_flags(tmp_path, capsys):
+    path = tmp_path / "path.txt"
+    path.write_text("0 1\n1 2\n")
+    for extra in (["--adv", "nf-path-killer"], ["--m", "3"], ["--N", "2"]):
+        _assert_usage_error(capsys, ["opt", "--file", str(path), *extra])
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--strategy", "ff-tree", *SWEEP, "--k", "1"],
     ["verify", "--strategy", "fair-tree", *SWEEP, "--k", "1"],
     ["exhaustive", "--class", "tree", "--max-edges", "3", "--k", "1"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import RandomFair, random_tree_sequence
 from palette import charging, engine, harness
-from palette.adversaries import RevealSequence, path_edges, rp_strategy_oddeven
+from palette.adversaries import (
+    RevealSequence,
+    path_edges,
+    rp_strategy_mod3,
+    rp_strategy_oddeven,
+)
 from palette.engine import (
     FirstFit,
     NextFit,
@@ -294,6 +300,67 @@ def test_vectorized_matches_engine_exactly_with_shared_draws():
         feed = [draws[t][i] for i in draw_steps]
         trace = run(RandomParity(0.7), seq, rng=ListRng(feed))
         assert trace.colored_count == counts_vec[t]
+
+
+KERNEL_COUNTS_SHA256 = "7d3a815ed76754914da9ce0546f9331c4ba27582d1315e3cc0608cf7325b2124"
+
+
+def test_kernel_counts_are_pinned():
+    """Seeded kernel counts on both adversarial orders at m=301 and on 20
+    random orders, at the boundary, optimal and deterministic biases."""
+    rng = random.Random(77)
+    orders = [rp_strategy_mod3(301).edges, rp_strategy_oddeven(301).edges]
+    orders += [harness.random_reveal(rng, path_edges(rng.randrange(1, 80))) for _ in range(20)]
+    h = hashlib.sha256()
+    for p in (0.5, 0.7236068, 1.0):
+        for i, edges in enumerate(orders):
+            counts = rp_path_colored_counts(edges, p, 2000, seed=[i, 5])
+            h.update(counts.astype(np.int64).tobytes())
+    assert h.hexdigest() == KERNEL_COUNTS_SHA256
+
+
+def test_kernel_seed_is_the_draws_stream():
+    """A seeded run reads the same uniforms as draws taken step-major from
+    default_rng(seed)."""
+    rng = random.Random(5)
+    for m in (1, 7, 40):
+        edges = harness.random_reveal(rng, path_edges(m))
+        draws = np.random.default_rng(9).random((m, 300)).T
+        assert np.array_equal(rp_path_colored_counts(edges, 0.7, 300, seed=9),
+                              rp_path_colored_counts(edges, 0.7, 300, draws=draws))
+
+
+def test_kernel_chunks_are_deterministic_and_keep_the_first_chunk(monkeypatch):
+    """Trials run in chunks: a chunked run repeats itself, its first chunk is
+    the unchunked run of that many trials, and draws are chunked alike."""
+    edges = harness.random_reveal(random.Random(4), path_edges(30))
+    single = rp_path_colored_counts(edges, 0.7236068, 8, seed=3)
+    draws = np.random.default_rng(2).random((20, 30))
+    whole = rp_path_colored_counts(edges, 0.7236068, 20, draws=draws)
+    monkeypatch.setattr(engine, "RP_CHUNK_TRIALS", 8)
+    chunked = rp_path_colored_counts(edges, 0.7236068, 20, seed=3)
+    assert chunked.shape == (20,)
+    assert np.array_equal(chunked, rp_path_colored_counts(edges, 0.7236068, 20, seed=3))
+    assert np.array_equal(chunked[:8], single)
+    child = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+    second = rp_path_colored_counts(edges, 0.7236068, 8, draws=child.random((30, 8)).T)
+    assert np.array_equal(chunked[8:16], second)  # chunk 1 reads the first spawned child
+    assert np.array_equal(rp_path_colored_counts(edges, 0.7236068, 20, draws=draws), whole)
+
+
+def test_kernel_mean_matches_the_exact_expectation():
+    """The kernel's mean colored count lies within 5 standard errors of the
+    ledger's exact expectation (the sum of its v_i), on both adversarial
+    orders and on random orders."""
+    rng = random.Random(31)
+    orders = [rp_strategy_mod3(301).edges, rp_strategy_oddeven(301).edges]
+    orders += [harness.random_reveal(rng, path_edges(rng.randrange(20, 200))) for _ in range(4)]
+    p, trials = 0.72360679, 4000
+    for i, edges in enumerate(orders):
+        exact = sum(r.v_i for r in charging.rp_path_charge(edges, p).rows)
+        counts = rp_path_colored_counts(edges, p, trials, seed=[i, 31])
+        stderr = counts.std(ddof=1) / math.sqrt(trials)
+        assert abs(counts.mean() - float(exact)) <= 5 * stderr, (i, counts.mean(), exact)
 
 
 def test_vectorized_agrees_statistically_on_random_orders():

@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette.graph import (
+    REJECTED,
     Graph,
     GraphError,
     PartialColoring,
     build_graph,
+    color_bit,
     colors_at,
     format_edge_list,
     full_mask,
@@ -126,7 +128,11 @@ def test_cache_coherence_random_runs(seed, k):
         else:
             c.reject(eid)
         for v2 in range(g.num_vertices):
-            assert c.used_mask(v2) == c.recompute_used_mask(g, v2)
+            recount = 0
+            for f in g.incident[v2]:
+                if c.state.get(f, REJECTED) != REJECTED:
+                    recount |= color_bit(c.state[f])
+            assert c.used_mask(v2) == recount
         assert c.is_proper(g)
 
 
