@@ -8,9 +8,10 @@ and the certificate holds if every optimum edge ends with at least C.  Each
 strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
 random pair strategy on two-colorable paths.  All three keep their books in
-their own unit (ints scaled by k for first-fit, exact values for fair, ints
-counting half-slacks (1-C)/2 for the pair strategy) and end in one ledger
-close, `_close`, which checks that no value leaked and builds the verdict.
+their own unit (ints scaled by k for first-fit, ints scaled by 2*sqrt(k)-1
+for fair at square k and exact surds at other k, ints counting half-slacks
+(1-C)/2 for the pair strategy) and end in one ledger close, `_close`, which
+checks that no value leaked and builds the verdict.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -129,7 +130,7 @@ class RootedView:
 def rooted_view(g: Graph, root: int) -> RootedView:
     """Parent relations of g from root; g must be a tree (the certificates
     check that once per trace, not once per root)."""
-    n = g.num_vertices
+    n, incident = g.num_vertices, g.incident
     if not 0 <= root < n:
         raise GraphError(f"root {root} out of range")
     parent_vertex = [-1] * n
@@ -140,7 +141,7 @@ def rooted_view(g: Graph, root: int) -> RootedView:
     seen[root] = True
     while stack:
         x = stack.pop()
-        for f in g.incident[x]:
+        for f in incident[x]:
             y = g.other_end(f, x)
             if not seen[y]:
                 seen[y] = True
@@ -170,9 +171,8 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
     """
     g = trace.graph
     klass: dict[int, str] = {}
-    for step in trace.steps:
-        e = step.edge
-        if step.color is not None:
+    for e, c in enumerate(trace.colors()):
+        if c is not None:
             klass[e] = "double" if e in witness.edges else "single"
         else:
             klass[e] = "opt-only" if e in witness.edges else "neither"
@@ -193,14 +193,7 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
     return klass, tallies
 
 
-def _first_fit_replay_matches(trace: engine.Trace) -> bool:
-    replay = engine.run(
-        engine.FirstFit(), RevealSequence(edges=trace.reveal_order(), k=trace.k)
-    )
-    return [s.color for s in replay.steps] == [s.color for s in trace.steps]
-
-
-_ONE, _ZERO = Fraction(1), Fraction(0)
+_ONE = Fraction(1)
 
 
 def _settle(view: RootedView, klass: dict, held: list, v_f: list, C):
@@ -234,24 +227,35 @@ def _settle(view: RootedView, klass: dict, held: list, v_f: list, C):
 class _TreeCertificate:
     """The half of a tree certificate that does not depend on the root.
 
-    Construction audits the tree and the witness and derives the edge
-    classes, vertex tallies and initial values (one `unit` per colored edge)
-    once per trace; `charge(root)` then runs the root-dependent
-    redistribution and closes the books.
+    Construction audits the tree and the witness and derives the edge classes,
+    vertex tallies and initial values (`scale` per colored edge: values are
+    kept multiplied by it) once per trace; `charge(root)` then runs the
+    root-dependent redistribution and closes the books.
     """
 
-    def __init__(self, trace: engine.Trace, witness: OptWitness, unit):
+    def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int):
         g = trace.graph
         if not g.is_tree():
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
-        self.trace, self.witness = trace, witness
+        self.trace, self.witness, self.scale = trace, witness, scale
         self.klass, self.tallies = edge_classes(trace, witness)
-        self.color_of = {s.edge: s.color for s in trace.steps if s.color is not None}
+        colors = trace.colors()
+        self.color_of = {e: c for e, c in enumerate(colors) if c is not None}
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
-        zero = 0 * unit
-        self.v_i = [zero if s.color is None else unit for s in trace.steps]
-        self.total = unit * len(self.color_of)
+        self.v_i = [0 if c is None else scale for c in colors]
+        self.total = scale * len(self.color_of)
+        self._fractions: dict[object, Fraction] = {}
+
+    def _unscale(self, v):
+        """The exact value v/scale of a ledger value v; each distinct value is
+        converted once per certificate (surds only occur at scale 1)."""
+        if self.scale == 1 and type(v) is not int:
+            return v
+        f = self._fractions.get(v)
+        if f is None:
+            f = self._fractions[v] = Fraction(v, self.scale)
+        return f
 
     def _cases(self, view: RootedView) -> dict:
         """Each rejected optimum edge's case from this root, named after the
@@ -285,7 +289,8 @@ class FFTreeCertificate(_TreeCertificate):
                       "neither": "2", "": "2"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        if not _first_fit_replay_matches(trace):
+        replay = engine.run(engine.FirstFit(), RevealSequence(edges=trace.graph.edges, k=trace.k))
+        if replay.coloring.state != trace.coloring.state:
             raise ValueError("trace was not produced by first-fit; refusing to certify")
         k = trace.k
         super().__init__(trace, witness, k)  # values are kept multiplied by k
@@ -293,7 +298,6 @@ class FFTreeCertificate(_TreeCertificate):
             largest_available_color(trace.coloring, v, k)
             for v in range(trace.graph.num_vertices)
         ]
-        self._fractions: dict[int, Fraction] = {}
 
     def charge(self, root: int) -> VerdictReport:
         g, k = self.trace.graph, self.trace.k
@@ -341,16 +345,6 @@ class FFTreeCertificate(_TreeCertificate):
         return _close(self.strategy, k - 1, klass, self._cases(view), self.v_i, v_f,
                       self.total, self.witness.edges, residual, self._unscale)
 
-    def _unscale(self, v):
-        """A ledger value v (kept multiplied by k) as the Fraction v/k; each
-        int is converted once per certificate."""
-        if type(v) is not int:
-            return v / self.trace.k
-        f = self._fractions.get(v)
-        if f is None:
-            f = self._fractions[v] = Fraction(v, self.trace.k)
-        return f
-
 
 def ff_tree_charge(
     trace: engine.Trace, witness: OptWitness, *, root: int = 0
@@ -379,7 +373,9 @@ class FairTreeCertificate(_TreeCertificate):
     run's actual vertex tallies.
 
     Construction refuses unfair traces and checks the fairness facts of the
-    final coloring; `charge(root)` certifies from one root.
+    final coloring; `charge(root)` certifies from one root.  At square k = s*s
+    values are kept multiplied by 2s-1: C is 2s-2, a colored edge is worth
+    2s-1 and a double-colored one sends up 1.  Other k keep exact surds.
     """
 
     strategy = "fair-tree"
@@ -391,36 +387,39 @@ class FairTreeCertificate(_TreeCertificate):
         if not engine.audit_fair(trace):
             raise ValueError("trace is not fair; refusing to certify")
         k = trace.k
-        super().__init__(trace, witness, _ONE)
+        s = math.isqrt(k)
+        square = s * s == k
+        super().__init__(trace, witness, 2 * s - 1 if square else 1)
         self.C = fair_ratio(k)
-        self.double_surplus = 1 - self.C  # what a double-colored edge sends up
+        self.target = 2 * s - 2 if square else self.C  # C in ledger units
+        self.double_surplus = self.scale - self.target  # what a double-colored edge sends up
         tallies = self.tallies
         for v, t in enumerate(tallies):
             if t["d_d"] + t["d_r"] > k:
                 raise ChargingError(f"optimum keeps more than k edges at vertex {v}")
-        for step in trace.steps:
-            if step.color is None:
-                if tallies[step.u]["d_c"] + tallies[step.v]["d_c"] < k:
-                    raise ChargingError(
-                        f"rejected edge {step.edge} sees fewer than k colored "
-                        "edges in total; the run cannot have been fair"
-                    )
+        for e, (u, v) in enumerate(trace.graph.edges):
+            if e not in self.color_of and tallies[u]["d_c"] + tallies[v]["d_c"] < k:
+                raise ChargingError(
+                    f"rejected edge {e} sees fewer than k colored "
+                    "edges in total; the run cannot have been fair"
+                )
 
     def charge(self, root: int) -> VerdictReport:
-        g, k, C, klass = self.trace.graph, self.trace.k, self.C, self.klass
+        g, k, target, klass = self.trace.graph, self.trace.k, self.target, self.klass
         view = rooted_view(g, root)
         held = [0] * g.num_vertices
         for e in self.color_of:
             x, _ = view.parent_side(g, e)
-            held[x] += self.double_surplus if klass[e] == "double" else 1
-        v_f = [C if kl == "double" else _ZERO for kl in klass.values()]
-        residual = _settle(view, klass, held, v_f, C)
+            held[x] += self.double_surplus if klass[e] == "double" else self.scale
+        v_f = [target if kl == "double" else 0 for kl in klass.values()]
+        residual = _settle(view, klass, held, v_f, target)
         cases = self._cases(view)
-        report = _close(self.strategy, C, klass, cases, self.v_i, v_f, self.total,
-                        self.witness.edges, residual)
+        report = _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
+                        self.witness.edges, residual, self._unscale)
         for e, case in cases.items():
             x, y = view.parent_side(g, e)
-            _check_fair_case(k, C, case, self.tallies[x], self.tallies[y], held[y], e)
+            if held[y] < target:  # the child endpoint cannot pay C by itself
+                _check_fair_case(k, self.C, case, self.tallies[x], self.tallies[y], e)
         return report
 
 
@@ -431,15 +430,13 @@ def fair_tree_charge(
     return FairTreeCertificate(trace, witness).charge(root)
 
 
-def _check_fair_case(k, C, case, tx, ty, m_y, e):
+def _check_fair_case(k, C, case, tx, ty, e):
     """Re-derive the case inequalities on the run's actual tallies.
 
-    Only binding when the child endpoint cannot already pay C by itself; in
-    that regime every colored edge there must be double-colored, and the
-    three inequalities of the matching case must hold.
+    Only binding when the child endpoint cannot already pay C by itself (the
+    caller checks that); in that regime every colored edge there must be
+    double-colored, and the three inequalities of the matching case must hold.
     """
-    if m_y >= C:
-        return
     if ty["d_c"] != ty["d_d"]:
         raise ChargingError(
             f"edge {e}: child endpoint holds less than C yet has a "

@@ -10,6 +10,9 @@ user-supplied strategies through the same interface:
     decide(coloring, g, eid)       -- return a color in 1..k, or None to reject
     clone()                        -- unstarted copy (used for replays)
     deterministic / fair           -- declared properties, used by adversaries
+
+A run's record, `Trace`, is its graph and its coloring: edge ids are reveal
+steps, and `Trace.steps` builds the per-step `Step` view from the two on read.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import (
+    REJECTED,
     Graph,
     GraphError,
     PartialColoring,
@@ -153,44 +157,50 @@ class Step:
 
 @dataclass
 class Trace:
-    """Complete record of one online run."""
+    """One online run: step i revealed graph.edges[i], decided coloring.state[i]."""
 
     k: int
     algorithm: str
     graph: Graph
-    steps: list[Step]
     coloring: PartialColoring
+
+    def colors(self) -> list[int | None]:
+        """Each step's color, None where it was rejected, in reveal order."""
+        state = self.coloring.state
+        return [None if (c := state[e]) == REJECTED else c for e in range(self.graph.num_edges)]
+
+    @property
+    def steps(self) -> list[Step]:
+        """The per-step view, built from the graph and the coloring on each read."""
+        return [Step(e, u, v, c) for e, ((u, v), c) in enumerate(zip(self.graph.edges, self.colors()))]
 
     @property
     def colored_count(self) -> int:
-        return sum(1 for s in self.steps if s.color is not None)
+        return self.coloring.colored_count
 
     @property
     def rejected_count(self) -> int:
-        return sum(1 for s in self.steps if s.color is None)
-
-    def reveal_order(self) -> list[tuple[int, int]]:
-        return [(s.u, s.v) for s in self.steps]
+        return self.coloring.rejected_count
 
     def replay(self) -> PartialColoring:
         """Re-apply the recorded decisions onto a fresh coloring."""
         coloring = PartialColoring(self.k)
-        for s in self.steps:
-            if s.color is None:
-                coloring.reject(s.edge)
+        for e, c in enumerate(self.colors()):
+            if c is None:
+                coloring.reject(e)
             else:
-                coloring.color(self.graph, s.edge, s.color)
+                coloring.color(self.graph, e, c)
         return coloring
 
     def write_csv(self, out) -> None:
         """Trace CSV: step,u,v,decision,color (decision C/R, color empty on R)."""
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["step", "u", "v", "decision", "color"])
-        for i, s in enumerate(self.steps):
-            if s.color is None:
-                w.writerow([i, s.u, s.v, "R", ""])
+        for i, ((u, v), c) in enumerate(zip(self.graph.edges, self.colors())):
+            if c is None:
+                w.writerow([i, u, v, "R", ""])
             else:
-                w.writerow([i, s.u, s.v, "C", s.color])
+                w.writerow([i, u, v, "C", c])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -212,7 +222,6 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     algorithm.reset(k, rng)
     g = Graph()
     coloring = PartialColoring(k)
-    steps: list[Step] = []
     session = script.session()
     decision: int | None = None
     first = True
@@ -228,12 +237,10 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
             coloring.reject(eid)
         else:
             coloring.color(g, eid, decision)  # raises if improper/unavailable
-        steps.append(Step(eid, u, v, decision))
     return Trace(
         k=k,
         algorithm=getattr(algorithm, "name", type(algorithm).__name__),
         graph=g,
-        steps=steps,
         coloring=coloring,
     )
 
@@ -246,14 +253,15 @@ def audit_fair(trace: Trace) -> bool:
     """
     coloring = PartialColoring(trace.k)
     all_colors = full_mask(trace.k)
-    for s in trace.steps:
-        if s.color is None:
-            used = coloring.used_mask(s.u) | coloring.used_mask(s.v)
-            if used != all_colors:
+    edges = trace.graph.edges
+    for e, c in enumerate(trace.colors()):
+        if c is None:
+            u, v = edges[e]
+            if coloring.used_mask(u) | coloring.used_mask(v) != all_colors:
                 return False
-            coloring.reject(s.edge)
+            coloring.reject(e)
         else:
-            coloring.color(trace.graph, s.edge, s.color)
+            coloring.color(trace.graph, e, c)
     return True
 
 

@@ -4,7 +4,9 @@ Vertices and edges are dense 0-based integer ids.  Vertices come into
 existence the first time an edge mentions them; edge ids are assigned in
 reveal order.  Colors are the
 integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
-set means color ``c`` is present).
+set means color ``c`` is present).  A graph's adjacency (`Graph.incident`)
+is built from its edge list on first read and kept current by `add_edge`
+after that, so a game whose strategy reads only color masks never builds it.
 """
 
 from __future__ import annotations
@@ -48,16 +50,24 @@ def lowest_free_color(used: int, k: int) -> int | None:
 class Graph:
     """Simple undirected graph built one edge at a time."""
 
-    __slots__ = ("edges", "incident", "_seen")
+    __slots__ = ("edges", "num_vertices", "_incident", "_seen")
 
     def __init__(self):
         self.edges: list[tuple[int, int]] = []
-        self.incident: list[list[int]] = []  # vertex -> incident edge ids
+        self.num_vertices = 0
+        self._incident: list[list[int]] | None = None  # built on first read
         self._seen: set[tuple[int, int]] = set()
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.incident)
+    def incident(self) -> list[list[int]]:
+        """vertex -> incident edge ids, in reveal order."""
+        if self._incident is None:
+            incident = [[] for _ in range(self.num_vertices)]
+            for eid, (u, v) in enumerate(self.edges):
+                incident[u].append(eid)
+                incident[v].append(eid)
+            self._incident = incident
+        return self._incident
 
     @property
     def num_edges(self) -> int:
@@ -73,13 +83,15 @@ class Graph:
         if key in self._seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
         self._seen.add(key)
-        hi = max(u, v)
-        while len(self.incident) <= hi:
-            self.incident.append([])
         eid = len(self.edges)
         self.edges.append((u, v))
-        self.incident[u].append(eid)
-        self.incident[v].append(eid)
+        hi = key[1] + 1
+        if hi > self.num_vertices:
+            self.num_vertices = hi
+        if self._incident is not None:
+            self._incident.extend([] for _ in range(hi - len(self._incident)))
+            self._incident[u].append(eid)
+            self._incident[v].append(eid)
         return eid
 
     def endpoints(self, eid: int) -> tuple[int, int]:
@@ -104,6 +116,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as lists of vertex ids (isolated ones too)."""
+        incident = self.incident
         seen = [False] * self.num_vertices
         comps = []
         for start in range(self.num_vertices):
@@ -114,7 +127,7 @@ class Graph:
             stack = [start]
             while stack:
                 x = stack.pop()
-                for f in self.incident[x]:
+                for f in incident[x]:
                     y = self.other_end(f, x)
                     if not seen[y]:
                         seen[y] = True
@@ -140,7 +153,7 @@ class Graph:
             return "other"
         if not self.is_tree():
             return "other"
-        degs = [self.degree(v) for v in range(self.num_vertices)]
+        degs = [len(edges) for edges in self.incident]
         if max(degs) <= 2:
             return "path"
         if max(degs) == self.num_edges:
@@ -243,17 +256,28 @@ def path_positions(edges: list[tuple[int, int]]) -> list[int]:
     end with the smaller vertex id, for determinism).  Raises GraphError when
     the edges do not form a single path.
     """
-    g = build_graph(edges)
-    if g.classify() != "path":
-        raise GraphError("edges do not form a path")
-    ends = [v for v in range(g.num_vertices) if g.degree(v) == 1]
-    start = min(ends)
-    pos_of_eid = [0] * g.num_edges
-    v, prev_eid = start, None
-    for pos in range(1, g.num_edges + 1):
-        eid = next(f for f in g.incident[v] if f != prev_eid)
-        pos_of_eid[eid] = pos
-        v, prev_eid = g.other_end(eid, v), eid
+    edges = build_graph(edges).edges  # raises on self-loops, negative ids, duplicates
+    m = len(edges)
+    not_a_path = GraphError("edges do not form a path")
+    if m == 0 or max(map(max, edges)) != m:  # a path's vertices are 0..m
+        raise not_a_path
+    deg, link = [0] * (m + 1), [0] * (m + 1)  # per vertex: degree, xor of (edge id + 1)
+    for tag, (u, v) in enumerate(edges, 1):
+        deg[u] += 1
+        deg[v] += 1
+        link[u] ^= tag
+        link[v] ^= tag
+    if max(deg) > 2 or 1 not in deg:
+        raise not_a_path
+    # from the smaller end, m steps without a dead end walk the whole path
+    pos_of_eid, v, tag = [0] * m, deg.index(1), 0
+    for pos in range(1, m + 1):
+        tag ^= link[v]  # the edge at v other than the one the walk came in by
+        if not tag:
+            raise not_a_path
+        pos_of_eid[tag - 1] = pos
+        u, w = edges[tag - 1]
+        v = w if v == u else u
     return pos_of_eid
 
 

@@ -69,7 +69,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
     if not g.is_forest():
         raise GraphError("tree oracle requires an acyclic graph")
 
-    n = g.num_vertices
+    n, incident = g.num_vertices, g.incident
     parent_eid = [-1] * n
     kept: set[int] = set()
     roots = []
@@ -83,7 +83,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
         while stack:
             x, pe = stack.pop()
             order.append(x)
-            for f in g.incident[x]:
+            for f in incident[x]:
                 if f != pe:
                     y = g.other_end(f, x)
                     parent_eid[y] = f
@@ -97,7 +97,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
         for x in reversed(order):
             base = 0
             gains = []  # (gain, child edge)
-            for f in g.incident[x]:
+            for f in incident[x]:
                 if f == parent_eid[x]:
                     continue
                 y = g.other_end(f, x)
@@ -117,7 +117,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
             x, parent_kept = stack.pop()
             take = choice[x][1] if parent_kept else choice[x][0]
             take_set = set(take)
-            for f in (f for f in g.incident[x] if f != parent_eid[x]):
+            for f in (f for f in incident[x] if f != parent_eid[x]):
                 y = g.other_end(f, x)
                 if f in take_set:
                     kept.add(f)
@@ -135,13 +135,13 @@ def _color_forest(g, k, kept, roots, parent_eid):
     Child edges at each vertex take the lowest colors not used by the kept
     parent edge, which always suffices.
     """
-    coloring: dict[int, int] = {}
+    coloring, incident = {}, g.incident
     for root in roots:
         stack = [(root, 0)]  # (vertex, color of kept parent edge; 0 = none)
         while stack:
             x, parent_color = stack.pop()
             c = 0
-            for f in g.incident[x]:
+            for f in incident[x]:
                 if f == parent_eid[x]:
                     continue
                 y = g.other_end(f, x)

@@ -4,6 +4,7 @@ rename in the package must fail here, not only in the benchmark."""
 import importlib.util
 from pathlib import Path
 
+from palette import adversaries, engine
 from palette.graph import Graph
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -27,3 +28,14 @@ def test_every_traced_name_resolves():
         f"Graph.{name}" for name in tracing.GRAPH_METHODS if not callable(getattr(Graph, name, None))
     ]
     assert missing == []
+
+
+def test_a_trace_exposes_what_the_bench_reads():
+    """The workload checks and the tracer read a Trace's steps (their count
+    and each step's u, v and color), colored_count, graph and k."""
+    trace = engine.run("nf", adversaries.nf_path_killer(5))
+    assert len(trace.steps) == 11 and trace.colored_count == 6
+    assert [(s.u, s.v) for s in trace.steps] == trace.graph.edges
+    assert [s.color for s in trace.steps] == [1, 2] * 3 + [None] * 5
+    assert (trace.k, trace.graph.num_edges) == (2, 11)
+    assert len(_tracing().trace_key(trace)) == 16  # hashes k, algorithm and each step

@@ -153,6 +153,25 @@ def test_prepared_certificates_reproduce_per_root_verdicts():
     ) == (379, FAIR_ALL_ROOTS_SHA256)
 
 
+# the same digest at k = 5 (the surd ledger) and k = 9 (a second square k),
+# dumped while the fair ledger still kept Fractions at square k
+FAIR_SURD_AND_SQUARE_SHA256 = "35e2d0fb22524c10470f0ed6b8de1d750e2671f52a688be8a309f544f4f276eb"
+
+
+def test_fair_certificate_verdicts_are_pinned_at_k5_and_k9():
+    cases = [_played("nf", nf_tree_worstcase(9, 1)), _played("ff", nf_tree_worstcase(9, 1)),
+             _played("nf", nf_tree_worstcase_rounded(5, 1)),
+             _played("nf", nf_tree_worstcase_rounded(5, 2))]
+    cases += [
+        _played(("nf", "ff", RandomFair())[t % 3], random_tree_sequence(t, 14, k), seed=t)
+        for k in (5, 9)
+        for t in range(20)
+    ]
+    assert _all_roots_digest(
+        FairTreeCertificate, fair_tree_charge, cases
+    ) == (767, FAIR_SURD_AND_SQUARE_SHA256)
+
+
 def test_prepared_certificates_refuse_and_range_check():
     seq = RevealSequence(edges=[(0, 1), (1, 2)], k=2)
     rejected = engine.run(RejectAll(), seq)  # first-fit would color both edges

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -11,6 +12,8 @@ from conftest import RandomFair, random_tree_sequence
 from palette import charging, engine, harness
 from palette.adversaries import (
     RevealSequence,
+    det_path_killer,
+    nf_path_killer,
     path_edges,
     rp_strategy_mod3,
     rp_strategy_oddeven,
@@ -26,7 +29,7 @@ from palette.engine import (
     rp_path_colored_counts,
     run,
 )
-from palette.graph import PartialColoring, build_graph
+from palette.graph import REJECTED, PartialColoring, build_graph, color_bit, lowest_free_color
 from palette.oracle import opt_bruteforce
 
 
@@ -260,10 +263,8 @@ def test_synthetic_unfair_trace_detected():
     g = build_graph([(0, 1)])
     coloring = PartialColoring(2)
     coloring.reject(0)
-    trace = Trace(
-        k=2, algorithm="synthetic", graph=g,
-        steps=[Step(0, 0, 1, None)], coloring=coloring,
-    )
+    trace = Trace(k=2, algorithm="synthetic", graph=g, coloring=coloring)
+    assert trace.steps == [Step(0, 0, 1, None)]
     assert not audit_fair(trace)
 
 
@@ -402,6 +403,71 @@ def test_color_one_frequency_follows_depth_parity():
         expect = p if depth % 2 == 1 else 1 - p
         sigma = math.sqrt(expect * (1 - expect) / trials)
         assert abs(color1[i] / trials - expect) <= 3 * sigma + 0.005
+
+
+# sha256 of every record below, dumped while a Trace still stored its Step list
+TRACE_SHA256 = "63364a901b2537e9491d135ea1eba21a415072972a0ca0064bb86c86b535ef8a"
+
+
+def _pinned_traces():
+    """Every construction at small sizes under ff and nf, a seeded random-pair
+    run and 30 random trees under ff, nf and a randomized plug-in."""
+    for name, spec in harness.CONSTRUCTIONS.items():
+        for alg in ("ff", "nf"):
+            if alg not in spec.algorithms:
+                continue
+            config = harness.ExperimentConfig(
+                algorithm=alg, adversary=name, k={"nf-tree": 4, "nf-tree-rounded": 5}.get(name, 3),
+                m=7, n=5, N=3, b=4, trials=4, seed=3,
+            )
+            script = spec.build(config, make_algorithm(alg), engine.derive_rng(3, "adv", 0))
+            yield run(alg, script)
+    yield run(RandomParity(0.7), rp_strategy_mod3(31), seed=5)
+    for t in range(30):
+        yield run(("ff", "nf", RandomFair())[t % 3], random_tree_sequence(t, 12, 2 + t % 3), seed=t)
+
+
+def test_trace_records_are_pinned():
+    h = hashlib.sha256()
+    for trace in _pinned_traces():
+        h.update(f"{trace.k} {trace.algorithm} {trace.steps!r} {trace.colored_count} "
+                 f"{trace.rejected_count} {trace.replay().state!r}\n".encode())
+        h.update(trace.to_csv().encode())
+    assert h.hexdigest() == TRACE_SHA256
+
+
+def test_a_path_game_keeps_no_per_edge_objects():
+    """A finished game holds its edges and decisions in untracked ints and
+    tuples, so the cyclic collector has nothing per edge to scan."""
+    script = nf_path_killer(20000)
+    gc.collect()
+    before = len(gc.get_objects())
+    trace = run("nf", script)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
+    assert trace.colored_count == 20001
+
+
+class AdjacencyFirstFit(FirstFit):
+    """First-fit that reads the colors of adjacent edges through the graph's
+    adjacency instead of the cached color masks."""
+
+    name = "adjacency-ff"
+
+    def decide(self, coloring, g, eid):
+        used = 0
+        for f in g.adjacent_edges(eid):
+            c = coloring.state.get(f, REJECTED)
+            if c != REJECTED:
+                used |= color_bit(c)
+        return lowest_free_color(used, self.k)
+
+
+def test_plugin_reading_adjacency_reproduces_first_fit():
+    scripts = [random_tree_sequence(s, 20, 2 + s % 3) for s in range(20)]
+    scripts += [nf_path_killer(30), det_path_killer(20, "ff")]
+    for script in scripts:
+        assert run(AdjacencyFirstFit(), script).steps == run("ff", script).steps
 
 
 def test_run_builds_an_rng_only_for_randomized_algorithms():

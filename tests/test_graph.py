@@ -144,6 +144,62 @@ def test_path_positions():
         path_positions([(0, 1), (1, 2), (2, 0)])
 
 
+def _path_positions_by_shape(edges):
+    """Reference: classify the whole graph, then walk its adjacency."""
+    g = build_graph(edges)
+    if g.classify() != "path":
+        raise GraphError("edges do not form a path")
+    v = min(x for x in range(g.num_vertices) if g.degree(x) == 1)
+    pos_of_eid, prev = [0] * g.num_edges, None
+    for pos in range(1, g.num_edges + 1):
+        eid = next(f for f in g.incident[v] if f != prev)
+        pos_of_eid[eid] = pos
+        v, prev = g.other_end(eid, v), eid
+    return pos_of_eid
+
+
+def _outcome(fn, edges):
+    try:
+        return fn(edges)
+    except GraphError as err:
+        return f"GraphError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=7),
+       st.randoms(use_true_random=False))
+def test_path_positions_matches_the_shape_reference(edges, rng):
+    """Same positions, or the same GraphError message, as classifying the
+    graph: on arbitrary small edge lists and on shuffled, flipped paths."""
+    assert _outcome(path_positions, edges) == _outcome(_path_positions_by_shape, edges)
+    path = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(len(edges) + 1)]
+    rng.shuffle(path)
+    assert path_positions(path) == _path_positions_by_shape(path)
+
+
+def test_adjacency_is_built_on_first_read_and_kept_current():
+    """Reading `incident` between insertions gives the adjacency of a graph
+    built eagerly, at every prefix."""
+    import random
+
+    from palette import harness
+
+    rng = random.Random(8)
+    for _ in range(40):
+        edges = harness.random_reveal(rng, harness.random_tree_edges(rng, rng.randrange(1, 15)))
+        g = Graph()
+        for i, (u, v) in enumerate(edges):
+            g.add_edge(u, v)
+            if rng.random() < 0.3:
+                eager = [[] for _ in range(g.num_vertices)]
+                for eid, (a, b) in enumerate(edges[: i + 1]):
+                    eager[a].append(eid)
+                    eager[b].append(eid)
+                assert g.incident == eager
+                assert g.num_vertices == max(map(max, edges[: i + 1])) + 1
+        assert g.incident == build_graph(edges).incident
+
+
 def test_edge_list_round_trip():
     text = "0 1\n# a comment\n1 2  # trailing\n\n2 3\n"
     edges = parse_edge_list(text)
