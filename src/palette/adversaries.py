@@ -43,8 +43,8 @@ def path_edges(m: int) -> list[tuple[int, int]]:
     return [(i - 1, i) for i in range(1, m + 1)]
 
 
-def _path_pairs(indices, offset=0) -> list[tuple[int, int]]:
-    return [(i - 1 + offset, i + offset) for i in indices]
+def _path_pairs(indices) -> list[tuple[int, int]]:
+    return [(i - 1, i) for i in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +113,6 @@ class YaoInstance:
     subphases: list[list[int]]  # 1-based path positions, rounds 1..L+1
     connectors: list[list[int]]  # positions between same-round edges
     order: list[int]  # full reveal order over positions 1..a-2
-
-    @property
-    def num_edges(self) -> int:
-        return self.a - 2
 
     def reveal_sequence(self) -> RevealSequence:
         return RevealSequence(edges=_path_pairs(self.order), k=2)
@@ -386,7 +382,7 @@ def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
     return RevealSequence(
         edges=[g.endpoints(eid) for eid in order],
         k=coloring.k,
-        params={"rename": rename, "targets": targets, "edge_ids": order},
+        params={"targets": targets, "edge_ids": order},
     )
 
 
@@ -432,7 +428,6 @@ class BunchPlan:
 
     k: int
     star_size: int  # s above
-    bunches: int  # N above
     colored_part: RevealSequence  # reproduction order for the pre-colored edges
     target_colors: list[int]  # aligned with colored_part.edges
     connectors: list[tuple[int, int]]
@@ -499,7 +494,6 @@ def bunch_plan(k: int, N: int, star_size: int | None = None) -> BunchPlan:
     return BunchPlan(
         k=k,
         star_size=s,
-        bunches=N,
         colored_part=colored_part,
         target_colors=colored_part.params["targets"],
         connectors=connectors,

@@ -228,8 +228,16 @@ def cmd_list(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line through main's one-line error path
+    instead of printing the usage; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="palette",
         description="online dual edge coloring experiments",
     )
@@ -302,9 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, GraphError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

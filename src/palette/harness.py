@@ -3,7 +3,8 @@ random instance generators, and the charging verification loops.
 
 Everything here is reproducible: a report built twice from the same config
 and seed serializes to identical CSV bytes.  Per-trial randomness is derived
-from (seed, trial index), so results do not depend on evaluation order.
+from (seed, trial index), or, for the yao round counts, read from one seeded
+stream in trial order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
 from . import adversaries, charging, engine
 from .adversaries import RevealSequence, path_edges
-from .graph import Graph, build_graph
 from .oracle import opt_path, opt_tree, opt_value
 
 ORDER_EXHAUSTIVE_LIMIT = 8
@@ -238,9 +236,11 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     run (randomized algorithm or resampled construction) runs config.trials
     >= 2 times with per-trial derived seeds, and only it reports a spread.  A
     biased-pair run on a fixed path order is delegated to the vectorized
-    path runner, which is decision-for-decision equivalent to the engine.
-    The report carries the k the script actually played, and a bound only
-    when the construction's bound is proven for the configured algorithm.
+    path runner, which is decision-for-decision equivalent to the engine,
+    and the resampled yao distribution is drawn and played exactly as
+    yao_experiment does.  The report carries the k the script actually
+    played, and a bound only when the construction's bound is proven for
+    the configured algorithm.
     """
     spec = construction_for(config)
     if config.trials < 1:
@@ -256,6 +256,40 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
         raise ValueError(f"a sampled run needs trials >= 2 for its spread, got {config.trials}")
     trials = config.trials if sampled else 1
 
+    if spec.resamples:
+        draws = _yao_draws(config.b, trials, config.seed)
+        per_trial = _yao_outcomes(config.algorithm, config.b, draws)
+        return _ratio_report(config, 2, per_trial, sampled)
+    script = spec.build(config, algorithm, None)
+    if isinstance(script, RevealSequence) and isinstance(algorithm, engine.RandomParity):
+        counts = engine.rp_path_colored_counts(
+            script.edges, config.p, trials, seed=_int_seed(config.seed)
+        ).tolist()
+        opt = opt_path(len(script.edges), script.k)  # the kernel refuses a non-path
+        shared = {c: (c, opt) for c in set(counts)}
+        return _ratio_report(config, script.k, [shared[c] for c in counts], sampled)
+    per_trial = []
+    for t in range(trials):
+        trace = engine.run(algorithm.clone(), script, rng=engine.derive_rng(config.seed, "alg", t))
+        per_trial.append((trace.colored_count, opt_value(trace.graph, trace.k)))
+    return _ratio_report(config, trace.k, per_trial, sampled)
+
+
+def _ratio_report(config: ExperimentConfig, k: int, per_trial, sampled: bool) -> RatioReport:
+    """The report on per-trial (colored, opt) outcomes, in trial order.  Every
+    statistic comes exactly from their tally: the means are rounded once, and
+    the standard error is the float root of the exact sample variance."""
+    tally = Counter(per_trial)
+    n = len(per_trial)
+    total = sum(c * w for (c, _), w in tally.items())
+    stderr = None
+    if sampled:
+        squares = sum(c * c * w for (c, _), w in tally.items())
+        variance = Fraction(n * squares - total * total, n * (n - 1))
+        stderr = math.sqrt(variance) / math.sqrt(n)
+    mean_opt = Fraction(sum(o * w for (_, o), w in tally.items()), n)
+    spec = CONSTRUCTIONS[config.adversary]
+    proven = spec.proven_for is None or config.algorithm in spec.proven_for
     params = {
         name: getattr(config, name)
         for name in ("m", "n", "N", "b")
@@ -263,55 +297,17 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     }
     if config.p is not None:
         params["p"] = config.p
-
-    per_trial: list[tuple[int, int]] = []
-    fixed_script = None
-    if not spec.resamples:
-        fixed_script = spec.build(config, algorithm, None)
-
-    if (
-        isinstance(fixed_script, RevealSequence)
-        and not algorithm.deterministic
-        and isinstance(algorithm, engine.RandomParity)
-        and fixed_script.graph().classify() == "path"
-    ):
-        opt = opt_value(fixed_script.graph(), fixed_script.k)
-        counts = engine.rp_path_colored_counts(
-            fixed_script.edges, config.p, trials, seed=_int_seed(config.seed)
-        )
-        per_trial = [(int(c), opt) for c in counts]
-        k = fixed_script.k
-    else:
-        for t in range(trials):
-            script = fixed_script
-            if spec.resamples:
-                script = spec.build(
-                    config, algorithm, engine.derive_rng(config.seed, "adv", t)
-                )
-            trace = engine.run(
-                algorithm.clone(), script, rng=engine.derive_rng(config.seed, "alg", t)
-            )
-            per_trial.append((trace.colored_count, opt_value(trace.graph, trace.k)))
-            k = trace.k
-
-    colored = np.array([c for c, _ in per_trial], dtype=float)
-    mean = float(colored.mean())
-    stderr = float(colored.std(ddof=1) / math.sqrt(len(colored))) if sampled else None
-    tally = Counter(per_trial)
-    ratio = sum(Fraction(c, o) * n for (c, o), n in tally.items()) / len(per_trial)
-    mean_opt = Fraction(sum(o * n for (_, o), n in tally.items()), len(per_trial))
-    proven = spec.proven_for is None or config.algorithm in spec.proven_for
     return RatioReport(
         construction=config.adversary,
         algorithm=config.algorithm,
         k=k,
         params=params,
-        trials=trials,
+        trials=n,
         seed=config.seed,
-        colored_mean=mean,
+        colored_mean=float(Fraction(total, n)),
         colored_stderr=stderr,
         opt=float(mean_opt),
-        ratio=ratio,
+        ratio=sum(Fraction(c, o) * w for (c, o), w in tally.items()) / n,
         bound=spec.bound(config, mean_opt) if proven else None,
         per_trial=per_trial,
     )
@@ -330,60 +326,43 @@ def _int_seed(seed) -> int:
 # the randomized path-order distribution, with per-round memoization
 
 
+def _yao_draws(b: int, trials: int, seed) -> list[int]:
+    """The round count L of every trial, in trial order."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    rng = engine.derive_rng(seed, "yao", b)
+    return [adversaries.sample_subphase_count(b, rng) for _ in range(trials)]
+
+
+def _yao_outcomes(algorithm: str, b: int, draws: list[int]) -> list[tuple[int, int]]:
+    """Per-trial (colored, opt) of a deterministic algorithm on the drawn
+    instances; the instance depends only on L, so each distinct L is played
+    once and its outcome shared by every trial that drew it."""
+    shared = {}
+    for L in set(draws):
+        seq = adversaries.yao_instance(b, L).reveal_sequence()
+        shared[L] = (engine.run(algorithm, seq).colored_count, opt_path(len(seq.edges), seq.k))
+    return [shared[L] for L in draws]
+
+
 def yao_experiment(
     b: int, algorithms=("ff", "nf"), trials: int = 100_000, seed=0
 ) -> list[RatioReport]:
-    """Sample the path-order distribution and report each algorithm's mean.
-
-    The sampled instance depends only on the round count L, and the
-    algorithms allowed here are deterministic, so each distinct L is played
-    once and weighted by its empirical frequency; the result is identical to
-    running every sample, including the spread.
-    """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
+    """Sample the path-order distribution and report each algorithm's mean
+    over one shared set of draws."""
     if trials < 2:
         raise ValueError(f"the sampled distribution needs trials >= 2, got {trials}")
     for name in algorithms:
         if not engine.make_algorithm(name, 0.5).deterministic:
             raise ValueError("the distribution experiment needs deterministic algorithms")
-    rng = engine.derive_rng(seed, "yao", b)
-    draws = Counter(
-        adversaries.sample_subphase_count(b, rng) for _ in range(trials)
-    )
-    a = 3**b
-    opt = a - 2
-    bound = yao_colored_bound(b)
-    reports = []
-    for name in algorithms:
-        colored_by_round = {}
-        for L in sorted(draws):
-            seq = adversaries.yao_instance(b, L).reveal_sequence()
-            colored_by_round[L] = engine.run(name, seq).colored_count
-        values = np.array(
-            [colored_by_round[L] for L in sorted(draws) for _ in range(draws[L])],
-            dtype=float,
+    draws = _yao_draws(b, trials, seed)
+    return [
+        _ratio_report(
+            ExperimentConfig(algorithm=name, adversary="yao", b=b, trials=trials, seed=seed),
+            2, _yao_outcomes(name, b, draws), sampled=True,
         )
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(trials))
-        total = sum(colored_by_round[L] * n for L, n in draws.items())
-        reports.append(
-            RatioReport(
-                construction="yao",
-                algorithm=name,
-                k=2,
-                params={"b": b},
-                trials=trials,
-                seed=seed,
-                colored_mean=mean,
-                colored_stderr=stderr,
-                opt=float(opt),
-                ratio=Fraction(total, trials * opt),
-                bound=bound / opt,
-                per_trial=[(colored_by_round[L], opt) for L in sorted(draws)],
-            )
-        )
-    return reports
+        for name in algorithms
+    ]
 
 
 # ---------------------------------------------------------------------------

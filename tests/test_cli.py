@@ -112,6 +112,21 @@ def test_seed_env_override(tmp_path, capsys):
         del os.environ["PALETTE_SEED"]
     main(args + ["--seed", "123", "--out", str(c)])
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    # control: the CSV lists every trial, so without the override the seed shows
+    main(args + ["--seed", "1", "--out", str(a)])
+    main(args + ["--seed", "2", "--out", str(b)])
+    assert a.read_bytes() != b.read_bytes()
+
+
+def test_run_yao_samples_as_the_yao_command(tmp_path, capsys):
+    a, b = tmp_path / "run.csv", tmp_path / "yao.csv"
+    flags = ["--b", "4", "--alg", "ff", "--trials", "300", "--seed", "2"]
+    assert main(["run", "--adv", "yao", *flags, "--out", str(a)]) == 0
+    run_out = capsys.readouterr().out
+    assert main(["yao", *flags, "--out", str(b)]) == 0
+    assert capsys.readouterr().out.replace(str(b), str(a)) == run_out
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 1 + 300
 
 
 def test_yao_command(capsys):
@@ -194,6 +209,15 @@ def test_nf_order_round_trip(tmp_path, capsys):
     assert len(out.read_text().strip().split("\n")) == trace.colored_count
 
 
+def test_opt_witness_feeds_nf_order(tmp_path, capsys):
+    # the trace CSV nf-order reads is what opt --out writes
+    edges, witness, order = (tmp_path / n for n in ("path.txt", "witness.csv", "order.txt"))
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n1 5\n")
+    assert main(["opt", "--file", str(edges), "--k", "2", "--out", str(witness)]) == 0
+    assert main(["nf-order", "--file", str(witness), "--k", "2", "--out", str(order)]) == 0
+    assert "equivalent to target: True" in capsys.readouterr().out
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -207,6 +231,29 @@ def _assert_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--adv", "yao", "--b", "3", "--alg", "xx"], "invalid choice: 'xx'"),
+    (["yao", "--b", "3", "--alg", "rp"], "invalid choice: 'rp'"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["run", "--b", "3"], "required: --adv"),
+    (["nf-order", "--k", "2"], "required: --file"),
+    ([], "required: command"),
+    (["list", "--bogus"], "unrecognized arguments: --bogus"),
+    (["run", "--adv", "yao", "--b", "x"], "invalid int value: 'x'"),
+    (["yao", "--b", "3", "--trials", "1.5"], "invalid int value: '1.5'"),
+])
+def test_argparse_errors_take_one_line(capsys, argv, message):
+    assert message in _assert_usage_error(capsys, argv)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "usage: palette run" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -285,10 +332,7 @@ def test_deterministic_run_ignores_trials(capsys):
     ["opt", "--adv", "nf-path-killer", "--m", "3", "--p", "0.7"],
 ])
 def test_unread_flags_are_refused(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert "unrecognized arguments" in _assert_usage_error(capsys, argv)
 
 
 SWEEP = ["--random", "2", "--max-edges", "5"]
@@ -442,11 +486,6 @@ def test_every_subcommand_exits_zero_one_or_two(tmp_path):
     @example(["verify", "--strategy", "rp-path", "--random", "1", "--max-edges", "1",
               "--p", "inf"])
     def check(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv itself
-            assert exc.code == 2, argv
-        else:
-            assert code in (0, 1, 2), argv
+        assert main(argv) in (0, 1, 2), argv
 
     check()

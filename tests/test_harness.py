@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from collections import Counter
@@ -114,6 +115,53 @@ def test_report_csv_reproducible():
     run_experiment(config(adversary="yao", algorithm="ff", m=None, b=3,
                           trials=200, seed=6)).write_csv(c)
     assert a.getvalue() != c.getvalue()
+
+
+# sizes per construction for the pinned reports; yao is left out, as
+# `run --adv yao` samples exactly as `palette yao` does
+RATIO_PIN_SIZES = {
+    "nf-path-killer": [dict(m=5), dict(m=40)],
+    "det-path-killer": [dict(n=5), dict(n=12)],
+    "rp-mod3": [dict(m=7), dict(m=31)],
+    "rp-oddeven": [dict(m=7), dict(m=21)],
+    "star-chain": [dict(k=2, N=4), dict(k=3, N=5)],
+    "path-then-stars": [dict(m=5), dict(k=3, m=4)],
+    "nf-tree": [dict(k=4, N=2)],
+    "nf-tree-rounded": [dict(k=5, N=2)],
+}
+# sha256 of every record below, dumped before the reports shared one builder
+RATIO_REPORTS_SHA256 = "69362cb0133be4550d0fa51c2c30295e383acd9b89fc011962d0c014d1efe8ab"
+
+
+def _pinned_ratio_reports():
+    """Every non-yao construction and algorithm at small sizes: deterministic
+    algorithms once, random-parity sampled at two trial counts and seeds,
+    and once past the kernel's first chunk."""
+    runs = [
+        (name, alg, size, trials, seed)
+        for name, sizes in RATIO_PIN_SIZES.items()
+        for size in sizes
+        for alg in CONSTRUCTIONS[name].algorithms
+        if alg != "rp" or size.get("k", 2) == 2  # random-parity plays k=2 only
+        for trials, seed in ([(2, 1), (40, "pin")] if alg == "rp" else [(1, 1)])
+    ]
+    runs.append(("rp-mod3", "rp", dict(m=31), 20_000, 4))
+    for name, alg, size, trials, seed in runs:
+        report = run_experiment(ExperimentConfig(
+            algorithm=alg, p=0.7 if alg == "rp" else None, adversary=name,
+            trials=trials, seed=seed, **size,
+        ))
+        csv = io.StringIO()
+        report.write_csv(csv)
+        yield (report.summary(), csv.getvalue(), repr(report.ratio),
+               repr(report.colored_mean), repr(report.bound))
+
+
+def test_ratio_reports_are_pinned():
+    h = hashlib.sha256()
+    for record in _pinned_ratio_reports():
+        h.update("\n".join(record).encode() + b"\n")
+    assert h.hexdigest() == RATIO_REPORTS_SHA256
 
 
 def test_yao_experiment_means_below_bound():
