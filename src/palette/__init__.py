@@ -31,8 +31,6 @@ from .charging import (
     FairTreeCertificate,
     FFTreeCertificate,
     VerdictReport,
-    case1_polynomial,
-    compute_l,
     critical_edges,
     fair_ratio,
     fair_tree_charge,
@@ -50,7 +48,7 @@ from .engine import (
     run,
 )
 from .exact import PHI_OVER_SQRT5, Sqrt5
-from .graph import Graph, GraphError, PartialColoring, build_graph, colors_at
+from .graph import Graph, GraphError, PartialColoring, build_graph
 from .oracle import OptWitness, audit_witness, opt_bruteforce, opt_path, opt_tree
 
 __version__ = "0.1.0"
@@ -77,9 +75,6 @@ __all__ = [
     "audit_witness",
     "build_graph",
     "bunch_plan",
-    "case1_polynomial",
-    "colors_at",
-    "compute_l",
     "critical_edges",
     "det_path_killer",
     "equivalent",

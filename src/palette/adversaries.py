@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine
-from .graph import Graph, PartialColoring, build_graph, format_edge_list
+from .graph import Graph, PartialColoring, build_graph
 
 
 @dataclass
@@ -30,9 +30,6 @@ class RevealSequence:
     def session(self):
         for e in self.edges:
             yield e
-
-    def to_edge_list(self) -> str:
-        return format_edge_list(self.edges)
 
     def graph(self) -> Graph:
         return build_graph(self.edges)
@@ -197,27 +194,24 @@ class _DetPathKiller(AdversaryScript):
 
     def session(self):
         n = self.n
-        full, partial = [], []  # (fragment index, decision pair)
+        full, partial = [], []  # (fragment index, first edge's color), fragment index
         for i in range(n):
             a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
             d1 = yield (a, b)
             d2 = yield (b, c)
             if d1 is not None and d2 is not None:
-                full.append((i, d1, d2))
+                full.append((i, d1))
             else:
                 partial.append(i)
 
-        def free_end_of_color(frag, c1, c2, want):
-            i = frag
-            return 3 * i if c1 == want else 3 * i + 2
-
-        for (i, c1, c2), (j, d1, d2) in zip(full, full[1:]):
-            yield (free_end_of_color(i, c1, c2, 1), free_end_of_color(j, d1, d2, 2))
+        # a full fragment's free end on its first edge is 3i, on its second 3i+2
+        for (i, c1), (j, d1) in zip(full, full[1:]):
+            yield (3 * i if c1 == 1 else 3 * i + 2, 3 * j if d1 == 2 else 3 * j + 2)
         for i, j in zip(partial, partial[1:]):
             yield (3 * i + 2, 3 * j)
         if full and partial:
-            i, c1, c2 = full[-1]
-            yield (free_end_of_color(i, c1, c2, 1), 3 * partial[0])
+            i, c1 = full[-1]
+            yield (3 * i if c1 == 1 else 3 * i + 2, 3 * partial[0])
 
 
 def det_path_killer(n: int, alg) -> AdversaryScript:
@@ -427,9 +421,7 @@ class BunchPlan:
     """
 
     k: int
-    star_size: int  # s above
     colored_part: RevealSequence  # reproduction order for the pre-colored edges
-    target_colors: list[int]  # aligned with colored_part.edges
     connectors: list[tuple[int, int]]
     joins: list[tuple[int, int]]
 
@@ -493,9 +485,7 @@ def bunch_plan(k: int, N: int, star_size: int | None = None) -> BunchPlan:
     colored_part = nextfit_order(g, coloring)
     return BunchPlan(
         k=k,
-        star_size=s,
         colored_part=colored_part,
-        target_colors=colored_part.params["targets"],
         connectors=connectors,
         joins=joins,
     )

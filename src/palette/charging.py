@@ -465,19 +465,6 @@ def _check_fair_case(k, C, case, tx, ty, e):
         raise ChargingError(f"edge {e}: case-{case} inequality chain failed {chain}")
 
 
-def case1_polynomial(k: int, z, C=None):
-    """The case-1 quadratic in the colored-degree variable z.
-
-    Evaluates (1-C) z^2 + ((2k-1)C - (2k-2)) z + (1-C)(k^2-k); its minimum
-    over the reals is C*k, attained at z = k - sqrt(k) when k is square.
-    """
-    if C is None:
-        C = fair_ratio(k)
-    return (1 - C) * z * z + ((2 * k - 1) * C - (2 * k - 2)) * z + (1 - C) * (
-        k * k - k
-    )
-
-
 # ---------------------------------------------------------------------------
 # randomized pair strategy on paths: analytic ledger
 
@@ -533,14 +520,6 @@ def _path_layout(order):
 def critical_edges(order) -> set[int]:
     """Steps (edge ids) whose path edge already had both neighbors revealed."""
     return _path_layout(order)[2]
-
-
-def compute_l(order, step: int) -> int:
-    """Depth of a non-critical edge in its non-critical run (1 = earliest)."""
-    _, _, crit, depth = _path_layout(order)
-    if step in crit:
-        raise ValueError(f"edge at step {step} is critical; depth is undefined")
-    return depth[step]
 
 
 def rp_path_charge(order, p, *, C=None) -> VerdictReport:

@@ -8,12 +8,12 @@ errors.  The PALETTE_SEED environment variable overrides --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
-from fractions import Fraction
 
 from . import adversaries, engine, harness
-from .graph import GraphError, build_graph, format_edge_list, parse_edge_list
+from .graph import GraphError, PartialColoring, build_graph, format_edge_list, parse_edge_list
 from .oracle import opt_bruteforce, opt_tree
 
 
@@ -46,8 +46,21 @@ def _config_from(args) -> harness.ExperimentConfig:
     )
 
 
+def _construction_config(args):
+    """The config of an --adv matchup and its construction, refusing the
+    flags the run never reads."""
+    config = _config_from(args)
+    spec = harness.construction_for(config)
+    for name in ("m", "n", "N", "b"):
+        if name not in spec.needed and getattr(args, name) is not None:
+            raise ValueError(f"construction {args.adv!r} does not read --{name}")
+    if getattr(args, "p", None) is not None and args.alg != "rp":
+        raise ValueError(f"--alg {args.alg} does not read --p")
+    return config, spec
+
+
 def cmd_run(args) -> int:
-    report = harness.run_experiment(_config_from(args))
+    report = harness.run_experiment(_construction_config(args)[0])
     print(report.summary())
     if args.out:
         with open(args.out, "w") as fh:
@@ -145,8 +158,7 @@ def _instance_graph(args):
             edges = parse_edge_list(fh.read())
         return build_graph(edges)
     if args.adv:
-        config = _config_from(args)
-        spec = harness.construction_for(config)
+        config, spec = _construction_config(args)
         # a fixed order never reads the opponent, and an adaptive one is
         # refused below whichever opponent it gets
         opponent = engine.make_algorithm("ff")
@@ -159,55 +171,60 @@ def _instance_graph(args):
     raise ValueError("need --file or --adv to define the instance")
 
 
+def format_trace_csv(edges, colors) -> str:
+    """The trace CSV that `opt --out` writes and `nf-order` reads: one row per
+    step, decision C with its color or R with an empty one."""
+    rows = ["step,u,v,decision,color"]
+    for i, ((u, v), c) in enumerate(zip(edges, colors)):
+        rows.append(f"{i},{u},{v},R," if c is None else f"{i},{u},{v},C,{c}")
+    return "\n".join(rows) + "\n"
+
+
+def read_trace_csv(path, k: int):
+    """The graph and the k-coloring a trace CSV records, row i as edge i."""
+    with open(path) as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    columns = ("u", "v", "decision", "color")
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"trace CSV {path} lacks column(s) {', '.join(missing)}")
+    if any(row[c] is None for row in rows for c in columns):
+        raise ValueError(f"trace CSV {path} has a row with missing fields")
+    g = build_graph((int(r["u"]), int(r["v"])) for r in rows)
+    coloring = PartialColoring(k)
+    for eid, row in enumerate(rows):
+        if row["decision"] == "C":
+            coloring.color(g, eid, int(row["color"]))
+        elif row["decision"] == "R" and row["color"] == "":
+            coloring.reject(eid)
+        else:
+            raise ValueError(f"trace CSV {path} line {eid + 2}: decision must be C with a color "
+                             f"or R without one, not {row['decision']!r} with {row['color']!r}")
+    return g, coloring
+
+
 def cmd_opt(args) -> int:
     g = _instance_graph(args)
     witness = opt_tree(g, args.k) if g.is_forest() else opt_bruteforce(g, args.k)
     print(f"opt {witness.count} of {g.num_edges} edges (k={args.k})")
     if args.out:
-        lines = ["step,u,v,decision,color"]
-        for i, eid in enumerate(sorted(witness.edges)):
-            u, v = g.endpoints(eid)
-            lines.append(f"{i},{u},{v},C,{witness.coloring[eid]}")
-        _write_out(args.out, "\n".join(lines) + "\n")
+        colored = sorted(witness.edges)
+        edges = [g.endpoints(eid) for eid in colored]
+        _write_out(args.out, format_trace_csv(edges, [witness.coloring[eid] for eid in colored]))
         print(f"wrote {args.out}")
     return 0
 
 
-NF_ORDER_COLUMNS = ("u", "v", "decision", "color")
-
-
 def cmd_nf_order(args) -> int:
-    import csv as _csv
-
-    with open(args.file) as fh:
-        reader = _csv.DictReader(fh)
-        rows = list(reader)
-    missing = [c for c in NF_ORDER_COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"trace CSV {args.file} lacks column(s) {', '.join(missing)}")
-    if any(row[c] is None for row in rows for c in NF_ORDER_COLUMNS):
-        raise ValueError(f"trace CSV {args.file} has a row with missing fields")
-    g = build_graph((int(r["u"]), int(r["v"])) for r in rows)
-    from .graph import PartialColoring
-
-    coloring = PartialColoring(args.k)
-    for eid, row in enumerate(rows):
-        if row["decision"] == "C":
-            coloring.color(g, eid, int(row["color"]))
-        else:
-            coloring.reject(eid)
-    colored_ids = set(coloring.colored_edges())
-    sub = build_graph(g.endpoints(eid) for eid in sorted(colored_ids))
-    sub_coloring = PartialColoring(args.k)
-    for i, eid in enumerate(sorted(colored_ids)):
-        sub_coloring.color(sub, i, coloring.state[eid])
-    order = adversaries.nextfit_order(sub, sub_coloring)
+    g, coloring = read_trace_csv(args.file, args.k)
+    order = adversaries.nextfit_order(g, coloring)  # reveals the colored edges only
     replay = engine.run("nf", order)
     target = PartialColoring(args.k)
-    for i, (u, v) in enumerate(order.edges):
-        target.color(replay.graph, i, sub_coloring.state[order.params["edge_ids"][i]])
+    for i, eid in enumerate(order.params["edge_ids"]):
+        target.color(replay.graph, i, coloring.state[eid])
     ok = adversaries.equivalent(replay.coloring, target)
-    text = order.to_edge_list()
+    text = format_edge_list(order.edges)
     if args.out:
         _write_out(args.out, text)
         print(f"wrote {args.out}")

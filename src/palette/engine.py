@@ -17,8 +17,6 @@ steps, and `Trace.steps` builds the per-step `Step` view from the two on read.
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 from dataclasses import dataclass
 
@@ -27,7 +25,6 @@ import numpy as np
 from .graph import (
     REJECTED,
     Graph,
-    GraphError,
     PartialColoring,
     full_mask,
     lowest_free_color,
@@ -181,31 +178,6 @@ class Trace:
     @property
     def rejected_count(self) -> int:
         return self.coloring.rejected_count
-
-    def replay(self) -> PartialColoring:
-        """Re-apply the recorded decisions onto a fresh coloring."""
-        coloring = PartialColoring(self.k)
-        for e, c in enumerate(self.colors()):
-            if c is None:
-                coloring.reject(e)
-            else:
-                coloring.color(self.graph, e, c)
-        return coloring
-
-    def write_csv(self, out) -> None:
-        """Trace CSV: step,u,v,decision,color (decision C/R, color empty on R)."""
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["step", "u", "v", "decision", "color"])
-        for i, ((u, v), c) in enumerate(zip(self.graph.edges, self.colors())):
-            if c is None:
-                w.writerow([i, u, v, "R", ""])
-            else:
-                w.writerow([i, u, v, "C", c])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def run(alg, script, *, seed=None, rng=None) -> Trace:

@@ -28,17 +28,6 @@ def color_bit(c: int) -> int:
     return 1 << (c - 1)
 
 
-def mask_to_colors(mask: int) -> frozenset[int]:
-    out = []
-    c = 1
-    while mask:
-        if mask & 1:
-            out.append(c)
-        mask >>= 1
-        c += 1
-    return frozenset(out)
-
-
 def lowest_free_color(used: int, k: int) -> int | None:
     """Smallest color in 1..k absent from the ``used`` mask, or None."""
     free = ~used & full_mask(k)
@@ -96,9 +85,6 @@ class Graph:
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
-
-    def degree(self, v: int) -> int:
-        return len(self.incident[v])
 
     def other_end(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
@@ -184,10 +170,6 @@ class PartialColoring:
     def used_mask(self, v: int) -> int:
         return self._used.get(v, 0)
 
-    def colors_at(self, v: int) -> frozenset[int]:
-        """Colors on colored edges incident to v (rejected edges excluded)."""
-        return mask_to_colors(self.used_mask(v))
-
     def available_mask(self, g: Graph, eid: int) -> int:
         u, v = g.endpoints(eid)
         return ~(self.used_mask(u) | self.used_mask(v)) & full_mask(self.k)
@@ -232,13 +214,6 @@ class PartialColoring:
                 if self.state.get(f, REJECTED) == c:
                     return False
         return True
-
-
-def colors_at(coloring: PartialColoring, g: Graph, v: int) -> frozenset[int]:
-    """Colors used on colored edges incident to v."""
-    if v < 0 or v >= g.num_vertices:
-        raise GraphError(f"unknown vertex {v}")
-    return coloring.colors_at(v)
 
 
 def build_graph(edges) -> Graph:

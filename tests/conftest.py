@@ -1,10 +1,10 @@
-"""Shared test helpers: a plug-in fair randomized algorithm and instance builders."""
+"""Shared test helpers: a plug-in fair randomized algorithm, instance
+builders, a played trace as CSV and the rp path ledger's edge depth."""
 
 import random
 
-from palette import engine, harness
+from palette import charging, cli, engine, harness
 from palette.adversaries import RevealSequence
-from palette.graph import build_graph
 
 
 class RandomFair:
@@ -69,3 +69,17 @@ def estimate_initial_values(alg, script, trials: int, seed=0) -> list[float]:
             if step.color is not None:
                 counts[i] += 1
     return [c / trials for c in counts]
+
+
+def trace_csv(trace) -> str:
+    """A played trace in the CSV format `opt --out` writes and `nf-order` reads."""
+    return cli.format_trace_csv(trace.graph.edges, trace.colors())
+
+
+def path_depth(order, step: int) -> int:
+    """Depth of a non-critical step in its run of non-critical path edges, as
+    the rp path ledger reads it; the depth of a critical step is undefined."""
+    _, _, crit, depth = charging._path_layout(order)
+    if step in crit:
+        raise ValueError(f"edge at step {step} is critical; depth is undefined")
+    return depth[step]

@@ -9,6 +9,7 @@ from conftest import (
     RandomFair,
     RejectAll,
     estimate_initial_values,
+    path_depth,
     random_tree_sequence,
 )
 from palette import engine, harness
@@ -24,8 +25,6 @@ from palette.charging import (
     ChargingError,
     FairTreeCertificate,
     FFTreeCertificate,
-    case1_polynomial,
-    compute_l,
     critical_edges,
     edge_classes,
     fair_ratio,
@@ -301,6 +300,15 @@ def test_fair_path_floor():
         assert 2 * trace.colored_count >= m
 
 
+def case1_polynomial(k: int, z, C):
+    """The case-1 quadratic in the colored-degree variable z.
+
+    Evaluates (1-C) z^2 + ((2k-1)C - (2k-2)) z + (1-C)(k^2-k); its minimum
+    over the reals is C*k, attained at z = k - sqrt(k) when k is square.
+    """
+    return (1 - C) * z * z + ((2 * k - 1) * C - (2 * k - 2)) * z + (1 - C) * (k * k - k)
+
+
 def test_case1_polynomial_floor():
     for k in (4, 9, 16, 25):
         C = fair_ratio(k)
@@ -390,12 +398,14 @@ def test_rp_charge_monte_carlo_initial_values():
 
 
 def test_compute_l_examples():
+    # l, the depth of a non-critical edge in its run of non-critical edges
     order = RevealSequence(edges=[(0, 1), (1, 2), (2, 3), (3, 4)], k=2)
-    assert [compute_l(order, i) for i in range(4)] == [1, 2, 3, 4]
+    assert [path_depth(order, i) for i in range(4)] == [1, 2, 3, 4]
     mixed = RevealSequence(edges=[(0, 1), (2, 3), (1, 2)], k=2)
-    assert compute_l(mixed, 0) == 1
+    assert path_depth(mixed, 0) == 1
+    assert critical_edges(mixed) == {2}
     with pytest.raises(ValueError):
-        compute_l(mixed, 2)
+        path_depth(mixed, 2)
 
 
 def test_critical_edges_detection():

@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 import os
+import random
 import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import RandomFair, random_tree_sequence, trace_csv
 from palette import engine, harness
-from palette.adversaries import nf_path_killer
+from palette.adversaries import nf_path_killer, star_chain
 from palette.cli import main
+from palette.graph import format_edge_list
 
 
 def run_cli(*argv, capsys=None):
@@ -200,7 +204,7 @@ def test_nf_order_round_trip(tmp_path, capsys):
     # produce a trace CSV, extract the reproduction order, check equivalence
     trace = engine.run("nf", nf_path_killer(4))
     src = tmp_path / "trace.csv"
-    src.write_text(trace.to_csv())
+    src.write_text(trace_csv(trace))
     out = tmp_path / "order.txt"
     assert main(["nf-order", "--file", str(src), "--k", "2",
                  "--out", str(out)]) == 0
@@ -216,6 +220,42 @@ def test_opt_witness_feeds_nf_order(tmp_path, capsys):
     assert main(["opt", "--file", str(edges), "--k", "2", "--out", str(witness)]) == 0
     assert main(["nf-order", "--file", str(witness), "--k", "2", "--out", str(order)]) == 0
     assert "equivalent to target: True" in capsys.readouterr().out
+
+
+# sha256 of every record below, dumped while engine.Trace still wrote the trace CSV
+TRACE_CSV_COMMANDS_SHA256 = "49911d058b467ffbe63bb8031050647aa25b6ce668931e0579220f78cc23810a"
+
+
+def _trace_csv_commands(tmp_path):
+    """(argv, files to read after it) for opt --out on three tree files at k=2 and k=3,
+    nf-order on each witness, and nf-order on played next-fit and random-fair
+    traces with rejected rows, some of which have no next-fit order."""
+    for seed in (0, 17, 38):
+        tree = tmp_path / f"tree{seed}.txt"
+        tree.write_text(format_edge_list(harness.random_tree_edges(random.Random(seed), 14)))
+        for k in ("2", "3"):
+            witness = tmp_path / f"witness{seed}-{k}.csv"
+            yield ["opt", "--file", str(tree), "--k", k, "--out", str(witness)], [witness]
+            yield ["nf-order", "--file", str(witness), "--k", k], []
+    played = [(engine.run("nf", nf_path_killer(4)), 2), (engine.run("nf", star_chain(3, 3, "nf")), 3)]
+    played += [(engine.run(RandomFair(), random_tree_sequence(s, 14, k), seed=s), k)
+               for s, k in ((0, 2), (2, 2), (20, 2), (0, 3), (9, 3), (11, 3), (13, 3))]
+    for i, (trace, k) in enumerate(played):
+        assert trace.rejected_count > 0
+        src, order = tmp_path / f"trace{i}.csv", tmp_path / f"order{i}.txt"
+        src.write_text(trace_csv(trace))
+        yield ["nf-order", "--file", str(src), "--k", str(k), "--out", str(order)], [src, order]
+
+
+def test_trace_csv_commands_are_pinned(tmp_path, capsys):
+    h = hashlib.sha256()
+    for argv, files in _trace_csv_commands(tmp_path):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        texts = "".join(f.read_text() for f in files if f.exists())
+        record = f"{argv} {code}\n{out}{err}{texts}".replace(str(tmp_path), "<tmp>")
+        h.update(record.encode())
+    assert h.hexdigest() == TRACE_CSV_COMMANDS_SHA256
 
 
 def test_list_command(capsys):
@@ -266,7 +306,7 @@ def test_non_positive_trials_exit_two(capsys, trials):
 @pytest.mark.parametrize("missing", ["decision", "u", "v", "color"])
 def test_nf_order_csv_without_column_exits_two(tmp_path, capsys, missing):
     trace = engine.run("nf", nf_path_killer(4))
-    lines = trace.to_csv().strip().split("\n")
+    lines = trace_csv(trace).strip().split("\n")
     drop = lines[0].split(",").index(missing)
     kept = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
     src = tmp_path / "trace.csv"
@@ -358,6 +398,30 @@ def test_verify_refuses_flags_its_mode_never_reads(tmp_path, monkeypatch, capsys
     _assert_usage_error(capsys, ["verify", *base, *extra])
     assert not (tmp_path / "x.csv").exists()
     assert main(["verify", *base]) == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--adv", "nf-path-killer", "--alg", "nf", "--m", "5", "--N", "7", "--b", "3",
+      "--n", "2"], "--n"),
+    (["run", "--adv", "yao", "--b", "3", "--m", "4"], "--m"),
+    (["run", "--adv", "star-chain", "--k", "3", "--N", "2", "--b", "2"], "--b"),
+    (["run", "--adv", "det-path-killer", "--n", "3", "--N", "2"], "--N"),
+    (["run", "--adv", "nf-path-killer", "--alg", "nf", "--m", "5", "--p", "0.7"], "--p"),
+    (["run", "--adv", "yao", "--b", "3", "--p", "0.7"], "--p"),
+    (["opt", "--adv", "nf-path-killer", "--m", "5", "--N", "2"], "--N"),
+    (["opt", "--adv", "rp-mod3", "--m", "7", "--b", "2"], "--b"),
+])
+def test_construction_flags_the_run_never_reads_exit_two(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert f"does not read {flag}" in _assert_usage_error(capsys, [*argv, "--out", "x.csv"])
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["1,1,2,X,", "1,1,2,c,1", "1,1,2,r,", "1,1,2,R,2"])
+def test_nf_order_refuses_rows_neither_colored_nor_rejected(tmp_path, capsys, row):
+    src = tmp_path / "trace.csv"
+    src.write_text(f"step,u,v,decision,color\n0,0,1,C,1\n{row}\n2,2,3,C,1\n")
+    assert "line 3" in _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -468,7 +532,7 @@ def _cli_argv(files):
 def test_every_subcommand_exits_zero_one_or_two(tmp_path):
     trace = engine.run("nf", nf_path_killer(2))
     contents = {
-        "trace.csv": trace.to_csv(),
+        "trace.csv": trace_csv(trace),
         "no-decision.csv": "step,u,v,color\n0,0,1,1\n",
         "short-row.csv": "step,u,v,decision,color\n0,0,1,C,1\n1,1,2\n",
         "path.txt": "0 1\n1 2\n2 3\n",

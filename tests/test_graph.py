@@ -9,7 +9,6 @@ from palette.graph import (
     PartialColoring,
     build_graph,
     color_bit,
-    colors_at,
     format_edge_list,
     full_mask,
     lowest_free_color,
@@ -21,12 +20,12 @@ from palette.graph import (
 def test_add_edge_first():
     g = Graph()
     assert g.add_edge(0, 1) == 0
-    assert g.degree(0) == g.degree(1) == 1
+    assert len(g.incident[0]) == len(g.incident[1]) == 1
 
 
 def test_path_degrees():
     g = build_graph([(0, 1), (1, 2), (2, 3)])
-    assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
+    assert [len(g.incident[v]) for v in range(4)] == [1, 2, 2, 1]
 
 
 def test_duplicate_edge_rejected():
@@ -48,8 +47,8 @@ def test_colors_at():
     c = PartialColoring(3)
     c.color(g, 0, 1)
     c.color(g, 1, 2)
-    assert colors_at(c, g, 0) == {1, 2}
-    assert colors_at(c, g, 3) == frozenset()
+    assert c.used_mask(0) == color_bit(1) | color_bit(2)
+    assert c.used_mask(3) == 0
 
 
 def test_colors_at_ignores_rejected():
@@ -57,13 +56,7 @@ def test_colors_at_ignores_rejected():
     c = PartialColoring(2)
     c.reject(0)
     c.color(g, 1, 2)
-    assert colors_at(c, g, 1) == {2}
-
-
-def test_colors_at_unknown_vertex():
-    g = build_graph([(0, 1)])
-    with pytest.raises(GraphError):
-        colors_at(PartialColoring(2), g, 7)
+    assert c.used_mask(1) == color_bit(2)
 
 
 def test_classify():
@@ -149,7 +142,7 @@ def _path_positions_by_shape(edges):
     g = build_graph(edges)
     if g.classify() != "path":
         raise GraphError("edges do not form a path")
-    v = min(x for x in range(g.num_vertices) if g.degree(x) == 1)
+    v = min(x for x in range(g.num_vertices) if len(g.incident[x]) == 1)
     pos_of_eid, prev = [0] * g.num_edges, None
     for pos in range(1, g.num_edges + 1):
         eid = next(f for f in g.incident[v] if f != prev)

@@ -1,0 +1,88 @@
+"""Every function, class and method in src/palette has a reader in the code
+the CLI, the demos and the benchmark run; code only tests read belongs in
+tests/ or nowhere."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "palette"
+
+# name -> why it stays although nothing outside tests reads it
+ALLOWED = {
+    "available_mask": "the plug-in algorithm contract: a user strategy reads its open colors "
+                      "through it, as conftest.RandomFair does",
+}
+
+
+def _sources():
+    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
+    return files + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+
+def _docstrings(tree):
+    bodies = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return {id(b.body[0].value) for b in bodies
+            if b.body and isinstance(b.body[0], ast.Expr)
+            and isinstance(b.body[0].value, ast.Constant) and isinstance(b.body[0].value.value, str)}
+
+
+def _words(node, docstrings):
+    """Identifiers a node mentions itself: names, attributes, imports and the
+    words of string literals other than docstrings (names looked up by string)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.rsplit(".", 1)[-1]]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+        return re.findall(r"\w+", node.value)
+    return []
+
+
+def _scan():
+    """(definitions, occurrences): each definition in the package as
+    (file, qualified name, name, node), each identifier use as (word, the
+    definition nodes enclosing it)."""
+    definitions, occurrences = [], []
+    for path in _sources():
+        tree = ast.parse(path.read_text())
+        docstrings = _docstrings(tree)
+
+        def visit(node, enclosing, prefix):
+            for word in _words(node, docstrings):
+                occurrences.append((word, enclosing))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.parent == PACKAGE and not node.name.startswith("__"):
+                    definitions.append((path.name, prefix + node.name, node.name, node))
+                enclosing, prefix = enclosing | {id(node)}, prefix + node.name + "."
+            for child in ast.iter_child_nodes(node):
+                visit(child, enclosing, prefix)
+
+        visit(tree, frozenset(), "")
+    return definitions, occurrences
+
+
+def _unread():
+    """Definitions no code outside their own body reads, as file::qualified name."""
+    definitions, occurrences = _scan()
+    readers = {}
+    for word, enclosing in occurrences:
+        readers.setdefault(word, []).append(enclosing)
+    return {
+        f"{file}::{qualname}": name
+        for file, qualname, name, node in definitions
+        if all(id(node) in enclosing for enclosing in readers.get(name, ()))
+    }
+
+
+def test_every_definition_has_a_reader_outside_tests():
+    assert [where for where, name in _unread().items() if name not in ALLOWED] == []
+
+
+def test_every_allowed_name_is_still_unread():
+    # an entry whose name gained a reader is stale
+    assert set(ALLOWED) <= set(_unread().values())
