@@ -25,7 +25,8 @@ class RevealSequence:
 
     edges: list[tuple[int, int]]
     k: int
-    params: dict = field(default_factory=dict)  # set by nextfit_order: edge_ids, targets
+    # nextfit_order sets "edge_ids": the source graph's edge id of each step
+    params: dict = field(default_factory=dict)
 
     def session(self):
         for e in self.edges:
@@ -367,16 +368,14 @@ def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
     for eid in sorted(coloring.colored_edges()):
         classes[rename[coloring.state[eid]]].append(eid)
     order: list[int] = []
-    targets: list[int] = []
     for round_no in range(max(counts.values())):
         for c in range(1, coloring.k + 1):
             if round_no < len(classes[c]):
                 order.append(classes[c][round_no])
-                targets.append(c)
     return RevealSequence(
         edges=[g.endpoints(eid) for eid in order],
         k=coloring.k,
-        params={"targets": targets, "edge_ids": order},
+        params={"edge_ids": order},
     )
 
 

@@ -31,7 +31,7 @@ from itertools import groupby
 from . import engine
 from .adversaries import RevealSequence
 from .exact import Sqrt5, surd
-from .graph import Graph, GraphError, path_positions
+from .graph import GraphError, RootedView, path_positions, rooted_view
 from .oracle import OptWitness, audit_witness
 
 
@@ -111,45 +111,6 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=
 
 # ---------------------------------------------------------------------------
 # tree machinery shared by the two tree strategies
-
-
-@dataclass
-class RootedView:
-    """Parent relations of a tree from a chosen root."""
-
-    parent_vertex: list[int]  # -1 at the root
-    parent_edge: list[int]  # -1 at the root
-    children: list[list[int]]  # child edge ids per vertex
-
-    def parent_side(self, g: Graph, eid: int) -> tuple[int, int]:
-        """Endpoints of eid ordered (parent, child)."""
-        u, v = g.endpoints(eid)
-        return (u, v) if self.parent_edge[v] == eid else (v, u)
-
-
-def rooted_view(g: Graph, root: int) -> RootedView:
-    """Parent relations of g from root; g must be a tree (the certificates
-    check that once per trace, not once per root)."""
-    n, incident = g.num_vertices, g.incident
-    if not 0 <= root < n:
-        raise GraphError(f"root {root} out of range")
-    parent_vertex = [-1] * n
-    parent_edge = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    stack = [root]
-    seen = [False] * n
-    seen[root] = True
-    while stack:
-        x = stack.pop()
-        for f in incident[x]:
-            y = g.other_end(f, x)
-            if not seen[y]:
-                seen[y] = True
-                parent_vertex[y] = x
-                parent_edge[y] = f
-                children[x].append(f)
-                stack.append(y)
-    return RootedView(parent_vertex, parent_edge, children)
 
 
 def largest_available_color(coloring, v: int, k: int) -> int:
@@ -302,7 +263,7 @@ class FFTreeCertificate(_TreeCertificate):
     def charge(self, root: int) -> VerdictReport:
         g, k = self.trace.graph, self.trace.k
         klass, color_of = self.klass, self.color_of
-        view = rooted_view(g, root)
+        view = rooted_view(g, (root,))
         # every ledger value is kept multiplied by k: C is k-1 and a unit of
         # 1/k is 1, so values stay ints until a vertex splits its rest among
         # several rejected child edges
@@ -406,7 +367,7 @@ class FairTreeCertificate(_TreeCertificate):
 
     def charge(self, root: int) -> VerdictReport:
         g, k, target, klass = self.trace.graph, self.trace.k, self.target, self.klass
-        view = rooted_view(g, root)
+        view = rooted_view(g, (root,))
         held = [0] * g.num_vertices
         for e in self.color_of:
             x, _ = view.parent_side(g, e)

@@ -191,11 +191,19 @@ def read_trace_csv(path, k: int):
         raise ValueError(f"trace CSV {path} lacks column(s) {', '.join(missing)}")
     if any(row[c] is None for row in rows for c in columns):
         raise ValueError(f"trace CSV {path} has a row with missing fields")
-    g = build_graph((int(r["u"]), int(r["v"])) for r in rows)
+
+    def number(line, row, column):
+        try:
+            return int(row[column])
+        except ValueError:
+            raise ValueError(f"trace CSV {path} line {line}: non-integer {column} "
+                             f"{row[column]!r}") from None
+
+    g = build_graph((number(line, r, "u"), number(line, r, "v")) for line, r in enumerate(rows, 2))
     coloring = PartialColoring(k)
     for eid, row in enumerate(rows):
         if row["decision"] == "C":
-            coloring.color(g, eid, int(row["color"]))
+            coloring.color(g, eid, number(eid + 2, row, "color"))
         elif row["decision"] == "R" and row["color"] == "":
             coloring.reject(eid)
         else:

@@ -7,9 +7,14 @@ integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
 set means color ``c`` is present).  A graph's adjacency (`Graph.incident`)
 is built from its edge list on first read and kept current by `add_edge`
 after that, so a game whose strategy reads only color masks never builds it.
+`rooted_view` is the package's one tree walk: the tree oracle and both tree
+certificates read parent relations, child edges and a parents-first vertex
+order from it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -145,6 +150,59 @@ class Graph:
         if max(degs) == self.num_edges:
             return "star"
         return "tree"
+
+
+@dataclass
+class RootedView:
+    """Parent relations of the trees a walk reached, each rooted at its start."""
+
+    parent_vertex: list[int]  # -1 at a root and at vertices not reached
+    parent_edge: list[int]  # -1 at a root and at vertices not reached
+    children: list[list[int]]  # child edge ids per vertex, in reveal order
+    order: list[int]  # reached vertices, parents before children
+
+    def parent_side(self, g: Graph, eid: int) -> tuple[int, int]:
+        """Endpoints of eid ordered (parent, child)."""
+        u, v = g.endpoints(eid)
+        return (u, v) if self.parent_edge[v] == eid else (v, u)
+
+
+def rooted_view(g: Graph, starts) -> RootedView:
+    """Walk g from each start not reached yet; each such start roots a tree.
+
+    On a forest the parent relations depend only on the roots, not on the
+    order of the walk.  On a graph with cycles the view is a spanning forest
+    of what was reached: the walk does not check for cycles, so callers that
+    need a forest compare the root count with the edge count (the tree
+    certificates check once per trace, not once per root).
+    """
+    n, incident, edges = g.num_vertices, g.incident, g.edges
+    parent_vertex = [-1] * n
+    parent_edge = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    seen = [False] * n
+    order: list[int] = []
+    for root in starts:
+        if not 0 <= root < n:
+            raise GraphError(f"root {root} out of range")
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for f in incident[x]:
+                u, y = edges[f]
+                if y == x:
+                    y = u
+                if not seen[y]:
+                    seen[y] = True
+                    parent_vertex[y] = x
+                    parent_edge[y] = f
+                    children[x].append(f)
+                    stack.append(y)
+    return RootedView(parent_vertex, parent_edge, children, order)
 
 
 REJECTED = -1  # stored in place of a color for rejected edges

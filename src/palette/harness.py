@@ -484,73 +484,25 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
 # -- canonical enumeration of tree reveal orders ----------------------------
 
 
-def _canonical_form(seq) -> tuple:
-    """Lexicographically least relabeling of an ordered edge sequence.
-
-    Relabelings must map the i-th edge to the i-th edge; labels are forced
-    to appear in first-use order, so the only freedom is which endpoint of
-    each fresh-fresh edge gets the smaller label.
-    """
-    m = len(seq)
-    best: list[tuple[int, int] | None] = [None]
-
-    def rec(i, mapping, acc):
-        if i == m:
-            cand = tuple(acc)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-            return
-        u, v = seq[i]
-        mu, mv = mapping.get(u), mapping.get(v)
-        options = []
-        if mu is not None and mv is not None:
-            options.append(((min(mu, mv), max(mu, mv)), ()))
-        elif mu is not None:
-            nv = len(mapping)
-            options.append(((min(mu, nv), max(mu, nv)), ((v, nv),)))
-        elif mv is not None:
-            nu = len(mapping)
-            options.append(((min(mv, nu), max(mv, nu)), ((u, nu),)))
-        else:
-            n1, n2 = len(mapping), len(mapping) + 1
-            options.append(((n1, n2), ((u, n1), (v, n2))))
-            options.append(((n1, n2), ((u, n2), (v, n1))))
-        for pair, additions in options:
-            if best[0] is not None:
-                prefix = best[0][: i + 1]
-                if tuple(acc) + (pair,) > prefix:
-                    continue
-            for key, val in additions:
-                mapping[key] = val
-            acc.append(pair)
-            rec(i + 1, mapping, acc)
-            acc.pop()
-            for key, _ in additions:
-                del mapping[key]
-
-    rec(0, {}, [])
-    return best[0]
-
-
-def _is_canonical(seq) -> bool:
-    normalized = tuple((min(u, v), max(u, v)) for u, v in seq)
-    return _canonical_form(seq) == normalized
-
-
 def tree_reveal_orders(m: int):
     """Every reveal order of every tree with m edges, one per isomorphism class.
 
     Sequences are canonical: vertices are numbered by first appearance and
-    each prefix is the lexicographically least relabeling of itself (prefixes
-    of canonical sequences are canonical, so growing only canonical prefixes
-    reaches every class exactly once).  Two labeled (tree, order) pairs
-    related by a vertex bijection behave identically for any online
-    algorithm, so enumerating classes covers all labeled instances.
+    the sequence is the lexicographically least of its relabelings that keep
+    that numbering.  Those relabelings only swap the two endpoints of
+    fresh-fresh edges, and the prefixes of a canonical sequence are canonical,
+    so the sweep grows canonical prefixes (orderly generation, R. C. Read,
+    1978) and carries the swaps that map its prefix onto itself: a new edge
+    keeps the sequence canonical exactly when none of them maps it below
+    itself.  Two labeled (tree, order) pairs related by a vertex bijection
+    behave identically for any online algorithm, so enumerating classes
+    covers all labeled instances.
     """
     if m == 0:
         return
 
-    def rec(seq, comp):
+    # fixers: the relabelings (label lists) that map seq onto itself
+    def rec(seq, comp, fixers):
         if len(seq) == m:
             if len(set(comp)) == 1:
                 yield list(seq)
@@ -570,12 +522,24 @@ def tree_reveal_orders(m: int):
         for edge, comp2 in candidates:
             if len(set(comp2)) - 1 > remaining - 1:
                 continue  # not enough edges left to connect everything
-            seq.append(edge)
-            if _is_canonical(seq):
-                yield from rec(seq, comp2)
-            seq.pop()
+            u, v = edge
+            grown = list(range(nverts, len(comp2)))  # the edge's fresh vertices
+            kept = []  # the fixers that also map the new edge onto itself
+            for fix in fixers:
+                label = fix + grown
+                image = (label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
+                if image < edge:
+                    break
+                if image == edge:
+                    kept.append(label)
+            else:
+                if len(grown) == 2:  # a fresh-fresh edge: its endpoints may swap too
+                    kept += [fix + grown[::-1] for fix in fixers]
+                seq.append(edge)
+                yield from rec(seq, comp2, kept)
+                seq.pop()
 
-    yield from rec([], [])
+    yield from rec([], [], [[]])
 
 
 def exhaustive_trees(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, rooted_view
 
 BRUTE_FORCE_EDGE_LIMIT = 16
 
@@ -60,102 +60,46 @@ def opt_path(m: int, k: int) -> int:
 def opt_tree(g: Graph, k: int) -> OptWitness:
     """Optimum on a forest: max edge set with all degrees <= k, properly colored.
 
-    Per-vertex DP with two states (parent edge kept or not); keeping a child
-    edge changes the subtree value by 0 or 1, so the best children are just
-    the positive gains, capped by the remaining degree budget.
+    Per-vertex DP with two states (parent edge kept or not), bottom-up over
+    one rooted walk.  Keeping a child edge changes the subtree value by 0 or
+    1, so the best children are the ones that gain 1, lowest edge id first,
+    capped by the remaining degree budget.  One top-down pass then keeps and
+    colors them: a vertex's kept child edges take the lowest colors not used
+    by its kept parent edge, which always suffices.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not g.is_forest():
+    n = g.num_vertices
+    view = rooted_view(g, range(n))
+    if g.num_edges + view.parent_edge.count(-1) != n:  # one root per component
         raise GraphError("tree oracle requires an acyclic graph")
 
-    n, incident = g.num_vertices, g.incident
-    parent_eid = [-1] * n
-    kept: set[int] = set()
-    roots = []
+    # best count in x's subtree with x's parent edge free to keep / kept,
+    # and x's child edges whose keeping gains 1, in reveal order
+    free, tight = [0] * n, [0] * n
+    gainers: list[list[int]] = [[]] * n
+    for x in reversed(view.order):
+        base, up = 0, []
+        for f in view.children[x]:
+            y = g.other_end(f, x)
+            base += free[y]
+            if free[y] == tight[y]:
+                up.append(f)
+        gainers[x] = up
+        free[x] = base + min(len(up), k)
+        tight[x] = base + min(len(up), k - 1)
 
-    for comp in g.components():
-        root = min(comp)
-        roots.append(root)
-        order = []
-        parent_eid[root] = -1
-        stack = [(root, -1)]
-        while stack:
-            x, pe = stack.pop()
-            order.append(x)
-            for f in incident[x]:
-                if f != pe:
-                    y = g.other_end(f, x)
-                    parent_eid[y] = f
-                    stack.append((y, f))
-
-        # value[x][kept_parent] and, per vertex, the child edges chosen when
-        # its parent edge is / is not kept
-        value = [[0, 0] for _ in range(len(order))]
-        index = {x: i for i, x in enumerate(order)}
-        choice: dict[int, tuple[list[int], list[int]]] = {}
-        for x in reversed(order):
-            base = 0
-            gains = []  # (gain, child edge)
-            for f in incident[x]:
-                if f == parent_eid[x]:
-                    continue
-                y = g.other_end(f, x)
-                skip_y, keep_y = value[index[y]][0], value[index[y]][1]
-                base += skip_y
-                gains.append((keep_y + 1 - skip_y, f))
-            gains.sort(key=lambda t: (-t[0], t[1]))
-            sel_free = [(gain, f) for gain, f in gains[:k] if gain > 0]
-            sel_tight = [(gain, f) for gain, f in gains[: k - 1] if gain > 0]
-            choice[x] = ([f for _, f in sel_free], [f for _, f in sel_tight])
-            value[index[x]][0] = base + sum(gain for gain, _ in sel_free)
-            value[index[x]][1] = base + sum(gain for gain, _ in sel_tight)
-
-        # reconstruct kept edges top-down
-        stack = [(root, False)]
-        while stack:
-            x, parent_kept = stack.pop()
-            take = choice[x][1] if parent_kept else choice[x][0]
-            take_set = set(take)
-            for f in (f for f in incident[x] if f != parent_eid[x]):
-                y = g.other_end(f, x)
-                if f in take_set:
-                    kept.add(f)
-                    stack.append((y, True))
-                else:
-                    stack.append((y, False))
-
-    coloring = _color_forest(g, k, kept, roots, parent_eid)
-    return OptWitness(edges=frozenset(kept), coloring=coloring, count=len(kept))
-
-
-def _color_forest(g, k, kept, roots, parent_eid):
-    """Greedy proper coloring of a kept subforest with max degree <= k.
-
-    Child edges at each vertex take the lowest colors not used by the kept
-    parent edge, which always suffices.
-    """
-    coloring, incident = {}, g.incident
-    for root in roots:
-        stack = [(root, 0)]  # (vertex, color of kept parent edge; 0 = none)
-        while stack:
-            x, parent_color = stack.pop()
-            c = 0
-            for f in incident[x]:
-                if f == parent_eid[x]:
-                    continue
-                y = g.other_end(f, x)
-                if f not in kept:
-                    stack.append((y, 0))
-                    continue
+    coloring: dict[int, int] = {}
+    parent_color = [0] * n  # color of x's kept parent edge, 0 if none
+    for x in view.order:
+        pc, c = parent_color[x], 0
+        for f in gainers[x][: k - 1 if pc else k]:
+            c += 1
+            if c == pc:
                 c += 1
-                if c == parent_color:
-                    c += 1
-                if c > k:
-                    raise GraphError("kept forest exceeded its color budget")
-                coloring[f] = c
-                stack.append((y, c))
-    return coloring
+            coloring[f] = c
+            parent_color[g.other_end(f, x)] = c
+    return OptWitness(edges=frozenset(coloring), coloring=coloring, count=len(coloring))
 
 
 def _colorable(g: Graph, k: int, subset: tuple[int, ...]) -> dict[int, int] | None:

@@ -11,10 +11,8 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
 from conftest import RandomFair
-from palette import adversaries, charging, engine, harness
+from palette import charging, engine, harness
 from palette.adversaries import (
     RevealSequence,
     det_path_killer,

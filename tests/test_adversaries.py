@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -16,7 +15,6 @@ from palette.adversaries import (
     nf_path_killer,
     nf_tree_worstcase,
     nf_tree_worstcase_rounded,
-    path_edges,
     path_then_stars,
     rp_strategy_mod3,
     rp_strategy_oddeven,
@@ -329,7 +327,10 @@ def test_nextfit_replay_hits_cyclic_targets():
     for eid, col in enumerate([1, 2, 3, 1, 2, 3]):
         c.color(g, eid, col)
     order = nextfit_order(g, c)
-    targets = order.params["targets"]
+    # the documented renaming: heavier color classes first, ties by color
+    counts = color_usage(c)
+    rename = {old: new for new, old in enumerate(sorted(counts, key=lambda x: (-counts[x], x)), 1)}
+    targets = [rename[c.state[eid]] for eid in order.params["edge_ids"]]
     replay_g = build_graph(order.edges)
     state = PartialColoring(3)
     c_last = 0
@@ -382,7 +383,8 @@ def test_bunch_plan_connectors_blocked_by_target():
     plan = bunch_plan(9, 2)
     g = build_graph(plan.colored_part.edges)
     coloring = PartialColoring(9)
-    for eid, color in enumerate(plan.colored_part.params["targets"]):
+    # next-fit's replay lands on each edge's target color
+    for eid, color in enumerate(engine.run("nf", plan.colored_part).colors()):
         coloring.color(g, eid, color)
     position = {}
     for eid, (u, v) in enumerate(plan.colored_part.edges):

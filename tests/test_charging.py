@@ -22,7 +22,6 @@ from palette.adversaries import (
     rp_strategy_oddeven,
 )
 from palette.charging import (
-    ChargingError,
     FairTreeCertificate,
     FFTreeCertificate,
     critical_edges,
@@ -34,7 +33,7 @@ from palette.charging import (
     rp_path_charge,
 )
 from palette.exact import PHI_OVER_SQRT5, Sqrt5
-from palette.graph import GraphError, build_graph
+from palette.graph import GraphError
 from palette.oracle import OptWitness, opt_tree
 
 

@@ -424,6 +424,15 @@ def test_nf_order_refuses_rows_neither_colored_nor_rejected(tmp_path, capsys, ro
     assert "line 3" in _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
 
 
+@pytest.mark.parametrize("row,column", [("1,x,2,C,2", "u"), ("1,1,2.0,C,2", "v"),
+                                        ("1,1,2,C,x", "color"), ("1,1,2,C,", "color")])
+def test_nf_order_refuses_non_integer_fields(tmp_path, capsys, row, column):
+    src = tmp_path / "trace.csv"
+    src.write_text(f"step,u,v,decision,color\n0,0,1,C,1\n{row}\n2,2,3,C,1\n")
+    err = _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+    assert f"trace CSV {src} line 3: non-integer {column}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "4", "--N", "2"],
     ["verify", "--strategy", "fair-tree", "--adv", "nf-tree-rounded", "--k", "5", "--N", "2"],

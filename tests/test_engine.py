@@ -5,8 +5,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import RandomFair, path_depth, random_tree_sequence, trace_csv
 from palette import charging, engine, harness
@@ -20,7 +18,6 @@ from palette.adversaries import (
 )
 from palette.engine import (
     FirstFit,
-    NextFit,
     RandomParity,
     Step,
     Trace,

@@ -14,7 +14,9 @@ from palette.graph import (
     lowest_free_color,
     parse_edge_list,
     path_positions,
+    rooted_view,
 )
+from palette.oracle import opt_tree
 
 
 def test_add_edge_first():
@@ -207,3 +209,35 @@ def test_edge_list_errors():
         parse_edge_list("0 x\n")
     with pytest.raises(GraphError):
         parse_edge_list("0 -2\n")
+
+
+def test_rooted_view_roots_each_tree_at_the_first_start_reaching_it():
+    # trees {0,1,2}, {3,4,5,6} and {8,9}; vertex 7 is isolated
+    g = build_graph([(4, 5), (0, 1), (3, 4), (1, 2), (3, 6), (8, 9)])
+    view = rooted_view(g, [4, 2, 4, 7, 1, 9, 0])
+    assert view.parent_vertex == [1, 2, -1, 4, -1, 4, 3, -1, 9, -1]
+    assert view.parent_edge == [1, 3, -1, 2, -1, 0, 4, -1, 5, -1]
+    # child edges in reveal order: vertex 4 reaches 5 before 3
+    assert view.children == [[], [1], [3], [4], [0, 2], [], [], [], [], [5]]
+    assert view.parent_side(g, 2) == (4, 3)
+    assert sorted(view.order) == list(range(10))
+    assert [x for x in view.order if view.parent_edge[x] == -1] == [4, 2, 7, 9]
+    place = {x: i for i, x in enumerate(view.order)}
+    assert all(place[view.parent_vertex[x]] < place[x]
+               for x in view.order if view.parent_vertex[x] != -1)
+
+
+def test_rooted_view_skips_reached_starts_and_refuses_bad_ones():
+    g = build_graph([(0, 1), (1, 2), (3, 4)])
+    view = rooted_view(g, [1])
+    assert sorted(view.order) == [0, 1, 2]  # 3 and 4 are never reached
+    assert rooted_view(g, [1, 0, 2]) == view
+    for start in (5, -1):
+        with pytest.raises(GraphError, match=f"root {start} out of range"):
+            rooted_view(g, [0, start])
+
+
+def test_opt_tree_refuses_a_cycle_beside_a_tree():
+    g = build_graph([(0, 1), (1, 2), (2, 0), (4, 5)])  # vertex 3 is isolated
+    with pytest.raises(GraphError, match="tree oracle requires an acyclic graph"):
+        opt_tree(g, 2)

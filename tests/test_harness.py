@@ -243,13 +243,25 @@ def test_tree_sweeps_need_two_colors():
 
 def test_tree_reveal_orders_counts():
     # one sequence per isomorphism class: (m+1)^(m-2) of them
-    for m, expect in [(1, 1), (2, 1), (3, 4), (4, 25), (5, 216)]:
+    for m, expect in [(1, 1), (2, 1), (3, 4), (4, 25), (5, 216), (6, 2401), (7, 32768)]:
         assert sum(1 for _ in tree_reveal_orders(m)) == expect
 
 
+# every canonical order for m <= 7, in enumeration order
+TREE_ORDERS_SHA256 = "cdd1589070ce0f0d0349eafdbba847220d278ea92bb5172e86870def0e314607"
+
+
+def test_tree_reveal_orders_are_pinned():
+    h = hashlib.sha256()
+    for m in range(1, 8):
+        for seq in tree_reveal_orders(m):
+            h.update(f"{m}:{seq}\n".encode())
+    assert h.hexdigest() == TREE_ORDERS_SHA256
+
+
 def test_tree_reveal_orders_cover_all_labeled_instances():
-    """Brute-force every labeled tree and order for tiny m; each canonical
-    form must be reachable from the enumeration."""
+    """Brute-force every labeled tree and order for tiny m: the enumeration
+    lists each isomorphism class exactly once, as its least relabeling."""
     import heapq
 
     def all_labeled_trees(n):
@@ -273,17 +285,23 @@ def test_tree_reveal_orders_cover_all_labeled_instances():
             edges.append((min(u, v), max(u, v)))
             yield edges
 
-    for m in (2, 3, 4):
-        mine = set()
-        for seq in tree_reveal_orders(m):
-            form = harness._canonical_form(seq)
-            assert form == tuple((min(u, v), max(u, v)) for u, v in seq)
-            mine.add(form)
-        brute = set()
+    def relabel(seq, label):
+        return tuple((label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
+                     for u, v in seq)
+
+    for m in (2, 3, 4, 5):
+        mine = [tuple(seq) for seq in tree_reveal_orders(m)]
+        # each class once, as its least relabeling over every vertex bijection
+        classes, seen = [], set()
         for tree in all_labeled_trees(m + 1):
-            for perm in permutations(tree):
-                brute.add(harness._canonical_form(list(perm)))
-        assert mine == brute
+            for order in permutations(tree):
+                if order in seen:
+                    continue
+                orbit = {relabel(order, label) for label in permutations(range(m + 1))}
+                seen |= orbit
+                classes.append(min(orbit))
+        assert len(mine) == len(set(mine)) == len(classes)
+        assert set(mine) == set(classes)
 
 
 def test_exhaustive_trees_small():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -68,6 +69,42 @@ def test_opt_tree_bunch_instance():
     w = opt_tree(trace.graph, 4)
     assert w.count == 239
     audit_witness(trace.graph, 4, w)
+
+
+def _forest_edges(rng, m):
+    """Random trees with m edges in all, each placed at a vertex offset that
+    can skip ids (those vertices stay isolated), in shuffled order."""
+    edges, base = [], 0
+    while m > 0:
+        size = rng.randrange(1, m + 1)
+        base += rng.randrange(0, 3)
+        edges += [(base + u, base + v) for u, v in harness.random_tree_edges(rng, size)]
+        base += size + 1
+        m -= size
+    rng.shuffle(edges)
+    return edges
+
+
+# edges and coloring of every witness below, for k in 1..5
+OPT_TREE_SHA256 = "a570a32172f11742ddb29cf737343a3a83a292e3a30527ffd0f7cfeebbb43907"
+
+
+def test_opt_tree_witnesses_are_pinned():
+    rng = random.Random(11)
+    graphs = []
+    for i in range(120):
+        m = rng.randrange(0, 25)
+        edges = harness.random_tree_edges(rng, m) if i % 2 else _forest_edges(rng, m)
+        rng.shuffle(edges)
+        graphs.append(build_graph(edges))
+    graphs.append(engine.run("ff", star_chain(5, 200, "ff")).graph)
+    graphs.append(engine.run("nf", nf_tree_worstcase(16, 2)).graph)
+    h = hashlib.sha256()
+    for g in graphs:
+        for k in range(1, 6):
+            w = opt_tree(g, k)
+            h.update(f"{g.num_vertices} {k} {sorted(w.edges)} {sorted(w.coloring.items())}\n".encode())
+    assert h.hexdigest() == OPT_TREE_SHA256
 
 
 def test_opt_tree_rejects_cycles():

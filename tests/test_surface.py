@@ -86,3 +86,21 @@ def test_every_definition_has_a_reader_outside_tests():
 def test_every_allowed_name_is_still_unread():
     # an entry whose name gained a reader is stale
     assert set(ALLOWED) <= set(_unread().values())
+
+
+def _unused_imports(path):
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    assert modules
+    assert [where for path in modules for where in _unused_imports(path)] == []
