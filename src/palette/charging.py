@@ -11,7 +11,8 @@ random pair strategy on two-colorable paths.  All three keep their books in
 their own unit (ints scaled by k for first-fit, ints scaled by 2*sqrt(k)-1
 for fair at square k and exact surds at other k, ints counting half-slacks
 (1-C)/2 for the pair strategy) and end in one ledger close, `_close`, which
-checks that no value leaked and builds the verdict.
+checks that no value leaked and decides the verdict in ledger units; the
+per-edge rows are built when first read, which a sweep never does.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -24,7 +25,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 
@@ -43,7 +45,7 @@ class ChargingError(RuntimeError):
 # verdict reports
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeReport:
     edge: int
     klass: str  # double / single / opt-only / neither / critical / noncritical
@@ -55,11 +57,19 @@ class EdgeReport:
 
 @dataclass
 class VerdictReport:
+    """A ledger's verdict; build_rows makes the per-edge rows on first read."""
+
     strategy: str
     C: object
-    rows: list[EdgeReport]
     passed: bool
     min_margin: object | None
+    build_rows: Callable[[], list[EdgeReport]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def rows(self) -> list[EdgeReport]:
+        # drop the builder, so the ledger it closes over does not outlive the rows
+        rows, self.build_rows = self.build_rows(), None
+        return rows
 
     def write_csv(self, out) -> None:
         w = csv.writer(out, lineterminator="\n")
@@ -77,11 +87,7 @@ class VerdictReport:
             )
 
 
-def _as_is(v):
-    return v
-
-
-def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=_as_is,
+def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
            margin_of=None):
     """Close a strategy's books: the one place a ledger becomes a verdict.
 
@@ -91,22 +97,28 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, residual=0, exact=
     (value the redistribution left unassigned) are in the strategy's own
     unit, and exact turns such a value into the exact value reported.  The
     margins v_f - C (or margin_of(v_f) where exact is not linear) of the
-    judged edges decide the verdict.
+    judged edges decide the verdict.  Every exact is increasing, so the
+    least margin is exact(min v_f - C), found without converting the rest.
     """
     if sum(v_f) + residual != total:
         raise ChargingError("ledger leaked value during redistribution")
     if margin_of is None:
-        margin = {e: exact(v_f[e] - C) for e in judged}
-        min_margin = min(margin.values(), default=None)
+        low = min((v_f[e] for e in judged), default=None)
+        passed = low is None or low >= C
+        min_margin = None if low is None else exact(low - C)
+        margin_of = lambda v: exact(v - C)
     else:  # one comparison per distinct value, in order of first appearance
-        margin = {e: margin_of(v_f[e]) for e in judged}
         min_margin = min(map(margin_of, dict.fromkeys(v_f[e] for e in judged)), default=None)
-    rows = [
-        EdgeReport(e, kl, exact(v_i[e]), exact(v_f[e]), margin.get(e), case.get(e, ""))
-        for e, kl in klass.items()
-    ]
-    return VerdictReport(strategy=strategy, C=exact(C), rows=rows,
-                         passed=min_margin is None or min_margin >= 0, min_margin=min_margin)
+        passed = min_margin is None or min_margin >= 0
+
+    def build_rows():
+        return [
+            EdgeReport(e, kl, exact(v_i[e]), exact(v_f[e]),
+                       margin_of(v_f[e]) if e in judged else None, case.get(e, ""))
+            for e, kl in klass.items()
+        ]
+
+    return VerdictReport(strategy, exact(C), passed, min_margin, build_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +197,13 @@ def _settle(view: RootedView, klass: dict, held: list, v_f: list, C):
     return residual
 
 
+def _unscaler(scale: int):
+    """The exact v/scale of a ledger value v, once per distinct v (surds occur only
+    at scale 1 and stay as they are); not a method, so rows keep only its cache."""
+    to_fraction = functools.cache(lambda v: Fraction(v, scale))
+    return lambda v: v if isinstance(v, Sqrt5) else to_fraction(v)
+
+
 class _TreeCertificate:
     """The half of a tree certificate that does not depend on the root.
 
@@ -206,17 +225,7 @@ class _TreeCertificate:
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
         self.v_i = [0 if c is None else scale for c in colors]
         self.total = scale * len(self.color_of)
-        self._fractions: dict[object, Fraction] = {}
-
-    def _unscale(self, v):
-        """The exact value v/scale of a ledger value v; each distinct value is
-        converted once per certificate (surds only occur at scale 1)."""
-        if self.scale == 1 and type(v) is not int:
-            return v
-        f = self._fractions.get(v)
-        if f is None:
-            f = self._fractions[v] = Fraction(v, self.scale)
-        return f
+        self._unscale = _unscaler(scale)
 
     def _cases(self, view: RootedView) -> dict:
         """Each rejected optimum edge's case from this root, named after the
@@ -304,7 +313,7 @@ class FFTreeCertificate(_TreeCertificate):
                     )
 
         return _close(self.strategy, k - 1, klass, self._cases(view), self.v_i, v_f,
-                      self.total, self.witness.edges, residual, self._unscale)
+                      self.total, self.witness.edges, self._unscale, residual)
 
 
 def ff_tree_charge(
@@ -376,7 +385,7 @@ class FairTreeCertificate(_TreeCertificate):
         residual = _settle(view, klass, held, v_f, target)
         cases = self._cases(view)
         report = _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
-                        self.witness.edges, residual, self._unscale)
+                        self.witness.edges, self._unscale, residual)
         for e, case in cases.items():
             x, y = view.parent_side(g, e)
             if held[y] < target:  # the child endpoint cannot pay C by itself
@@ -558,5 +567,5 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
             f"< C = {target}"
         )
     # C is a non-critical edge's 1 less two half-slacks
-    return _close("rp-path", -2 * h, klass, case, v_i, v_f, sum(v_i), range(m),
-                  exact=exact, margin_of=margin_of)
+    return _close("rp-path", -2 * h, klass, case, v_i, v_f, sum(v_i), range(m), exact,
+                  margin_of=margin_of)

@@ -14,7 +14,7 @@ import sys
 
 from . import adversaries, engine, harness
 from .graph import GraphError, PartialColoring, build_graph, format_edge_list, parse_edge_list
-from .oracle import opt_bruteforce, opt_tree
+from .oracle import opt_witness
 
 
 def _seed_from(args) -> object:
@@ -214,7 +214,7 @@ def read_trace_csv(path, k: int):
 
 def cmd_opt(args) -> int:
     g = _instance_graph(args)
-    witness = opt_tree(g, args.k) if g.is_forest() else opt_bruteforce(g, args.k)
+    witness = opt_witness(g, args.k)
     print(f"opt {witness.count} of {g.num_edges} edges (k={args.k})")
     if args.out:
         colored = sorted(witness.edges)

@@ -174,6 +174,12 @@ def opt_bruteforce(g: Graph, k: int) -> OptWitness:
 def opt_value(g: Graph, k: int) -> int:
     """OPT for any instance this package produces: forests exactly, small
     graphs by brute force."""
-    if g.is_forest():
-        return opt_tree(g, k).count
-    return opt_bruteforce(g, k).count
+    return opt_witness(g, k).count
+
+
+def opt_witness(g: Graph, k: int) -> OptWitness:
+    """opt_tree's witness, or brute force's where opt_tree's walk finds a cycle."""
+    try:
+        return opt_tree(g, k)
+    except GraphError:
+        return opt_bruteforce(g, k)

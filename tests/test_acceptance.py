@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from conftest import RandomFair
-from palette import charging, engine, harness
+from palette import engine, harness
 from palette.adversaries import (
     RevealSequence,
     det_path_killer,
@@ -35,7 +35,7 @@ from palette.charging import (
 )
 from palette.exact import PHI_OVER_SQRT5
 from palette.graph import PartialColoring, build_graph
-from palette.harness import tree_reveal_orders, yao_colored_bound
+from palette.harness import yao_colored_bound
 from palette.oracle import opt_bruteforce, opt_tree
 
 
@@ -144,25 +144,15 @@ def test_criterion_06_star_chain_ceiling():
 
 def test_criterion_07_first_fit_tree_floor_exhaustive():
     t0 = time.perf_counter()
-    instances = 0
-    charged = 0
-    for k in (2, 3):
-        floor = Fraction(k - 1, k)
-        for m in range(1, 8):
-            for edges in tree_reveal_orders(m):
-                trace = engine.run("ff", RevealSequence(edges=edges, k=k))
-                witness = opt_tree(trace.graph, k)
-                assert Fraction(trace.colored_count, witness.count) >= floor
-                instances += 1
-                if witness.edges - set(trace.coloring.colored_edges()):
-                    charged += 1
-                    certificate = charging.FFTreeCertificate(trace, witness)
-                    for root in range(trace.graph.num_vertices):
-                        assert certificate.charge(root).passed
+    summaries = harness.exhaustive_trees(7, ks=(2, 3), all_roots=True)
+    for k, summary in zip((2, 3), summaries):
+        assert summary.k == k and summary.instances == 35416
+        assert summary.min_ratio >= Fraction(k - 1, k)
+        assert summary.charge_failures == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 300
-    report(7, f"{instances} (tree, order) classes x k in {{2,3}}: ratio >= (k-1)/k, "
-              f"{charged} charged over every root, {elapsed:.0f} s")
+    report(7, f"{summaries[0].instances} (tree, order) classes x k in {{2,3}}: ratio >= (k-1)/k, "
+              f"every charged instance certified from every root, {elapsed:.0f} s")
 
 
 def test_criterion_08_universal_tree_ceiling():

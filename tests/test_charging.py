@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from conftest import (
     path_depth,
     random_tree_sequence,
 )
-from palette import engine, harness
+from palette import charging, engine, harness
 from palette.adversaries import (
     RevealSequence,
     nf_tree_worstcase,
@@ -22,6 +24,7 @@ from palette.adversaries import (
     rp_strategy_oddeven,
 )
 from palette.charging import (
+    EdgeReport,
     FairTreeCertificate,
     FFTreeCertificate,
     critical_edges,
@@ -452,3 +455,64 @@ def test_rp_ledger_rows_are_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), sum(line.startswith("False") for line in lines), digest) == (
         308, 40, RP_ROWS_SHA256)
+
+
+# ---------------------------------------------------------------------------
+# verdicts decided in ledger units, rows built on first read
+
+
+def test_sweeps_never_build_rows(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return EdgeReport(*args)
+
+    monkeypatch.setattr(charging, "EdgeReport", counted)
+    harness.exhaustive_trees(5, all_roots=True)
+    harness.verify_fair_trees(20, 12, k=4, all_roots=True)
+    assert built == []
+    report = ff_tree_charge(*_played("ff", RevealSequence(edges=[(0, 1), (1, 2)], k=2)))
+    assert report.rows is report.rows and len(built) == 2
+
+
+def _assert_verdict_matches_rows(report):
+    margins = [r.margin for r in report.rows if r.margin is not None]
+    low = min(margins, default=None)
+    assert report.min_margin == low and type(report.min_margin) is type(low)
+    assert report.passed == (report.min_margin is None or report.min_margin >= 0)
+
+
+def test_eager_verdict_matches_the_rows():
+    for k in (2, 3, 4, 5, 9):
+        for t in range(12):
+            seq = random_tree_sequence(1000 * k + t, 10, k)
+            for alg, certify in (("ff", FFTreeCertificate), ("nf", FairTreeCertificate),
+                                 (RandomFair(), FairTreeCertificate)):
+                certificate = certify(*_played(alg, seq, seed=t))
+                for root in range(certificate.trace.graph.num_vertices):
+                    _assert_verdict_matches_rows(certificate.charge(root))
+    rng = random.Random(67)
+    for _ in range(30):
+        edges = harness.random_reveal(rng, path_edges(rng.randrange(1, 30)))
+        for p, C in ((PHI_OVER_SQRT5, None), (Fraction(7, 10), None),
+                     (Fraction(1, 2), Fraction(4, 5))):
+            _assert_verdict_matches_rows(rp_path_charge(RevealSequence(edges=edges, k=2), p, C=C))
+
+
+@pytest.mark.parametrize("alg,charge,certify", [("ff", ff_tree_charge, FFTreeCertificate),
+                                                ("nf", fair_tree_charge, FairTreeCertificate)])
+def test_unread_rows_do_not_keep_the_certificate_alive(monkeypatch, alg, charge, certify):
+    refs = []
+
+    class Watched(certify):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(charging, certify.__name__, Watched)
+    trace, witness = _played(alg, nf_tree_worstcase(4, 2))
+    report = charge(trace, witness)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert report.rows == certify(trace, witness).charge(0).rows

@@ -176,12 +176,39 @@ def test_verify_writes_verdict_csv(tmp_path, capsys):
     assert header == "edge,class,v_i,v_f,margin,case"
 
 
+# sha256 of the stdout and --out bytes below, dumped while verdicts built their rows eagerly
+VERDICT_CSV_SHA256 = "533fff5b1def9a00697bfcf9509515c236ad92623a0e82fc99b6dbc05a093688"
+
+
+def test_verdict_csv_is_pinned(tmp_path, capsys):
+    # nf-tree-rounded at k = 5 keeps its ledger in surds, nf-tree at k = 4 in scaled ints
+    h = hashlib.sha256()
+    for adv, k, n in (("nf-tree", "4", "10"), ("nf-tree-rounded", "5", "2")):
+        out = tmp_path / f"{adv}.csv"
+        argv = ["verify", "--strategy", "fair-tree", "--adv", adv, "--k", k, "--N", n]
+        for extra in ([], ["--out", str(out)]):
+            code = main(argv + extra)
+            written = out.read_text() if extra else ""
+            record = f"{argv + extra} {code}\n{capsys.readouterr().out}{written}"
+            h.update(record.replace(str(tmp_path), "<tmp>").encode())
+    assert h.hexdigest() == VERDICT_CSV_SHA256
+
+
 def test_opt_command_with_file(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n1 2\n2 3\n# comment\n")
     assert main(["opt", "--file", str(path), "--k", "1"]) == 0
     out = capsys.readouterr().out
     assert "opt 2 of 3" in out
+
+
+def test_opt_command_on_a_cycle_falls_back_to_brute_force(tmp_path, capsys):
+    # a triangle beside a path: opt_tree refuses the cycle, brute force keeps
+    # two triangle edges at k = 2 and all three path edges
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 6\n")
+    assert main(["opt", "--file", str(path), "--k", "2"]) == 0
+    assert capsys.readouterr().out == "opt 5 of 6 edges (k=2)\n"
 
 
 def test_opt_command_with_construction(capsys):

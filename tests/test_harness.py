@@ -203,7 +203,7 @@ def test_verify_summary_folds_failures_and_the_exact_minimum():
     tally = harness.VerifySummary("ff-tree", 3)
     for passed, margin in [(True, Fraction(1, 3)), (True, None), (False, Fraction(-1, 2)),
                            (True, Fraction(0))]:
-        tally.add(VerdictReport("ff-tree", Fraction(1, 2), [], passed, margin))
+        tally.add(VerdictReport("ff-tree", Fraction(1, 2), passed, margin, list))
     assert (tally.instances, tally.failures, tally.min_margin) == (3, 1, Fraction(-1, 2))
     assert not tally.passed
 
