@@ -139,8 +139,7 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
 
     Returns (klass, tallies): klass maps edge id to one of 'double',
     'single', 'opt-only', 'neither'; tallies[v] is a dict with the counts
-    d_c, d_d, d_s, d_r of incident colored / double / single / opt-only
-    edges.
+    d_c, d_d of incident colored / double edges.
     """
     g = trace.graph
     klass: dict[int, str] = {}
@@ -149,9 +148,7 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
             klass[e] = "double" if e in witness.edges else "single"
         else:
             klass[e] = "opt-only" if e in witness.edges else "neither"
-    tallies = [
-        {"d_c": 0, "d_d": 0, "d_s": 0, "d_r": 0} for _ in range(g.num_vertices)
-    ]
+    tallies = [{"d_c": 0, "d_d": 0} for _ in range(g.num_vertices)]
     for e, kl in klass.items():
         for v in g.endpoints(e):
             t = tallies[v]
@@ -160,9 +157,6 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
                 t["d_d"] += 1
             elif kl == "single":
                 t["d_c"] += 1
-                t["d_s"] += 1
-            elif kl == "opt-only":
-                t["d_r"] += 1
     return klass, tallies
 
 
@@ -316,11 +310,9 @@ class FFTreeCertificate(_TreeCertificate):
                       self.total, self.witness.edges, self._unscale, residual)
 
 
-def ff_tree_charge(
-    trace: engine.Trace, witness: OptWitness, *, root: int = 0
-) -> VerdictReport:
-    """Certify a first-fit run on a tree from one root (see FFTreeCertificate)."""
-    return FFTreeCertificate(trace, witness).charge(root)
+def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
+    """Certify a first-fit run on a tree from root 0 (see FFTreeCertificate)."""
+    return FFTreeCertificate(trace, witness).charge(0)
 
 
 def fair_ratio(k: int):
@@ -364,9 +356,6 @@ class FairTreeCertificate(_TreeCertificate):
         self.target = 2 * s - 2 if square else self.C  # C in ledger units
         self.double_surplus = self.scale - self.target  # what a double-colored edge sends up
         tallies = self.tallies
-        for v, t in enumerate(tallies):
-            if t["d_d"] + t["d_r"] > k:
-                raise ChargingError(f"optimum keeps more than k edges at vertex {v}")
         for e, (u, v) in enumerate(trace.graph.edges):
             if e not in self.color_of and tallies[u]["d_c"] + tallies[v]["d_c"] < k:
                 raise ChargingError(
@@ -393,11 +382,9 @@ class FairTreeCertificate(_TreeCertificate):
         return report
 
 
-def fair_tree_charge(
-    trace: engine.Trace, witness: OptWitness, *, root: int = 0
-) -> VerdictReport:
-    """Certify a fair run on a tree from one root (see FairTreeCertificate)."""
-    return FairTreeCertificate(trace, witness).charge(root)
+def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
+    """Certify a fair run on a tree from root 0 (see FairTreeCertificate)."""
+    return FairTreeCertificate(trace, witness).charge(0)
 
 
 def _check_fair_case(k, C, case, tx, ty, e):

@@ -7,9 +7,9 @@ integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
 set means color ``c`` is present).  A graph's adjacency (`Graph.incident`)
 is built from its edge list on first read and kept current by `add_edge`
 after that, so a game whose strategy reads only color masks never builds it.
-`rooted_view` is the package's one tree walk: the tree oracle and both tree
-certificates read parent relations, child edges and a parents-first vertex
-order from it.
+`rooted_view` is the package's one graph walk: components, the tree oracle
+and both tree certificates read parent relations, child edges and a
+parents-first vertex order from it.
 """
 
 from __future__ import annotations
@@ -106,25 +106,14 @@ class Graph:
                 yield f
 
     def components(self) -> list[list[int]]:
-        """Connected components as lists of vertex ids (isolated ones too)."""
-        incident = self.incident
-        seen = [False] * self.num_vertices
+        """Connected components as lists of vertex ids (isolated ones too),
+        each from its least vertex, parents first, as `rooted_view` walks it."""
+        view = rooted_view(self, range(self.num_vertices))
         comps = []
-        for start in range(self.num_vertices):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for f in incident[x]:
-                    y = self.other_end(f, x)
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(comp)
+        for x in view.order:
+            if view.parent_vertex[x] == -1:  # a root starts the next component
+                comps.append([])
+            comps[-1].append(x)
         return comps
 
     def is_forest(self) -> bool:

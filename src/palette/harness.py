@@ -371,15 +371,29 @@ def yao_experiment(
 
 @dataclass
 class ExhaustiveSummary:
+    """Running tally of an exhaustive sweep: built empty, then every instance
+    is folded in through `add`.  Tree sweeps also fold their certificate
+    verdicts into `charges`."""
+
     mode: str
     max_edges: int
     k: int
     algorithm: str
-    instances: int
-    min_ratio: Fraction
     bound: Fraction
-    witness: list[tuple[int, int]]  # a reveal order attaining min_ratio
-    charge_failures: int = 0
+    instances: int = 0
+    min_ratio: Fraction | None = None
+    witness: object = None  # the first reveal order attaining min_ratio
+    charges: VerifySummary = field(default_factory=lambda: VerifySummary("ff-tree"))
+
+    def add(self, colored: int, opt: int, order) -> None:
+        self.instances += 1
+        ratio = Fraction(colored, opt)
+        if self.min_ratio is None or ratio < self.min_ratio:
+            self.min_ratio, self.witness = ratio, order
+
+    @property
+    def charge_failures(self) -> int:
+        return self.charges.failures
 
     @property
     def passed(self) -> bool:
@@ -395,38 +409,30 @@ class ExhaustiveSummary:
         )
 
 
+def _check_order_limit(max_edges: int) -> None:
+    # every sweep checks its size first, before k and the algorithm
+    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
+        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
+
+
 def exhaustive_paths(max_edges: int, k: int, algorithm: str = "ff") -> ExhaustiveSummary:
     """Minimum colored/opt of a deterministic algorithm over every reveal
     order of every path with up to max_edges edges."""
-    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
-        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    _check_order_limit(max_edges)
     if k < 2:
         raise ValueError(f"the path floors are proven for k >= 2, got k={k}")
     alg = engine.make_algorithm(algorithm, None)
     if not alg.deterministic:
         raise ValueError("exhaustive path mode enumerates deterministic algorithms only")
-    best: tuple[Fraction, list] | None = None
-    instances = 0
+    bound = Fraction(k, 2 * k - 1) if algorithm == "ff" else Fraction(1, 2)
+    summary = ExhaustiveSummary("path", max_edges, k, algorithm, bound)
     for m in range(1, max_edges + 1):
         opt = opt_path(m, k)
         for perm in permutations(range(1, m + 1)):
             edges = [(i - 1, i) for i in perm]
             trace = engine.run(alg.clone(), RevealSequence(edges=edges, k=k))
-            ratio = Fraction(trace.colored_count, opt)
-            instances += 1
-            if best is None or ratio < best[0]:
-                best = (ratio, edges)
-    bound = Fraction(k, 2 * k - 1) if algorithm == "ff" else Fraction(1, 2)
-    return ExhaustiveSummary(
-        mode="path",
-        max_edges=max_edges,
-        k=k,
-        algorithm=algorithm,
-        instances=instances,
-        min_ratio=best[0],
-        bound=bound,
-        witness=best[1],
-    )
+            summary.add(trace.colored_count, opt, edges)
+    return summary
 
 
 def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
@@ -437,18 +443,12 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
     flat per-position array rather than the engine, so it doubles as an
     independent check of the fair floor.
     """
-    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
-        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
-    best: tuple[Fraction, list] | None = None
-    instances = 0
+    _check_order_limit(max_edges)
+    summary = ExhaustiveSummary("fair-path", max_edges, k, "any-fair", Fraction(1, 2))
 
     def explore(order, colors, i, colored):
-        nonlocal best, instances
         if i == len(order):
-            instances += 1
-            ratio = Fraction(colored, opt)
-            if best is None or ratio < best[0]:
-                best = (ratio, [(p - 1, p) for p in order])
+            summary.add(colored, opt, order)
             return
         pos = order[i]
         used = set()
@@ -469,16 +469,8 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
         opt = opt_path(m, k)
         for perm in permutations(range(1, m + 1)):
             explore(perm, {}, 0, 0)
-    return ExhaustiveSummary(
-        mode="fair-path",
-        max_edges=max_edges,
-        k=k,
-        algorithm="any-fair",
-        instances=instances,
-        min_ratio=best[0],
-        bound=Fraction(1, 2),
-        witness=best[1],
-    )
+    summary.witness = [(p - 1, p) for p in summary.witness]  # positions to path edges
+    return summary
 
 
 # -- canonical enumeration of tree reveal orders ----------------------------
@@ -552,40 +544,19 @@ def exhaustive_trees(
     edges pass vacuously).  all_roots re-certifies from every root, covering
     every labeled instance's default-root run.
     """
-    if not 1 <= max_edges <= ORDER_EXHAUSTIVE_LIMIT:
-        raise ValueError(f"order-exhaustive mode takes 1 to {ORDER_EXHAUSTIVE_LIMIT} edges")
+    _check_order_limit(max_edges)
     _check_tree_k(*ks)
+    summaries = [ExhaustiveSummary("tree", max_edges, k, "ff", Fraction(k - 1, k)) for k in ks]
     # the classes do not depend on k: enumerate them once and play each for every k
-    best: list[tuple[Fraction, list] | None] = [None] * len(ks)
-    instances = [0] * len(ks)
-    tallies = [VerifySummary("ff-tree") for _ in ks]
     for m in range(1, max_edges + 1):
         for edges in tree_reveal_orders(m):
-            for i, k in enumerate(ks):
-                trace = engine.run("ff", RevealSequence(edges=edges, k=k))
-                witness = opt_tree(trace.graph, k)
-                ratio = Fraction(trace.colored_count, witness.count)
-                instances[i] += 1
-                if best[i] is None or ratio < best[i][0]:
-                    best[i] = (ratio, edges)
+            for summary in summaries:
+                trace = engine.run("ff", RevealSequence(edges=edges, k=summary.k))
+                witness = opt_tree(trace.graph, summary.k)
+                summary.add(trace.colored_count, witness.count, edges)
                 if witness.edges - set(trace.coloring.colored_edges()):
-                    certificate = charging.FFTreeCertificate(trace, witness)
-                    for report in _charge_roots(certificate, all_roots):
-                        tallies[i].add(report)
-    return [
-        ExhaustiveSummary(
-            mode="tree",
-            max_edges=max_edges,
-            k=k,
-            algorithm="ff",
-            instances=instances[i],
-            min_ratio=best[i][0],
-            bound=Fraction(k - 1, k),
-            witness=best[i][1],
-            charge_failures=tallies[i].failures,
-        )
-        for i, k in enumerate(ks)
-    ]
+                    _certify("ff-tree", trace, witness, all_roots, summary.charges)
+    return summaries
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +642,20 @@ def _check_tree_k(*ks) -> None:
             raise ValueError(f"the tree floors need k >= 2, got k={k}")
 
 
-def _charge_roots(certificate, all_roots: bool):
-    """The prepared tree certificate's verdicts: from every root when
-    all_roots is set, else from root 0."""
-    roots = range(certificate.trace.graph.num_vertices) if all_roots else (0,)
-    return (certificate.charge(root) for root in roots)
-
-
 # strategy name -> (algorithm that plays, certificate that judges it)
 TREE_CERTIFICATES = {
     "ff-tree": ("ff", charging.FFTreeCertificate),
     "fair-tree": ("nf", charging.FairTreeCertificate),
 }
+
+
+def _certify(strategy: str, trace, witness, all_roots: bool, tally: VerifySummary) -> None:
+    """Prepare the strategy's certificate on the trace once and fold its
+    verdicts into the tally: from every root when all_roots is set, else
+    from root 0."""
+    certificate = TREE_CERTIFICATES[strategy][1](trace, witness)
+    for root in range(trace.graph.num_vertices) if all_roots else (0,):
+        tally.add(certificate.charge(root))
 
 
 def verify_trees(
@@ -691,15 +664,14 @@ def verify_trees(
     """Charge the strategy's algorithm on random trees with random reveal orders."""
     _check_sweep(count, max_edges)
     _check_tree_k(k)
-    algorithm, certify = TREE_CERTIFICATES[strategy]
+    algorithm = TREE_CERTIFICATES[strategy][0]
     tally = VerifySummary(strategy, count)
     for t in range(count):
         rng = engine.derive_rng(seed, strategy, t)
         m = rng.randrange(1, max_edges + 1)
         edges = random_reveal(rng, random_tree_edges(rng, m))
         trace = engine.run(algorithm, RevealSequence(edges=edges, k=k))
-        for report in _charge_roots(certify(trace, opt_tree(trace.graph, k)), all_roots):
-            tally.add(report)
+        _certify(strategy, trace, opt_tree(trace.graph, k), all_roots, tally)
     return tally
 
 
@@ -734,6 +706,4 @@ def verify_construction(config: ExperimentConfig) -> charging.VerdictReport:
     certificate from root 0; on the nf-tree family the minimum margin is 0."""
     nf = engine.make_algorithm("nf")
     trace = engine.run(nf, construction_for(config).build(config, nf, None))
-    certificate = charging.FairTreeCertificate(trace, opt_tree(trace.graph, trace.k))
-    [report] = _charge_roots(certificate, all_roots=False)
-    return report
+    return charging.FairTreeCertificate(trace, opt_tree(trace.graph, trace.k)).charge(0)

@@ -2,9 +2,11 @@
 rename in the package must fail here, not only in the benchmark."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 from palette import adversaries, engine
+from palette.exact import Sqrt5
 from palette.graph import Graph
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -28,6 +30,10 @@ def test_every_traced_name_resolves():
         f"Graph.{name}" for name in tracing.GRAPH_METHODS if not callable(getattr(Graph, name, None))
     ]
     assert missing == []
+    # the counted Sqrt5 constructor forwards (a, b); the session spans wrap these scripts
+    assert str(inspect.signature(vars(Sqrt5)["__init__"])) == "(self, a, b=0)"
+    scripts = {cls.__name__ for cls in tracing._script_classes()}
+    assert {"_DetPathKiller", "_StarChain", "_PathThenStars"} <= scripts
 
 
 def test_a_trace_exposes_what_the_bench_reads():

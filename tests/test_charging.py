@@ -50,7 +50,8 @@ def test_edge_class_tallies():
     klass, tallies = edge_classes(trace, witness)
     assert klass[3] == "opt-only"
     for v, t in enumerate(tallies):
-        assert t["d_c"] == t["d_d"] + t["d_s"]
+        singles = sum(klass[e] == "single" for e in trace.graph.incident[v])
+        assert t["d_c"] == t["d_d"] + singles
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +104,9 @@ def test_ff_charge_every_root():
         seq = random_tree_sequence(rng.randrange(10**9), 10, rng.choice([2, 3]))
         trace = engine.run("ff", seq)
         witness = opt_tree(trace.graph, seq.k)
+        certificate = FFTreeCertificate(trace, witness)
         for root in range(trace.graph.num_vertices):
-            assert ff_tree_charge(trace, witness, root=root).passed
+            assert certificate.charge(root).passed
 
 
 # sha256 of one line "passed repr(min_margin) repr(rows)" per certified root,
@@ -114,16 +116,16 @@ FF_ALL_ROOTS_SHA256 = "4cbd06cbb5a856ef889fc8121a65f91e9ac0dd4445c8967b058d46c72
 FAIR_ALL_ROOTS_SHA256 = "4e994faf75674c2252ce3a70a56dde6c39039d4256584cd6c3c43bea3b128ecd"
 
 
-def _all_roots_digest(certify, charge_one_root, cases):
+def _all_roots_digest(certify, cases):
     """Charge every root of every (trace, witness) once through a prepared
-    certificate, check the one-call entry point agrees row for row, and hash
-    the verdicts."""
+    certificate, check a fresh certificate per root agrees row for row, and
+    hash the verdicts."""
     lines = []
     for trace, witness in cases:
         certificate = certify(trace, witness)
         for root in range(trace.graph.num_vertices):
             report = certificate.charge(root)
-            single = charge_one_root(trace, witness, root=root)
+            single = certify(trace, witness).charge(root)
             assert single.rows == report.rows
             assert (single.passed, single.min_margin) == (report.passed, report.min_margin)
             lines.append(f"{report.passed} {report.min_margin!r} {report.rows!r}")
@@ -142,16 +144,12 @@ def test_prepared_certificates_reproduce_per_root_verdicts():
         for m in range(1, 6)
         for edges in harness.tree_reveal_orders(m)
     ]
-    assert _all_roots_digest(
-        FFTreeCertificate, ff_tree_charge, ff_cases
-    ) == (2884, FF_ALL_ROOTS_SHA256)
+    assert _all_roots_digest(FFTreeCertificate, ff_cases) == (2884, FF_ALL_ROOTS_SHA256)
     fair_cases = [
         _played(("nf", "ff", RandomFair())[t % 3], random_tree_sequence(t, 12, 4), seed=t)
         for t in range(50)
     ]
-    assert _all_roots_digest(
-        FairTreeCertificate, fair_tree_charge, fair_cases
-    ) == (379, FAIR_ALL_ROOTS_SHA256)
+    assert _all_roots_digest(FairTreeCertificate, fair_cases) == (379, FAIR_ALL_ROOTS_SHA256)
 
 
 # the same digest at k = 5 (the surd ledger) and k = 9 (a second square k),
@@ -168,9 +166,7 @@ def test_fair_certificate_verdicts_are_pinned_at_k5_and_k9():
         for k in (5, 9)
         for t in range(20)
     ]
-    assert _all_roots_digest(
-        FairTreeCertificate, fair_tree_charge, cases
-    ) == (767, FAIR_SURD_AND_SQUARE_SHA256)
+    assert _all_roots_digest(FairTreeCertificate, cases) == (767, FAIR_SURD_AND_SQUARE_SHA256)
 
 
 def test_prepared_certificates_refuse_and_range_check():

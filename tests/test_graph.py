@@ -241,3 +241,15 @@ def test_opt_tree_refuses_a_cycle_beside_a_tree():
     g = build_graph([(0, 1), (1, 2), (2, 0), (4, 5)])  # vertex 3 is isolated
     with pytest.raises(GraphError, match="tree oracle requires an acyclic graph"):
         opt_tree(g, 2)
+
+
+def test_components_split_the_walk_at_its_roots():
+    # a triangle, an isolated vertex 3, a path and a star
+    g = build_graph([(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (7, 8), (7, 9), (7, 10)])
+    comps = g.components()
+    assert [c[0] for c in comps] == [0, 3, 4, 7]
+    assert [sorted(c) for c in comps] == [[0, 1, 2], [3], [4, 5, 6], [7, 8, 9, 10]]
+    assert not g.is_forest() and not g.is_tree()
+    forest = build_graph([(0, 1), (2, 3), (3, 4)])
+    assert len(forest.components()) == 2 and forest.is_forest() and not forest.is_tree()
+    assert build_graph([(2, 0), (0, 1), (1, 3)]).is_tree()

@@ -8,6 +8,8 @@ from itertools import permutations, product
 import pytest
 
 from palette import engine, harness
+from palette.adversaries import RevealSequence
+from palette.exact import PHI_OVER_SQRT5
 from palette.harness import (
     CONSTRUCTIONS,
     ExperimentConfig,
@@ -18,6 +20,7 @@ from palette.harness import (
     tree_reveal_orders,
     yao_experiment,
 )
+from palette.oracle import opt_path
 
 
 def config(**kw):
@@ -228,9 +231,76 @@ def test_exhaustive_fair_paths_floor():
     assert summary.min_ratio >= Fraction(1, 2)
 
 
+class _ChoiceFair:
+    """Fair plug-in that colors its i-th edge with an open color using the
+    choices[i]-th open color (the first one past the list), and records how
+    many open colors each such edge had."""
+
+    name = "choice-fair"
+    deterministic = True
+    fair = True
+
+    def __init__(self, choices):
+        self.choices, self.widths = choices, []
+
+    def reset(self, k, rng):
+        self.k = k
+
+    def decide(self, coloring, g, eid):
+        mask = coloring.available_mask(g, eid)
+        if not mask:
+            return None
+        open_colors = [c for c in range(1, self.k + 1) if mask >> (c - 1) & 1]
+        i = len(self.widths)
+        self.widths.append(len(open_colors))
+        return open_colors[self.choices[i] if i < len(self.choices) else 0]
+
+
+@pytest.mark.parametrize("k,branches,least", [
+    (1, 153, Fraction(1, 2)), (2, 614, Fraction(3, 5)), (3, 6423, Fraction(1))])
+def test_fair_path_walker_matches_every_engine_branch(k, branches, least):
+    """Walk every fair branch of every path order with m <= 5 through the
+    engine, the choice sequences in odometer order, and compare with the
+    walker's flat-array sweep."""
+    instances, low = 0, None
+    for m in range(1, 6):
+        for perm in permutations(range(1, m + 1)):
+            seq = RevealSequence(edges=[(i - 1, i) for i in perm], k=k)
+            choices = []
+            while True:
+                alg = _ChoiceFair(choices)
+                trace = engine.run(alg, seq)
+                assert engine.audit_fair(trace)
+                instances += 1
+                ratio = Fraction(trace.colored_count, opt_path(m, k))
+                low = ratio if low is None else min(low, ratio)
+                choices += [0] * (len(alg.widths) - len(choices))
+                while choices and choices[-1] + 1 == alg.widths[len(choices) - 1]:
+                    choices.pop()
+                if not choices:
+                    break
+                choices[-1] += 1
+    summary = exhaustive_fair_paths(5, k)
+    assert (summary.instances, summary.min_ratio) == (instances, low) == (branches, least)
+
+
 def test_exhaustive_guard():
-    with pytest.raises(ValueError):
-        exhaustive_paths(9, 2)
+    # the limit is checked before k, and k before the algorithm
+    for sweep in (lambda: exhaustive_paths(9, 2), lambda: exhaustive_paths(9, 1, "rp"),
+                  lambda: exhaustive_paths(0, 2), lambda: exhaustive_fair_paths(9, 1),
+                  lambda: exhaustive_trees(9, ks=(1,))):
+        with pytest.raises(ValueError, match="^order-exhaustive mode takes 1 to 8 edges$"):
+            sweep()
+    with pytest.raises(ValueError, match="path floors are proven for k >= 2, got k=1"):
+        exhaustive_paths(8, 1, "rp")
+    with pytest.raises(ValueError, match="needs a bias parameter p"):
+        exhaustive_paths(8, 2, "rp")
+    with pytest.raises(ValueError, match="unknown algorithm 'xx'"):
+        exhaustive_paths(8, 2, "xx")
+    with pytest.raises(ValueError, match="tree floors need k >= 2, got k=1"):
+        exhaustive_trees(8, ks=(2, 1))
+    summary = exhaustive_fair_paths(4, 1)
+    assert (summary.instances, summary.min_ratio, summary.passed) == (33, Fraction(1, 2), True)
 
 
 def test_tree_sweeps_need_two_colors():
@@ -329,3 +399,35 @@ def test_verify_loops():
     assert harness.verify_rp_paths(40, 30, Fraction(7, 10), seed=3).passed
     report = harness.verify_construction(ExperimentConfig(adversary="nf-tree", k=4, N=3))
     assert report.passed and report.min_margin == 0
+
+
+# sha256 of every sweep record below, dumped before the sweeps shared one
+# running tally and one certify step
+SWEEP_SUMMARIES_SHA256 = "a28b47a0a64e76a2206bb5b30b997ae1fea5426050ab4d74c7092d616fecde76"
+
+
+def _sweep_records():
+    summaries = [exhaustive_paths(m, k, alg)
+                 for alg in ("ff", "nf") for k in (2, 3) for m in (1, 4, 7)]
+    summaries += [exhaustive_fair_paths(m, k) for k in (1, 2, 3) for m in (1, 3, 6)]
+    summaries += [s for all_roots in (False, True)
+                  for s in exhaustive_trees(5, ks=(2, 3, 4), all_roots=all_roots)]
+    for s in summaries:
+        yield f"{s.summary()} {s.witness} {s.passed} {s.instances} {s.charge_failures}"
+    tallies = [harness.verify_trees(strategy, 25, 9, k, seed=k, all_roots=all_roots)
+               for strategy in ("ff-tree", "fair-tree") for k in (2, 3, 4, 5, 9)
+               for all_roots in (False, True)]
+    tallies += [harness.verify_rp_paths(40, 30, p, seed=3)
+                for p in (Fraction(1, 2), Fraction(7, 10), PHI_OVER_SQRT5, 1)]
+    for t in tallies:
+        yield f"{t.summary()} {t.passed} {t.instances} {t.failures} {t.min_margin!r}"
+    for adv, k, N in [("nf-tree", 4, 3), ("nf-tree", 9, 1), ("nf-tree-rounded", 5, 2)]:
+        report = harness.verify_construction(ExperimentConfig(adversary=adv, k=k, N=N))
+        yield f"{report.passed} {report.min_margin!r} {report.C!r} {report.rows!r}"
+
+
+def test_sweep_summaries_are_pinned():
+    h = hashlib.sha256()
+    for record in _sweep_records():
+        h.update(record.encode() + b"\n")
+    assert h.hexdigest() == SWEEP_SUMMARIES_SHA256

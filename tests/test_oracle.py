@@ -8,6 +8,7 @@ from palette import engine, harness
 from palette.adversaries import nf_tree_worstcase, star_chain
 from palette.graph import GraphError, build_graph
 from palette.oracle import (
+    OptWitness,
     audit_witness,
     opt_bruteforce,
     opt_path,
@@ -162,3 +163,18 @@ def test_opt_value_dispatch():
     assert opt_value(tree, 2) == 2
     triangle = build_graph([(0, 1), (1, 2), (2, 0)])
     assert opt_value(triangle, 2) == 2
+
+
+@pytest.mark.parametrize("edges,coloring,count,message", [
+    ({0, 1}, {0: 1, 1: 2}, 3, "count does not match its edge set"),
+    ({0, 1}, {0: 1}, 2, "does not cover exactly its edges"),
+    ({0}, {0: 1, 2: 2}, 1, "does not cover exactly its edges"),
+    ({0, 2}, {0: 1, 2: 3}, 2, "witness color 3 outside 1..2"),
+    ({0, 2}, {0: 0, 2: 1}, 2, "witness color 0 outside 1..2"),
+    ({0, 1}, {0: 2, 1: 2}, 2, "colors adjacent edges 0,1 alike"),
+])
+def test_audit_witness_refuses_bad_witnesses(edges, coloring, count, message):
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    audit_witness(g, 2, OptWitness(frozenset({0, 1, 2}), {0: 1, 1: 2, 2: 1}, 3))
+    with pytest.raises(GraphError, match=message):
+        audit_witness(g, 2, OptWitness(frozenset(edges), coloring, count))
