@@ -7,12 +7,16 @@ value otherwise), the surplus is moved around by a redistribution strategy,
 and the certificate holds if every optimum edge ends with at least C.  Each
 strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
-random pair strategy on two-colorable paths.  All three keep their books in
-their own unit (ints scaled by k for first-fit, ints scaled by 2*sqrt(k)-1
-for fair at square k and exact surds at other k, ints counting half-slacks
-(1-C)/2 for the pair strategy) and end in one ledger close, `_close`, which
-checks that no value leaked and decides the verdict in ledger units; the
-per-edge rows are built when first read, which a sweep never does.
+random pair strategy on two-colorable paths.  The two tree strategies share
+one certificate, `_TreeCertificate`: one preparation per trace and one pass
+per root, which differ between them only in a routing hook (first-fit moves
+1/k past high-colored double edges) and a check hook (each strategy's
+structural facts).  All three keep their books in their own unit (ints
+scaled by k for first-fit, ints scaled by 2*sqrt(k)-1 for fair at square k
+and exact surds at other k, ints counting half-slacks (1-C)/2 for the pair
+strategy) and end in one ledger close, `_close`, which checks that no value
+leaked and decides the verdict in ledger units; the per-edge rows are built
+when first read, which a sweep never does.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -33,7 +37,7 @@ from itertools import groupby
 from . import engine
 from .adversaries import RevealSequence
 from .exact import Sqrt5, surd
-from .graph import GraphError, RootedView, path_positions, rooted_view
+from .graph import GraphError, RootedView, full_mask, path_positions, rooted_view
 from .oracle import OptWitness, audit_witness
 
 
@@ -125,15 +129,6 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
 # tree machinery shared by the two tree strategies
 
 
-def largest_available_color(coloring, v: int, k: int) -> int:
-    """Largest color in 1..k unused at v in the final coloring, else 0."""
-    used = coloring.used_mask(v)
-    for c in range(k, 0, -1):
-        if not used >> (c - 1) & 1:
-            return c
-    return 0
-
-
 def edge_classes(trace: engine.Trace, witness: OptWitness):
     """Split edges into double / single / opt-only and tally them per vertex.
 
@@ -143,20 +138,16 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
     """
     g = trace.graph
     klass: dict[int, str] = {}
-    for e, c in enumerate(trace.colors()):
-        if c is not None:
-            klass[e] = "double" if e in witness.edges else "single"
-        else:
-            klass[e] = "opt-only" if e in witness.edges else "neither"
     tallies = [{"d_c": 0, "d_d": 0} for _ in range(g.num_vertices)]
-    for e, kl in klass.items():
-        for v in g.endpoints(e):
-            t = tallies[v]
-            if kl == "double":
-                t["d_c"] += 1
-                t["d_d"] += 1
-            elif kl == "single":
-                t["d_c"] += 1
+    for e, c in enumerate(trace.colors()):
+        opt = e in witness.edges
+        if c is None:
+            klass[e] = "opt-only" if opt else "neither"
+            continue
+        klass[e] = "double" if opt else "single"
+        for v in g.edges[e]:
+            tallies[v]["d_c"] += 1
+            tallies[v]["d_d"] += opt
     return klass, tallies
 
 
@@ -199,20 +190,26 @@ def _unscaler(scale: int):
 
 
 class _TreeCertificate:
-    """The half of a tree certificate that does not depend on the root.
+    """Both tree certificates: a per-trace preparation and a per-root pass.
 
-    Construction audits the tree and the witness and derives the edge classes,
-    vertex tallies and initial values (`scale` per colored edge: values are
-    kept multiplied by it) once per trace; `charge(root)` then runs the
-    root-dependent redistribution and closes the books.
+    Construction walks the tree once (refusing anything else, and keeping the
+    walk for root 0), audits the witness and derives the edge classes, vertex
+    tallies and initial values.  Values are kept multiplied by `scale`: a
+    colored edge is worth `scale` and C is `target`.  `charge(root)` sends
+    each colored edge's surplus (`scale`, or `scale - target` for a
+    double-colored edge) to its parent endpoint, lets the strategy's `_route`
+    move value between those holdings, settles the rejected optimum edges,
+    names their cases, runs the strategy's `_check` and closes the books.
     """
 
-    def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int):
+    def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int, target):
         g = trace.graph
-        if not g.is_tree():
+        view = rooted_view(g, range(g.num_vertices))
+        if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
-        self.trace, self.witness, self.scale = trace, witness, scale
+        self.trace, self.witness, self.scale, self.target = trace, witness, scale, target
+        self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
         self.klass, self.tallies = edge_classes(trace, witness)
         colors = trace.colors()
         self.color_of = {e: c for e, c in enumerate(colors) if c is not None}
@@ -220,6 +217,28 @@ class _TreeCertificate:
         self.v_i = [0 if c is None else scale for c in colors]
         self.total = scale * len(self.color_of)
         self._unscale = _unscaler(scale)
+
+    def charge(self, root: int) -> VerdictReport:
+        g, klass, scale, target = self.trace.graph, self.klass, self.scale, self.target
+        view = self._view0 if root == 0 else rooted_view(g, (root,))
+        held = [0] * g.num_vertices  # value parked at each vertex
+        parent_of = []  # parent endpoint of each colored edge, in color_of order
+        double_surplus = scale - target  # a double-colored edge keeps target
+        for e in self.color_of:
+            x, _ = view.parent_side(g, e)
+            parent_of.append(x)
+            held[x] += double_surplus if klass[e] == "double" else scale
+        routed = self._route(view, held, parent_of)
+        v_f = [target if kl == "double" else 0 for kl in klass.values()]
+        residual = _settle(view, klass, held, v_f, target)
+        cases = self._cases(view)
+        self._check(view, held, parent_of, cases, routed)
+        return _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
+                      self.witness.edges, self._unscale, residual)
+
+    def _route(self, view: RootedView, held: list, parent_of: list):
+        """Move value between holdings before they settle; returns what `_check` reads."""
+        return None  # unless a strategy routes, nothing moves
 
     def _cases(self, view: RootedView) -> dict:
         """Each rejected optimum edge's case from this root, named after the
@@ -236,15 +255,16 @@ class FFTreeCertificate(_TreeCertificate):
     """Certify a first-fit run on a tree at ratio C = (k-1)/k.
 
     Redistribution: each colored edge sends 1/k up past its parent edge when
-    that edge is double-colored with a higher color, and the rest of its
-    surplus to its parent vertex; each vertex then settles its own rejected
-    parent edge (up to C) and splits the rest among its rejected optimum
-    child edges.  Two structural facts about first-fit (a vertex holds at
-    least c/k after seeing color c; high-colored double edges are fed by
-    their children) are checked on the way.
+    that edge is double-colored with a higher color (`_route`), and the rest
+    of its surplus to its parent vertex; each vertex then settles its own
+    rejected parent edge (up to C) and splits the rest among its rejected
+    optimum child edges.  Two structural facts about first-fit (a vertex
+    holds at least c/k after seeing color c; high-colored double edges are
+    fed by their children) are checked on the way (`_check`).
 
-    Construction refuses traces first-fit did not produce; `charge(root)`
-    certifies from one root.
+    Construction refuses traces first-fit did not produce.  Values are kept
+    multiplied by k: C is k-1 and a unit of 1/k is 1, so values stay ints
+    until a vertex splits its rest among several rejected child edges.
     """
 
     strategy = "ff-tree"
@@ -253,44 +273,34 @@ class FFTreeCertificate(_TreeCertificate):
                       "neither": "2", "": "2"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        replay = engine.run(engine.FirstFit(), RevealSequence(edges=trace.graph.edges, k=trace.k))
-        if replay.coloring.state != trace.coloring.state:
+        if not engine.audit_fair(trace, first_fit=True):
             raise ValueError("trace was not produced by first-fit; refusing to certify")
         k = trace.k
-        super().__init__(trace, witness, k)  # values are kept multiplied by k
-        self.top_free = [
-            largest_available_color(trace.coloring, v, k)
-            for v in range(trace.graph.num_vertices)
-        ]
+        super().__init__(trace, witness, k, k - 1)
+        free = full_mask(k)
+        # the largest color unused at v in the final coloring, else 0
+        self.top_free = [(~trace.coloring.used_mask(v) & free).bit_length()
+                         for v in range(trace.graph.num_vertices)]
 
-    def charge(self, root: int) -> VerdictReport:
-        g, k = self.trace.graph, self.trace.k
-        klass, color_of = self.klass, self.color_of
-        view = rooted_view(g, (root,))
-        # every ledger value is kept multiplied by k: C is k-1 and a unit of
-        # 1/k is 1, so values stay ints until a vertex splits its rest among
-        # several rejected child edges
-        held = [0] * g.num_vertices  # value parked at each vertex after step 1
-        via_credit = dict.fromkeys(color_of, 0)  # step-1(a) value routed past each edge
-        parent_of = []  # parent endpoint of each colored edge, in color_of order
-        for e, c in color_of.items():
-            x, _ = view.parent_side(g, e)
-            parent_of.append(x)
-            surplus = 1 if klass[e] == "double" else k
-            pe = view.parent_edge[x]
+    def _route(self, view, held, parent_of):
+        """Send 1/k of each colored edge past its parent edge when that edge
+        is double-colored with a higher color; returns each edge's via-credit."""
+        klass, color_of, parent_edge = self.klass, self.color_of, view.parent_edge
+        via_credit = dict.fromkeys(color_of, 0)
+        for (e, c), x in zip(color_of.items(), parent_of):
+            pe = parent_edge[x]
             if pe != -1 and klass[pe] == "double" and color_of[pe] > c:
+                held[x] -= 1
                 held[view.parent_vertex[x]] += 1
                 via_credit[pe] += 1
-                surplus -= 1
-            held[x] += surplus
+        return via_credit
 
-        v_f = [k - 1 if kl == "double" else 0 for kl in klass.values()]
-        residual = _settle(view, klass, held, v_f, k - 1)
-
+    def _check(self, view, held, parent_of, cases, via_credit):
         # structural facts of the strategy (violations mean a bug, not a bad run);
         # the vertex-holdings fact is checked where the guarantee invokes it:
         # below an uncolored (or absent) parent edge -- a merely single-colored
         # parent edge may itself hold one of the counted colors
+        k, klass, color_of = self.trace.k, self.klass, self.color_of
         for (e, c), x in zip(color_of.items(), parent_of):
             pe = view.parent_edge[x]
             if (pe == -1 or pe not in color_of) and held[x] < c:
@@ -305,9 +315,6 @@ class FFTreeCertificate(_TreeCertificate):
                         f"high-colored double edge {e} routed only "
                         f"{Fraction(via_credit[e], k)} < {Fraction(need, k)} past itself"
                     )
-
-        return _close(self.strategy, k - 1, klass, self._cases(view), self.v_i, v_f,
-                      self.total, self.witness.edges, self._unscale, residual)
 
 
 def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
@@ -328,16 +335,16 @@ class FairTreeCertificate(_TreeCertificate):
     """Certify any fair run on a tree at C = (2*sqrt(k)-2)/(2*sqrt(k)-1).
 
     Redistribution: every colored edge sends its whole surplus to its parent
-    vertex; each vertex settles its rejected-optimum parent edge up to C and
-    splits the rest among its rejected-optimum child edges.  For each
-    rejected optimum edge whose child endpoint cannot already cover C, the
-    case inequalities behind the guarantee are re-checked exactly on the
-    run's actual vertex tallies.
+    vertex (nothing is routed); each vertex settles its rejected-optimum
+    parent edge up to C and splits the rest among its rejected-optimum child
+    edges.  For each rejected optimum edge whose child endpoint cannot
+    already cover C, `_check` re-checks the case inequalities behind the
+    guarantee exactly on the run's actual vertex tallies.
 
     Construction refuses unfair traces and checks the fairness facts of the
-    final coloring; `charge(root)` certifies from one root.  At square k = s*s
-    values are kept multiplied by 2s-1: C is 2s-2, a colored edge is worth
-    2s-1 and a double-colored one sends up 1.  Other k keep exact surds.
+    final coloring.  At square k = s*s values are kept multiplied by 2s-1: C
+    is 2s-2, a colored edge is worth 2s-1 and a double-colored one sends up
+    1.  Other k keep exact surds.
     """
 
     strategy = "fair-tree"
@@ -351,10 +358,8 @@ class FairTreeCertificate(_TreeCertificate):
         k = trace.k
         s = math.isqrt(k)
         square = s * s == k
-        super().__init__(trace, witness, 2 * s - 1 if square else 1)
         self.C = fair_ratio(k)
-        self.target = 2 * s - 2 if square else self.C  # C in ledger units
-        self.double_surplus = self.scale - self.target  # what a double-colored edge sends up
+        super().__init__(trace, witness, 2 * s - 1 if square else 1, 2 * s - 2 if square else self.C)
         tallies = self.tallies
         for e, (u, v) in enumerate(trace.graph.edges):
             if e not in self.color_of and tallies[u]["d_c"] + tallies[v]["d_c"] < k:
@@ -363,23 +368,12 @@ class FairTreeCertificate(_TreeCertificate):
                     "edges in total; the run cannot have been fair"
                 )
 
-    def charge(self, root: int) -> VerdictReport:
-        g, k, target, klass = self.trace.graph, self.trace.k, self.target, self.klass
-        view = rooted_view(g, (root,))
-        held = [0] * g.num_vertices
-        for e in self.color_of:
-            x, _ = view.parent_side(g, e)
-            held[x] += self.double_surplus if klass[e] == "double" else self.scale
-        v_f = [target if kl == "double" else 0 for kl in klass.values()]
-        residual = _settle(view, klass, held, v_f, target)
-        cases = self._cases(view)
-        report = _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
-                        self.witness.edges, self._unscale, residual)
+    def _check(self, view, held, parent_of, cases, routed):
+        g = self.trace.graph
         for e, case in cases.items():
             x, y = view.parent_side(g, e)
-            if held[y] < target:  # the child endpoint cannot pay C by itself
-                _check_fair_case(k, self.C, case, self.tallies[x], self.tallies[y], e)
-        return report
+            if held[y] < self.target:  # the child endpoint cannot pay C by itself
+                _check_fair_case(self.trace.k, self.C, case, self.tallies[x], self.tallies[y], e)
 
 
 def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:

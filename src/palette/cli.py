@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ValueError, GraphError, FileNotFoundError) as exc:
+    except (ValueError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

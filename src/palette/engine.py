@@ -217,23 +217,28 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     )
 
 
-def audit_fair(trace: Trace) -> bool:
-    """Check that every rejection happened with all k colors blocked.
+def audit_fair(trace: Trace, *, first_fit: bool = False) -> bool:
+    """Check that every rejection happened with all k colors blocked, and
+    with first_fit also that every colored edge took the lowest open color:
+    fairness plus lowest-color is exactly first-fit.
 
     Replays the trace, so the verdict reflects the state each decision
     actually saw, not the final coloring.
     """
-    coloring = PartialColoring(trace.k)
-    all_colors = full_mask(trace.k)
-    edges = trace.graph.edges
+    k, g = trace.k, trace.graph
+    coloring = PartialColoring(k)
+    all_colors = full_mask(k)
     for e, c in enumerate(trace.colors()):
+        u, v = g.edges[e]
+        used = coloring.used_mask(u) | coloring.used_mask(v)
         if c is None:
-            u, v = edges[e]
-            if coloring.used_mask(u) | coloring.used_mask(v) != all_colors:
+            if used != all_colors:
                 return False
             coloring.reject(e)
+        elif first_fit and c != lowest_free_color(used, k):
+            return False
         else:
-            coloring.color(trace.graph, e, c)
+            coloring.color(g, e, c)
     return True
 
 

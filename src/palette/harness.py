@@ -421,9 +421,7 @@ def exhaustive_paths(max_edges: int, k: int, algorithm: str = "ff") -> Exhaustiv
     _check_order_limit(max_edges)
     if k < 2:
         raise ValueError(f"the path floors are proven for k >= 2, got k={k}")
-    alg = engine.make_algorithm(algorithm, None)
-    if not alg.deterministic:
-        raise ValueError("exhaustive path mode enumerates deterministic algorithms only")
+    alg = engine.make_algorithm(algorithm, None)  # refuses rp, which needs a bias
     bound = Fraction(k, 2 * k - 1) if algorithm == "ff" else Fraction(1, 2)
     summary = ExhaustiveSummary("path", max_edges, k, algorithm, bound)
     for m in range(1, max_edges + 1):

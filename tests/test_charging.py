@@ -37,7 +37,7 @@ from palette.charging import (
 )
 from palette.exact import PHI_OVER_SQRT5, Sqrt5
 from palette.graph import GraphError
-from palette.oracle import OptWitness, opt_tree
+from palette.oracle import OptWitness, opt_bruteforce, opt_tree
 
 
 def ff_trace(edges, k):
@@ -182,6 +182,19 @@ def test_prepared_certificates_refuse_and_range_check():
         for root in (-1, trace.graph.num_vertices):
             with pytest.raises(GraphError):
                 certificate.charge(root)
+
+
+@pytest.mark.parametrize("alg,certify", [("ff", FFTreeCertificate), ("nf", FairTreeCertificate)])
+@pytest.mark.parametrize("edges,oracle", [
+    ([(0, 1), (2, 3)], opt_tree),  # a forest of two edges
+    ([(0, 1), (1, 2), (0, 2)], opt_bruteforce),  # a triangle, third edge rejected at k = 2
+    ([], opt_tree),  # no edges, no vertices
+])
+def test_certificates_refuse_non_trees(alg, certify, edges, oracle):
+    trace = engine.run(alg, RevealSequence(edges=edges, k=2))
+    witness = oracle(trace.graph, 2)
+    with pytest.raises(GraphError, match="^charging strategies for trees require a tree$"):
+        certify(trace, witness)
 
 
 def test_ff_strict_ratio_on_trees():

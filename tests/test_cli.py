@@ -323,6 +323,21 @@ def test_help_still_exits_zero(capsys):
     assert "usage: palette run" in capsys.readouterr().out
 
 
+# "DIR" stands for an existing directory, which no command can read or write as a file
+@pytest.mark.parametrize("argv", [
+    ["opt", "--file", "DIR"],
+    ["nf-order", "--file", "DIR", "--k", "2"],
+    ["run", "--adv", "nf-path-killer", "--alg", "nf", "--m", "5", "--out", "DIR"],
+    ["yao", "--b", "3", "--out", "DIR"],
+    ["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "4", "--N", "2",
+     "--out", "DIR"],
+    ["opt", "--adv", "nf-path-killer", "--m", "5", "--out", "DIR"],
+])
+def test_unreadable_or_unwritable_paths_exit_two(tmp_path, capsys, argv):
+    err = _assert_usage_error(capsys, [str(tmp_path) if a == "DIR" else a for a in argv])
+    assert str(tmp_path) in err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_non_positive_trials_exit_two(capsys, trials):
     _assert_usage_error(capsys, ["run", "--adv", "rp-oddeven", "--alg", "rp", "--p", "0.7",

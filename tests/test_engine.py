@@ -259,6 +259,23 @@ def test_synthetic_unfair_trace_detected():
     assert not audit_fair(trace)
 
 
+def test_first_fit_audit_matches_a_first_fit_replay():
+    """Fairness plus lowest-color is first-fit: the audit agrees with a replay
+    on every tree order with m <= 5, for traces first-fit did and did not play."""
+    agree = {True: 0, False: 0}
+    for k in (2, 3):
+        for m in range(1, 6):
+            for t, edges in enumerate(harness.tree_reveal_orders(m)):
+                seq = RevealSequence(edges=edges, k=k)
+                replay = run("ff", seq).coloring.state
+                for alg in ("ff", "nf", RandomFair()):
+                    trace = run(alg, seq, seed=t)
+                    verdict = audit_fair(trace, first_fit=True)
+                    assert verdict == (trace.coloring.state == replay), (edges, k, alg)
+                    agree[verdict] += 1
+    assert agree == {True: 735, False: 747}  # 494 of the agreements are the ff traces
+
+
 def test_external_plugin_runs():
     seq = random_tree_sequence(17, 10, k=3)
     trace = run(RandomFair(), seq, seed=4)
