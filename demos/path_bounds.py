@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from palette import engine
 from palette.adversaries import (
-    RevealSequence,
     det_path_killer,
     nf_path_killer,
     rp_strategy_mod3,

@@ -8,7 +8,7 @@ which the star-bunch family shows is exactly right for next-fit.
 
 from palette import engine
 from palette.adversaries import nf_tree_worstcase, path_then_stars, star_chain
-from palette.charging import fair_ratio, fair_tree_charge, ff_tree_charge
+from palette.charging import fair_ratio, fair_tree_charge
 from palette.harness import verify_ff_trees, verify_fair_trees
 from palette.oracle import opt_tree
 

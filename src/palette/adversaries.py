@@ -105,11 +105,8 @@ class YaoInstance:
     capped at b-1 rounds.
     """
 
-    b: int
-    a: int
     L: int
     subphases: list[list[int]]  # 1-based path positions, rounds 1..L+1
-    connectors: list[list[int]]  # positions between same-round edges
     order: list[int]  # full reveal order over positions 1..a-2
 
     def reveal_sequence(self) -> RevealSequence:
@@ -136,28 +133,17 @@ def yao_instance(b: int, L: int) -> YaoInstance:
     if not 0 <= L <= b - 1:
         raise ValueError(f"L must lie in 0..{b - 1}, got {L}")
     subphases = []
-    connectors = []
     n_prev = 0  # isolated edges dealt in rounds 1..i-1
     for i in range(1, L + 1):
         a_i = a // 3**i
         subphases.append([2 * n_prev + 2 * j - 1 for j in range(1, a_i + 1)])
-        connectors.append([2 * n_prev + 2 * j for j in range(1, a_i)])
         n_prev += a_i
     a_last = a // 3 ** (L + 1)
-    last = [2 * n_prev + 3 * j - 2 for j in range(1, a_last + 1)]
-    subphases.append(last)
-    connectors.append(
-        sorted(
-            [2 * n_prev + 3 * j - 1 for j in range(1, a_last)]
-            + [2 * n_prev + 3 * j for j in range(1, a_last)]
-        )
-    )
+    subphases.append([2 * n_prev + 3 * j - 2 for j in range(1, a_last + 1)])
     dealt = {p for sub in subphases for p in sub}
     order = [p for sub in subphases for p in sub]
     order += [p for p in range(1, a - 1) if p not in dealt]
-    return YaoInstance(
-        b=b, a=a, L=L, subphases=subphases, connectors=connectors, order=order
-    )
+    return YaoInstance(L=L, subphases=subphases, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +331,15 @@ def color_usage(coloring: PartialColoring) -> dict[int, int]:
 
 
 def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
-    """An edge order making next-fit reproduce the given proper coloring
-    (up to renaming the colors).
+    """An edge order making next-fit reproduce the given coloring of g (up
+    to renaming the colors).
 
     Requires every color's usage count to be n or n+1 for some n.  Colors
     are renamed so the heavier classes come first, then the classes are
     dealt round-robin; next-fit's cyclic scan then lands on each edge's
-    target color, which properness keeps available.
+    target color, which properness keeps available.  The coloring is proper
+    because `PartialColoring.color` built it.
     """
-    if not coloring.is_proper(g):
-        raise ValueError("target coloring is not proper")
     counts = color_usage(coloring)
     values = sorted(set(counts.values()))
     if len(values) > 2 or (len(values) == 2 and values[1] - values[0] != 1):

@@ -154,11 +154,12 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
 _ONE = Fraction(1)
 
 
-def _settle(view: RootedView, klass: dict, held: list, v_f: list, C):
+def _settle(incident: list, view: RootedView, klass: dict, held: list, v_f: list, C):
     """The per-vertex pass shared by both tree strategies.
 
     Each vertex pays its rejected optimum parent edge up to C, splits the rest
-    of its holding equally among its rejected optimum child edges, and keeps
+    of its holding equally among its rejected optimum child edges (its other
+    incident edges, as the graph is a tree), and keeps
     what is left; v_f is updated in place and the residual kept by all
     vertices is returned.  Values may be ints, Fractions or surds:
     `rem * Fraction(1, n)` is the same exact split for all of them, and a
@@ -171,7 +172,7 @@ def _settle(view: RootedView, klass: dict, held: list, v_f: list, C):
             t = min(rem, C)
             v_f[pe] += t
             rem -= t
-        minus_children = [f for f in view.children[v] if klass[f] == "opt-only"]
+        minus_children = [f for f in incident[v] if f != pe and klass[f] == "opt-only"]
         if minus_children and rem > 0:
             n = len(minus_children)
             share = rem if n == 1 else rem * Fraction(1, n)
@@ -230,7 +231,7 @@ class _TreeCertificate:
             held[x] += double_surplus if klass[e] == "double" else scale
         routed = self._route(view, held, parent_of)
         v_f = [target if kl == "double" else 0 for kl in klass.values()]
-        residual = _settle(view, klass, held, v_f, target)
+        residual = _settle(g.incident, view, klass, held, v_f, target)
         cases = self._cases(view)
         self._check(view, held, parent_of, cases, routed)
         return _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
@@ -285,13 +286,14 @@ class FFTreeCertificate(_TreeCertificate):
     def _route(self, view, held, parent_of):
         """Send 1/k of each colored edge past its parent edge when that edge
         is double-colored with a higher color; returns each edge's via-credit."""
-        klass, color_of, parent_edge = self.klass, self.color_of, view.parent_edge
+        g, klass, color_of = self.trace.graph, self.klass, self.color_of
+        parent_edge = view.parent_edge
         via_credit = dict.fromkeys(color_of, 0)
         for (e, c), x in zip(color_of.items(), parent_of):
             pe = parent_edge[x]
             if pe != -1 and klass[pe] == "double" and color_of[pe] > c:
                 held[x] -= 1
-                held[view.parent_vertex[x]] += 1
+                held[g.other_end(pe, x)] += 1
                 via_credit[pe] += 1
         return via_credit
 
@@ -341,10 +343,12 @@ class FairTreeCertificate(_TreeCertificate):
     already cover C, `_check` re-checks the case inequalities behind the
     guarantee exactly on the run's actual vertex tallies.
 
-    Construction refuses unfair traces and checks the fairness facts of the
-    final coloring.  At square k = s*s values are kept multiplied by 2s-1: C
-    is 2s-2, a colored edge is worth 2s-1 and a double-colored one sends up
-    1.  Other k keep exact surds.
+    Construction refuses traces that `engine.audit_fair` finds unfair; that
+    audit is the one fairness check (each rejected edge arrived with all k
+    colors at its endpoints, so the final coloring holds them too).  At
+    square k = s*s values are kept multiplied by 2s-1: C is 2s-2, a colored
+    edge is worth 2s-1 and a double-colored one sends up 1.  Other k keep
+    exact surds.
     """
 
     strategy = "fair-tree"
@@ -360,13 +364,6 @@ class FairTreeCertificate(_TreeCertificate):
         square = s * s == k
         self.C = fair_ratio(k)
         super().__init__(trace, witness, 2 * s - 1 if square else 1, 2 * s - 2 if square else self.C)
-        tallies = self.tallies
-        for e, (u, v) in enumerate(trace.graph.edges):
-            if e not in self.color_of and tallies[u]["d_c"] + tallies[v]["d_c"] < k:
-                raise ChargingError(
-                    f"rejected edge {e} sees fewer than k colored "
-                    "edges in total; the run cannot have been fair"
-                )
 
     def _check(self, view, held, parent_of, cases, routed):
         g = self.trace.graph

@@ -2,7 +2,8 @@
 
 Subcommands: run, yao, exhaustive, verify, opt, nf-order, list.  Exit codes:
 0 on success, 1 when a bound or charging verdict is violated, 2 on usage
-errors.  The PALETTE_SEED environment variable overrides --seed.
+errors; an --out path that cannot take a file is refused before any work.
+The PALETTE_SEED environment variable overrides --seed.
 """
 
 from __future__ import annotations
@@ -25,9 +26,20 @@ def _seed_from(args) -> object:
         return raw
 
 
-def _write_out(path, text):
+def _check_out(path) -> None:
+    """Refuse an --out path no file can be written to, before any work is done."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: no directory {parent}")
+
+
+def _write_out(path, write) -> None:
+    """Write the --out file through write(fh) and say so."""
     with open(path, "w") as fh:
-        fh.write(text)
+        write(fh)
+    print(f"wrote {path}")
 
 
 def _config_from(args) -> harness.ExperimentConfig:
@@ -63,9 +75,7 @@ def cmd_run(args) -> int:
     report = harness.run_experiment(_construction_config(args)[0])
     print(report.summary())
     if args.out:
-        with open(args.out, "w") as fh:
-            report.write_csv(fh)
-        print(f"wrote {args.out}")
+        _write_out(args.out, report.write_csv)
     return 1 if report.violates_bound() else 0
 
 
@@ -77,10 +87,10 @@ def cmd_yao(args) -> int:
     for report in reports:
         print(report.summary())
     if args.out:
-        with open(args.out, "w") as fh:
+        def write(fh):
             for report in reports:
                 report.write_csv(fh)
-        print(f"wrote {args.out}")
+        _write_out(args.out, write)
     return 1 if any(report.violates_bound() for report in reports) else 0
 
 
@@ -89,6 +99,11 @@ def cmd_exhaustive(args) -> int:
         raise ValueError(
             f"--alg {args.alg} applies to --class path only; --class {args.klass} "
             f"sweeps {'first-fit' if args.klass == 'tree' else 'every fair algorithm'}"
+        )
+    if args.klass != "tree" and args.all_roots:
+        raise ValueError(
+            f"--all-roots applies to --class tree only; --class {args.klass} "
+            "charges no tree certificate"
         )
     if args.klass == "path":
         summaries = [harness.exhaustive_paths(args.max_edges, args.k, args.alg)]
@@ -131,9 +146,7 @@ def cmd_verify(args) -> int:
             f"min margin {report.min_margin}"
         )
         if args.out:
-            with open(args.out, "w") as fh:
-                report.write_csv(fh)
-            print(f"wrote {args.out}")
+            _write_out(args.out, report.write_csv)
         return 0 if report.passed else 1
     seed = _seed_from(args)
     count = 200 if args.random is None else args.random
@@ -219,8 +232,8 @@ def cmd_opt(args) -> int:
     if args.out:
         colored = sorted(witness.edges)
         edges = [g.endpoints(eid) for eid in colored]
-        _write_out(args.out, format_trace_csv(edges, [witness.coloring[eid] for eid in colored]))
-        print(f"wrote {args.out}")
+        text = format_trace_csv(edges, [witness.coloring[eid] for eid in colored])
+        _write_out(args.out, lambda fh: fh.write(text))
     return 0
 
 
@@ -234,8 +247,7 @@ def cmd_nf_order(args) -> int:
     ok = adversaries.equivalent(replay.coloring, target)
     text = format_edge_list(order.edges)
     if args.out:
-        _write_out(args.out, text)
-        print(f"wrote {args.out}")
+        _write_out(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     print(f"next-fit replay equivalent to target: {ok}")
@@ -337,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except (ValueError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

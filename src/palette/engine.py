@@ -26,6 +26,7 @@ from .graph import (
     REJECTED,
     Graph,
     PartialColoring,
+    color_bit,
     full_mask,
     lowest_free_color,
     path_positions,
@@ -222,23 +223,23 @@ def audit_fair(trace: Trace, *, first_fit: bool = False) -> bool:
     with first_fit also that every colored edge took the lowest open color:
     fairness plus lowest-color is exactly first-fit.
 
-    Replays the trace, so the verdict reflects the state each decision
-    actually saw, not the final coloring.
+    Replays per-vertex color masks in reveal order, so the verdict reflects
+    the state each decision saw, not the final coloring.  Properness is not
+    re-checked: `PartialColoring.color` built the trace's coloring.
     """
-    k, g = trace.k, trace.graph
-    coloring = PartialColoring(k)
+    k, edges = trace.k, trace.graph.edges
+    used = [0] * trace.graph.num_vertices
     all_colors = full_mask(k)
-    for e, c in enumerate(trace.colors()):
-        u, v = g.edges[e]
-        used = coloring.used_mask(u) | coloring.used_mask(v)
+    for (u, v), c in zip(edges, trace.colors()):
+        seen = used[u] | used[v]
         if c is None:
-            if used != all_colors:
+            if seen != all_colors:
                 return False
-            coloring.reject(e)
-        elif first_fit and c != lowest_free_color(used, k):
+        elif first_fit and c != lowest_free_color(seen, k):
             return False
         else:
-            coloring.color(g, e, c)
+            used[u] |= color_bit(c)
+            used[v] |= color_bit(c)
     return True
 
 

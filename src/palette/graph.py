@@ -8,8 +8,9 @@ set means color ``c`` is present).  A graph's adjacency (`Graph.incident`)
 is built from its edge list on first read and kept current by `add_edge`
 after that, so a game whose strategy reads only color masks never builds it.
 `rooted_view` is the package's one graph walk: components, the tree oracle
-and both tree certificates read parent relations, child edges and a
-parents-first vertex order from it.
+and both tree certificates read its parent edges and its parents-first
+vertex order.  On a forest every other incident edge of a vertex is a child
+edge, so a walk records nothing more.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class Graph:
         view = rooted_view(self, range(self.num_vertices))
         comps = []
         for x in view.order:
-            if view.parent_vertex[x] == -1:  # a root starts the next component
+            if view.parent_edge[x] == -1:  # a root starts the next component
                 comps.append([])
             comps[-1].append(x)
         return comps
@@ -143,11 +144,12 @@ class Graph:
 
 @dataclass
 class RootedView:
-    """Parent relations of the trees a walk reached, each rooted at its start."""
+    """The trees a walk reached, each rooted at its start: each vertex's parent
+    edge and a parents-first order.  On a forest, x's child edges are the edges
+    of `Graph.incident[x]` other than `parent_edge[x]`, in reveal order, and
+    x's parent vertex is `Graph.other_end(parent_edge[x], x)`."""
 
-    parent_vertex: list[int]  # -1 at a root and at vertices not reached
     parent_edge: list[int]  # -1 at a root and at vertices not reached
-    children: list[list[int]]  # child edge ids per vertex, in reveal order
     order: list[int]  # reached vertices, parents before children
 
     def parent_side(self, g: Graph, eid: int) -> tuple[int, int]:
@@ -166,9 +168,7 @@ def rooted_view(g: Graph, starts) -> RootedView:
     certificates check once per trace, not once per root).
     """
     n, incident, edges = g.num_vertices, g.incident, g.edges
-    parent_vertex = [-1] * n
     parent_edge = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
     seen = [False] * n
     order: list[int] = []
     for root in starts:
@@ -187,11 +187,9 @@ def rooted_view(g: Graph, starts) -> RootedView:
                     y = u
                 if not seen[y]:
                     seen[y] = True
-                    parent_vertex[y] = x
                     parent_edge[y] = f
-                    children[x].append(f)
                     stack.append(y)
-    return RootedView(parent_vertex, parent_edge, children, order)
+    return RootedView(parent_edge, order)
 
 
 REJECTED = -1  # stored in place of a color for rejected edges
@@ -202,7 +200,9 @@ class PartialColoring:
 
     Every edge is pending until `color` or `reject` records its fate.
     Coloring enforces properness: the color must be absent at both
-    endpoints at the time of the call.
+    endpoints at the time of the call.  This is the package's one
+    properness check; every coloring, played or read from a file, is built
+    through `color`.
     """
 
     __slots__ = ("k", "state", "_used")
@@ -251,16 +251,6 @@ class PartialColoring:
 
     def colored_edges(self) -> list[int]:
         return [e for e, c in self.state.items() if c != REJECTED]
-
-    def is_proper(self, g: Graph) -> bool:
-        """Recheck properness edge by edge, ignoring the cached masks."""
-        for eid, c in self.state.items():
-            if c == REJECTED:
-                continue
-            for f in g.adjacent_edges(eid):
-                if self.state.get(f, REJECTED) == c:
-                    return False
-        return True
 
 
 def build_graph(edges) -> Graph:

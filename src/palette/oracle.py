@@ -71,11 +71,14 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
 
     # best count in x's subtree with x's parent edge free to keep / kept,
     # and x's child edges whose keeping gains 1, in reveal order
+    incident, parent_edge = g.incident, view.parent_edge
     free, tight = [0] * n, [0] * n
     gainers: list[list[int]] = [[]] * n
     for x in reversed(view.order):
-        base, up = 0, []
-        for f in view.children[x]:
+        base, up, pe = 0, [], parent_edge[x]
+        for f in incident[x]:
+            if f == pe:
+                continue
             y = g.other_end(f, x)
             base += free[y]
             if free[y] == tight[y]:

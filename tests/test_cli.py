@@ -293,11 +293,12 @@ def test_list_command(capsys):
         assert name in out
 
 
-def _assert_usage_error(capsys, argv):
+def _assert_usage_error(capsys, argv, *, silent=False):
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert not silent or out == "", out  # refused before the command printed anything
     return err
 
 
@@ -334,8 +335,33 @@ def test_help_still_exits_zero(capsys):
     ["opt", "--adv", "nf-path-killer", "--m", "5", "--out", "DIR"],
 ])
 def test_unreadable_or_unwritable_paths_exit_two(tmp_path, capsys, argv):
-    err = _assert_usage_error(capsys, [str(tmp_path) if a == "DIR" else a for a in argv])
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    err = _assert_usage_error(capsys, argv, silent=True)
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--adv", "nf-path-killer", "--alg", "nf", "--m", "5"],
+    ["yao", "--b", "3"],
+    ["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "4", "--N", "2"],
+    ["opt", "--adv", "nf-path-killer", "--m", "5"],
+    ["nf-order", "--file", "TRACE", "--k", "2"],
+])
+def test_out_in_a_missing_directory_is_refused_before_the_run(tmp_path, capsys, argv):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(trace_csv(engine.run("nf", nf_path_killer(4))))
+    out = tmp_path / "missing" / "out.csv"
+    argv = [str(trace) if a == "TRACE" else a for a in argv] + ["--out", str(out)]
+    assert str(out) in _assert_usage_error(capsys, argv, silent=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+
+def test_nf_order_refuses_an_improper_coloring(tmp_path, capsys):
+    # the trace CSV colors two adjacent edges alike; reading it refuses the second
+    src = tmp_path / "trace.csv"
+    src.write_text("step,u,v,decision,color\n0,0,1,C,1\n1,1,2,C,1\n")
+    err = _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+    assert err == "error: color 1 already used at an endpoint of edge 1\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -516,6 +542,13 @@ def test_exhaustive_alg_applies_to_paths_only(capsys, klass):
     _assert_usage_error(capsys, ["exhaustive", "--class", klass, "--max-edges", "3",
                                  "--alg", "nf"])
     assert main(["exhaustive", "--class", klass, "--max-edges", "3", "--alg", "ff"]) == 0
+
+
+@pytest.mark.parametrize("klass", ["path", "fair-path"])
+def test_exhaustive_all_roots_applies_to_trees_only(capsys, klass):
+    err = _assert_usage_error(capsys, ["exhaustive", "--class", klass, "--max-edges", "3",
+                                       "--all-roots"])
+    assert "--all-roots applies to --class tree only" in err
 
 
 @pytest.mark.parametrize("strategy", ["ff-tree", "rp-path"])

@@ -104,3 +104,10 @@ def test_no_test_module_imports_a_name_it_never_uses():
     modules = sorted((ROOT / "tests").glob("*.py"))
     assert modules
     assert [where for path in modules for where in _unused_imports(path)] == []
+
+
+def test_no_package_or_demo_module_imports_a_name_it_never_uses():
+    # the package's __init__.py imports names to re-export them
+    modules = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
+    modules += sorted((ROOT / "demos").glob("*.py"))
+    assert [where for path in modules for where in _unused_imports(path)] == []
