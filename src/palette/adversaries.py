@@ -3,17 +3,18 @@
 Fixed constructions are `RevealSequence` values.  Adaptive adversaries are
 script objects whose `session()` generator yields the next edge and receives
 the algorithm's decision for it via ``send``, so the upcoming reveals can
-depend on everything the algorithm has done so far.  Arbitrary choices left
-open by the constructions are resolved by lowest-id tie-breaking, with an
-optional rng to randomize them, so runs stay reproducible.
+depend on everything the algorithm has done so far.  Each script is
+oblivious to the opponent's coins: it reads only what those coins cannot
+change, so it takes any deterministic or fair opponent its reads allow
+(`_require_coin_free_opponent`).  Arbitrary choices left open by the
+constructions are resolved by lowest-id tie-breaking, with an optional rng
+to randomize them, so runs stay reproducible.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import engine
 from .graph import Graph, PartialColoring, build_graph
@@ -159,6 +160,25 @@ class AdversaryScript:
         raise NotImplementedError
 
 
+def _require_coin_free_opponent(script: str, alg, *, reads_colors: bool):
+    """Refuse an adaptive script's opponent unless what the script reads of
+    its decisions cannot depend on the opponent's coins.
+
+    A deterministic opponent has no coins.  A fair one colors an edge
+    exactly when a color is open, which on the star-chain and
+    path-then-stars reveals does not depend on which colors earlier edges
+    took; so whether an edge was colored is coin-free there, but its color
+    is not.
+    """
+    algorithm = engine.resolve_algorithm(alg)
+    if algorithm.deterministic or (algorithm.fair and not reads_colors):
+        return
+    need, read = ("", "the colors of") if reads_colors else (" or fair", "which")
+    raise ValueError(
+        f"{script} needs a deterministic{need} opponent: it reads {read} edges the opponent colored"
+    )
+
+
 class _DetPathKiller(AdversaryScript):
     """Two-edge fragments, then connectors chosen from observed colors.
 
@@ -171,12 +191,7 @@ class _DetPathKiller(AdversaryScript):
     def __init__(self, n: int, alg):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        algorithm = engine.resolve_algorithm(alg)
-        if not algorithm.deterministic:
-            raise ValueError(
-                "det-path-killer needs a deterministic opponent: "
-                "fragment classification relies on observed decisions"
-            )
+        _require_coin_free_opponent("det-path-killer", alg, reads_colors=True)
         self.n = n
 
     def session(self):
@@ -219,12 +234,7 @@ class _StarChain(AdversaryScript):
             raise ValueError(f"k must be >= 2, got {k}")
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
-        algorithm = engine.resolve_algorithm(alg)
-        if not (algorithm.deterministic or algorithm.fair):
-            raise ValueError(
-                "star-chain needs a deterministic or fair opponent to be able "
-                "to point at a colored edge of the previous star"
-            )
+        _require_coin_free_opponent("star-chain", alg, reads_colors=False)
         self.k = k
         self.N = N
         self.rng = rng
@@ -252,59 +262,35 @@ def star_chain(k: int, N: int, alg, rng=None) -> AdversaryScript:
 
 
 class _PathThenStars(AdversaryScript):
-    """A path, then (only if the opponent did too well on it) a star at
-    every path vertex.
+    """A path in order, then (only if the opponent did too well on it) a star
+    at every path vertex.
 
-    The expected path score is read off the trace for deterministic
-    opponents and estimated over fresh-seed replays for randomized ones; the
-    stars phase is entered only above k*m/(k+1), where the path colors start
+    Each path edge meets at most one earlier edge, so with k >= 2 a fair
+    opponent colors the whole path whatever its coins, and a deterministic
+    one colors exactly what its decisions show: the session's count of
+    colored path edges is the opponent's expected path score.  The stars
+    phase is entered only above k*m/(k+1), where the path colors start
     blocking the stars.
     """
 
-    def __init__(self, k: int, m: int, alg, trials: int = 1000, seed=None):
+    def __init__(self, k: int, m: int, alg):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+        _require_coin_free_opponent("path-then-stars", alg, reads_colors=False)
         self.k = k
         self.m = m
-        self.algorithm = engine.resolve_algorithm(alg)
-        self.trials = trials
-        self.seed = seed
         self.stars_revealed: bool | None = None
-
-    def _expected_path_score(self, path_decisions) -> Fraction:
-        if self.algorithm.deterministic:
-            return Fraction(sum(1 for d in path_decisions if d is not None))
-        return self._replayed_path_score
-
-    @functools.cached_property
-    def _replayed_path_score(self) -> Fraction:
-        # independent of any one session's decisions, so computed once per
-        # script however many sessions replay it
-        seq = RevealSequence(edges=path_edges(self.m), k=self.k)
-        total = 0
-        for t in range(self.trials):
-            trace = engine.run(
-                self.algorithm.clone(),
-                seq,
-                rng=engine.derive_rng(self.seed, "path-then-stars", t),
-            )
-            total += trace.colored_count
-        return Fraction(total, self.trials)
 
     def session(self):
         m, k = self.m, self.k
-        decisions = []
+        colored = 0
         for u, v in path_edges(m):
-            decisions.append((yield (u, v)))
-        estimate = self._expected_path_score(decisions)
-        if estimate <= Fraction(k * m, k + 1):
-            self.stars_revealed = False
+            colored += (yield (u, v)) is not None
+        self.stars_revealed = colored * (k + 1) > k * m
+        if not self.stars_revealed:
             return
-        self.stars_revealed = True
         fresh = m + 1
         for v in range(m + 1):
             for _ in range(k):
@@ -313,9 +299,9 @@ class _PathThenStars(AdversaryScript):
                 yield (v, leaf)
 
 
-def path_then_stars(k: int, m: int, alg, trials: int = 1000, seed=None) -> AdversaryScript:
-    """Adaptive tree keeping any opponent near k/(k+1)."""
-    return _PathThenStars(k, m, alg, trials, seed)
+def path_then_stars(k: int, m: int, alg) -> AdversaryScript:
+    """Adaptive tree keeping any deterministic or fair opponent near k/(k+1)."""
+    return _PathThenStars(k, m, alg)
 
 
 # ---------------------------------------------------------------------------

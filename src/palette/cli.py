@@ -43,7 +43,7 @@ def _write_out(path, write) -> None:
 
 
 def _config_from(args) -> harness.ExperimentConfig:
-    # verify and opt take no --alg or --trials, and opt no --p
+    # opt takes no --alg, --trials or --p
     return harness.ExperimentConfig(
         algorithm=getattr(args, "alg", "ff"),
         p=getattr(args, "p", None),
@@ -129,18 +129,15 @@ def cmd_verify(args) -> int:
             f"not {args.strategy}"
         )
     mode = f"--strategy {args.strategy} " + (f"--adv {args.adv}" if args.adv else "without --adv")
-    unread = ["--m", "--n", "--b"]
-    unread += (["--random", "--max-edges", "--all-roots", "--seed"] if args.adv
-               else ["--out", "--N"])
+    unread = ["--random", "--max-edges", "--all-roots", "--seed"] if args.adv else ["--out", "--N"]
     unread += ["--k", "--all-roots"] if args.strategy == "rp-path" else ["--p"]
     for flag in unread:
         if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
             raise ValueError(f"verify {mode} does not read {flag}")
     k = 2 if args.k is None else args.k
     if args.adv is not None:
-        config = _config_from(args)
-        config.k, config.N = k, 10 if args.N is None else args.N
-        report = harness.verify_construction(config)
+        report = harness.verify_construction(harness.ExperimentConfig(
+            adversary=args.adv, k=k, N=10 if args.N is None else args.N))
         print(
             f"{args.strategy} on {args.adv}(k={k}): passed={report.passed}, "
             f"min margin {report.min_margin}"
@@ -267,7 +264,12 @@ def cmd_list(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line through main's one-line error path
-    instead of printing the usage; subparsers inherit the class."""
+    instead of printing the usage, and reads a flag only under its full
+    name, so an undeclared flag such as verify's --m is refused rather than
+    taken for a prefix of --max-edges; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -326,8 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-edges", type=int, default=None, help="(12)")
     sp.add_argument("--all-roots", action="store_true")
     sp.add_argument("--p", type=float, default=None, help="bias for --strategy rp-path")
-    common(sp)
-    sp.set_defaults(fn=cmd_verify, k=None)
+    sp.add_argument("--k", type=int, default=None, help="(2)")
+    sp.add_argument("--N", type=int, default=None)
+    sp.add_argument("--seed", default=None, help="(0)")
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("opt", help="offline optimum of an instance")
     sp.add_argument("--file", default=None, help="edge-list file, one 'u v' per line")

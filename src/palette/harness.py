@@ -175,9 +175,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
         ),
         Construction(
             "path-then-stars",
-            lambda c, alg, rng: adversaries.path_then_stars(
-                c.k, c.m, alg, trials=c.trials, seed=c.seed
-            ),
+            lambda c, alg, rng: adversaries.path_then_stars(c.k, c.m, alg),
             ("m",),
             lambda c, opt: Fraction(c.k, c.k + 1) + Fraction(c.k, (c.k + 1) * int(opt)),
             note="adaptive tree capping any algorithm at k/(k+1)",
@@ -314,9 +312,11 @@ def _ratio_report(config: ExperimentConfig, k: int, per_trial, sampled: bool) ->
 
 
 def _int_seed(seed) -> int:
+    """The non-negative int `SeedSequence` takes: a non-negative int as is, any
+    other seed hashed from its text."""
     if seed is None:
         return 0
-    if isinstance(seed, int):
+    if isinstance(seed, int) and seed >= 0:
         return seed
     digest = hashlib.sha256(str(seed).encode()).digest()
     return int.from_bytes(digest[:4], "big")

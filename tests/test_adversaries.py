@@ -137,12 +137,26 @@ def test_star_chain_bound_for_fair_randomized():
     assert trace.colored_count <= N * (k - 1) + 1
 
 
-def test_star_chain_refuses_unfair_randomized():
-    class UnfairRandom(RandomFair):
-        fair = False
+class UnfairRandom(RandomFair):
+    fair = False
 
-    with pytest.raises(ValueError):
-        star_chain(3, 5, UnfairRandom())
+
+@pytest.mark.parametrize("build,fair_ok", [
+    (lambda alg: star_chain(2, 5, alg), True),
+    (lambda alg: path_then_stars(2, 5, alg), True),
+    (lambda alg: det_path_killer(5, alg), False),
+], ids=["star-chain", "path-then-stars", "det-path-killer"])
+def test_adaptive_script_takes_only_coin_free_opponents(build, fair_ok):
+    # det-path-killer reads colors, so only a deterministic opponent is
+    # coin-free; the tree scripts read only whether an edge was colored
+    accepted = ["ff", "nf", RejectAll()]
+    refused = [UnfairRandom()]
+    (accepted if fair_ok else refused).extend([engine.RandomParity(0.7), RandomFair()])
+    for alg in accepted:
+        engine.run(alg, build(alg), seed=1)
+    for alg in refused:
+        with pytest.raises(ValueError, match="needs a deterministic"):
+            build(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +184,13 @@ def test_path_then_stars_halts_on_weak_opponent():
 
 
 def test_path_then_stars_randomized_estimation():
-    script = path_then_stars(2, 8, engine.RandomParity(0.7), trials=50, seed=1)
-    trace = engine.run(engine.RandomParity(0.7), script, seed=2)
-    # the pair strategy colors the whole in-order path, so stars must follow
-    assert script.stars_revealed is True
-    assert trace.graph.num_edges == 8 + 2 * 9
+    # a fair opponent colors the whole in-order path whatever its coins, so
+    # stars must follow
+    for k, alg in [(2, engine.RandomParity(0.7)), (3, RandomFair())]:
+        script = path_then_stars(k, 8, alg)
+        trace = engine.run(alg, script, seed=2)
+        assert script.stars_revealed is True
+        assert trace.graph.num_edges == 8 + k * 9
 
 
 # ---------------------------------------------------------------------------

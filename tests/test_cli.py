@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import os
 import random
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import RandomFair, random_tree_sequence, trace_csv
 from palette import engine, harness
 from palette.adversaries import nf_path_killer, star_chain
-from palette.cli import main
+from palette.cli import build_parser, main
 from palette.graph import format_edge_list
 
 
@@ -120,6 +122,29 @@ def test_seed_env_override(tmp_path, capsys):
     main(args + ["--seed", "1", "--out", str(a)])
     main(args + ["--seed", "2", "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_negative_seed_runs_on_the_rp_kernel(capsys):
+    # the vectorized kernel seeds numpy, which takes no negative int as is
+    argv = ["run", "--adv", "rp-mod3", "--alg", "rp", "--p", "0.7", "--m", "4",
+            "--trials", "2", "--seed=-1"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+
+
+def test_readme_commands_parse():
+    # parses only, so README drift in a flag or a construction name shows at once
+    blocks = (Path(__file__).parent.parent / "README.md").read_text().split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("palette ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        if args.command in ("run", "opt") and args.adv is not None:
+            assert args.adv in harness.CONSTRUCTIONS, line
 
 
 def test_run_yao_samples_as_the_yao_command(tmp_path, capsys):

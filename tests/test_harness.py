@@ -88,9 +88,8 @@ def test_run_star_chain_and_bound():
 
 
 @pytest.mark.parametrize("trials", [5, 20])
-def test_path_then_stars_estimates_a_randomized_opponent_once(monkeypatch, trials):
-    # the replayed path estimate does not depend on a session's decisions, so
-    # run plays each trial once plus `trials` replays in all, not per session
+def test_path_then_stars_plays_each_trial_once(monkeypatch, trials):
+    # the path score is read off each session's own decisions: no replays
     calls = []
     real_run = engine.run
 
@@ -101,7 +100,7 @@ def test_path_then_stars_estimates_a_randomized_opponent_once(monkeypatch, trial
     monkeypatch.setattr(engine, "run", counting_run)
     report = run_experiment(config(adversary="path-then-stars", algorithm="rp", p=0.7,
                                    m=20, trials=trials))
-    assert len(calls) == 2 * trials
+    assert len(calls) == trials
     # rp colors the whole path, so every trial enters the stars phase
     assert Counter(report.per_trial) == {(22, 42): trials}
     assert report.ratio == Fraction(11, 21)
