@@ -58,21 +58,8 @@ def _config_from(args) -> harness.ExperimentConfig:
     )
 
 
-def _construction_config(args):
-    """The config of an --adv matchup and its construction, refusing the
-    flags the run never reads."""
-    config = _config_from(args)
-    spec = harness.construction_for(config)
-    for name in ("m", "n", "N", "b"):
-        if name not in spec.needed and getattr(args, name) is not None:
-            raise ValueError(f"construction {args.adv!r} does not read --{name}")
-    if getattr(args, "p", None) is not None and args.alg != "rp":
-        raise ValueError(f"--alg {args.alg} does not read --p")
-    return config, spec
-
-
 def cmd_run(args) -> int:
-    report = harness.run_experiment(_construction_config(args)[0])
+    report = harness.run_experiment(_config_from(args))
     print(report.summary())
     if args.out:
         _write_out(args.out, report.write_csv)
@@ -87,10 +74,7 @@ def cmd_yao(args) -> int:
     for report in reports:
         print(report.summary())
     if args.out:
-        def write(fh):
-            for report in reports:
-                report.write_csv(fh)
-        _write_out(args.out, write)
+        _write_out(args.out, lambda fh: harness.write_ratio_csv(reports, fh))
     return 1 if any(report.violates_bound() for report in reports) else 0
 
 
@@ -168,7 +152,8 @@ def _instance_graph(args):
             edges = parse_edge_list(fh.read())
         return build_graph(edges)
     if args.adv:
-        config, spec = _construction_config(args)
+        config = _config_from(args)
+        spec = harness.construction_for(config)
         # a fixed order never reads the opponent, and an adaptive one is
         # refused below whichever opponent it gets
         opponent = engine.make_algorithm("ff")
@@ -194,9 +179,9 @@ def read_trace_csv(path, k: int):
     """The graph and the k-coloring a trace CSV records, row i as edge i."""
     with open(path) as fh:
         reader = csv.DictReader(fh)
-        rows = list(reader)
+        fieldnames, rows = reader.fieldnames or (), list(reader)
     columns = ("u", "v", "decision", "color")
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    missing = [c for c in columns if c not in fieldnames]
     if missing:
         raise ValueError(f"trace CSV {path} lacks column(s) {', '.join(missing)}")
     if any(row[c] is None for row in rows for c in columns):

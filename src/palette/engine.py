@@ -8,8 +8,7 @@ user-supplied strategies through the same interface:
     reset(k, rng)                  -- start a fresh run (rng is None when
                                       the algorithm is deterministic)
     decide(coloring, g, eid)       -- return a color in 1..k, or None to reject
-    clone()                        -- unstarted copy (used for replays)
-    deterministic / fair           -- declared properties, used by adversaries
+    name / deterministic / fair    -- its label and the properties adversaries read
 
 A run's record, `Trace`, is its graph and its coloring: edge ids are reveal
 steps, and `Trace.steps` builds the per-step `Step` view from the two on read.
@@ -48,9 +47,6 @@ class FirstFit:
         used = coloring.used_mask(u) | coloring.used_mask(v)
         return lowest_free_color(used, self.k)
 
-    def clone(self) -> "FirstFit":
-        return FirstFit()
-
 
 class NextFit:
     """Scan colors cyclically, starting just after the last color used.
@@ -77,9 +73,6 @@ class NextFit:
                 self.c_last = c
                 return c
         return None
-
-    def clone(self) -> "NextFit":
-        return NextFit()
 
 
 class RandomParity:
@@ -114,9 +107,6 @@ class RandomParity:
         if used == 0b10:
             return 1
         return 1 if self.rng.random() < self.p else 2
-
-    def clone(self) -> "RandomParity":
-        return RandomParity(self.p)
 
 
 def derive_rng(seed, *path) -> random.Random:

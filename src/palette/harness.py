@@ -9,6 +9,7 @@ stream in trial order, so results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import heapq
 import math
@@ -19,7 +20,7 @@ from itertools import permutations
 
 from . import adversaries, charging, engine
 from .adversaries import RevealSequence, path_edges
-from .oracle import opt_path, opt_tree, opt_value
+from .oracle import opt_path, opt_tree
 
 ORDER_EXHAUSTIVE_LIMIT = 8
 
@@ -73,13 +74,7 @@ class RatioReport:
         return self.ratio - self.bound > slack
 
     def write_csv(self, out) -> None:
-        import csv
-
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["construction", "algorithm", "k", "trial", "colored", "opt", "ratio"])
-        for t, (colored, opt) in enumerate(self.per_trial):
-            ratio = colored / opt if opt else 0.0
-            w.writerow([self.construction, self.algorithm, self.k, t, colored, opt, ratio])
+        write_ratio_csv([self], out)
 
     def summary(self) -> str:
         parts = [
@@ -96,6 +91,16 @@ class RatioReport:
         else:
             body += f", no bound proven for {self.algorithm}"
         return head + ": " + body
+
+
+def write_ratio_csv(reports: list[RatioReport], out) -> None:
+    """One header, then every report's per-trial rows in order."""
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["construction", "algorithm", "k", "trial", "colored", "opt", "ratio"])
+    for r in reports:
+        for t, (colored, opt) in enumerate(r.per_trial):
+            ratio = colored / opt if opt else 0.0
+            w.writerow([r.construction, r.algorithm, r.k, t, colored, opt, ratio])
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +214,21 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 
-def _require(config: ExperimentConfig, *names) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            raise ValueError(f"construction {config.adversary!r} needs --{name}")
-
-
 def construction_for(config: ExperimentConfig) -> Construction:
-    """The registry entry config.adversary names, once every flag it needs is set."""
+    """The registry entry config.adversary names, once every size parameter it
+    needs is set and none it never reads is."""
     spec = CONSTRUCTIONS.get(config.adversary)
     if spec is None:
         raise ValueError(
             f"unknown construction {config.adversary!r}; "
             f"choices: {', '.join(sorted(CONSTRUCTIONS))}"
         )
-    _require(config, *spec.needed)
+    for name in spec.needed:
+        if getattr(config, name) is None:
+            raise ValueError(f"construction {config.adversary!r} needs --{name}")
+    for name in ("m", "n", "N", "b"):
+        if name not in spec.needed and getattr(config, name) is not None:
+            raise ValueError(f"construction {config.adversary!r} does not read --{name}")
     return spec
 
 
@@ -238,9 +243,12 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     and the resampled yao distribution is drawn and played exactly as
     yao_experiment does.  The report carries the k the script actually
     played, and a bound only when the construction's bound is proven for
-    the configured algorithm.
+    the configured algorithm.  Like construction_for, it refuses what the
+    matchup never reads: p is read by rp alone.
     """
     spec = construction_for(config)
+    if config.p is not None and config.algorithm != "rp":
+        raise ValueError(f"--alg {config.algorithm} does not read --p")
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
     if config.algorithm not in spec.algorithms:
@@ -268,8 +276,9 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
         return _ratio_report(config, script.k, [shared[c] for c in counts], sampled)
     per_trial = []
     for t in range(trials):
-        trace = engine.run(algorithm.clone(), script, rng=engine.derive_rng(config.seed, "alg", t))
-        per_trial.append((trace.colored_count, opt_value(trace.graph, trace.k)))
+        trace = engine.run(algorithm, script, rng=engine.derive_rng(config.seed, "alg", t))
+        # every construction reveals a forest, whatever the opponent decides
+        per_trial.append((trace.colored_count, opt_tree(trace.graph, trace.k).count))
     return _ratio_report(config, trace.k, per_trial, sampled)
 
 
@@ -288,11 +297,7 @@ def _ratio_report(config: ExperimentConfig, k: int, per_trial, sampled: bool) ->
     mean_opt = Fraction(sum(o * w for (_, o), w in tally.items()), n)
     spec = CONSTRUCTIONS[config.adversary]
     proven = spec.proven_for is None or config.algorithm in spec.proven_for
-    params = {
-        name: getattr(config, name)
-        for name in ("m", "n", "N", "b")
-        if getattr(config, name) is not None
-    }
+    params = {name: getattr(config, name) for name in spec.needed}
     if config.p is not None:
         params["p"] = config.p
     return RatioReport(
@@ -428,7 +433,7 @@ def exhaustive_paths(max_edges: int, k: int, algorithm: str = "ff") -> Exhaustiv
         opt = opt_path(m, k)
         for perm in permutations(range(1, m + 1)):
             edges = [(i - 1, i) for i in perm]
-            trace = engine.run(alg.clone(), RevealSequence(edges=edges, k=k))
+            trace = engine.run(alg, RevealSequence(edges=edges, k=k))
             summary.add(trace.colored_count, opt, edges)
     return summary
 

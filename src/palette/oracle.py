@@ -169,12 +169,6 @@ def opt_bruteforce(g: Graph, k: int) -> OptWitness:
     raise AssertionError("unreachable: the empty subset is always colorable")
 
 
-def opt_value(g: Graph, k: int) -> int:
-    """OPT for any instance this package produces: forests exactly, small
-    graphs by brute force."""
-    return opt_witness(g, k).count
-
-
 def opt_witness(g: Graph, k: int) -> OptWitness:
     """opt_tree's witness, or brute force's where opt_tree's walk finds a cycle."""
     try:

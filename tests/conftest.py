@@ -58,11 +58,7 @@ def estimate_initial_values(alg, script, trials: int, seed=0) -> list[float]:
     """Per-step colored frequency of a randomized algorithm over fresh seeds."""
     counts = None
     for t in range(trials):
-        trace = engine.run(
-            alg.clone() if not isinstance(alg, str) else alg,
-            script,
-            rng=engine.derive_rng(seed, "vi", t),
-        )
+        trace = engine.run(alg, script, rng=engine.derive_rng(seed, "vi", t))
         if counts is None:
             counts = [0] * len(trace.steps)
         for i, step in enumerate(trace.steps):

@@ -525,3 +525,49 @@ def test_unread_rows_do_not_keep_the_certificate_alive(monkeypatch, alg, charge,
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
     assert report.rows == certify(trace, witness).charge(0).rows
+
+
+# -- the ledger guards: each doctored ledger trips its ChargingError -------------
+
+
+def test_close_refuses_a_ledger_that_leaked_value():
+    with pytest.raises(charging.ChargingError, match="leaked value"):
+        charging._close("ff-tree", 1, {0: "double"}, {}, [2], [1], 2, {0}, Fraction)
+
+
+def _ff_certificate(route, edges, k):
+    class Doctored(FFTreeCertificate):
+        _route = route
+
+    trace = engine.run("ff", RevealSequence(edges=edges, k=k))
+    return Doctored(trace, opt_tree(trace.graph, k))
+
+
+def test_ff_guard_vertex_holds_at_least_its_color():
+    def empty_held(self, view, held, parent_of):
+        routed = FFTreeCertificate._route(self, view, held, parent_of)
+        held[:] = [0] * len(held)
+        return routed
+
+    with pytest.raises(charging.ChargingError, match="vertex 0 holds 0 < 1/2"):
+        _ff_certificate(empty_held, [(0, 1)], 2).charge(0)
+
+
+def test_ff_guard_high_colored_double_edge_is_fed():
+    def credit_nothing(self, view, held, parent_of):
+        return dict.fromkeys(self.color_of, 0)
+
+    with pytest.raises(charging.ChargingError, match="routed only 0 < 1/3"):
+        _ff_certificate(credit_nothing, [(0, 1), (0, 2), (3, 4), (2, 3)], 3).charge(0)
+
+
+def test_fair_guard_child_endpoint_has_no_single_colored_edge():
+    with pytest.raises(charging.ChargingError, match="has a single-colored edge"):
+        charging._check_fair_case(4, fair_ratio(4), "1", {"d_c": 1, "d_d": 1},
+                                  {"d_c": 2, "d_d": 1}, 0)
+
+
+def test_fair_guard_case_chain_must_hold():
+    with pytest.raises(charging.ChargingError, match="case-1 inequality chain failed"):
+        charging._check_fair_case(4, fair_ratio(4), "1", {"d_c": 0, "d_d": 0},
+                                  {"d_c": 0, "d_d": 0}, 0)

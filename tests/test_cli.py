@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import os
@@ -156,6 +157,18 @@ def test_run_yao_samples_as_the_yao_command(tmp_path, capsys):
     assert capsys.readouterr().out.replace(str(b), str(a)) == run_out
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 1 + 300
+
+
+def test_yao_out_with_two_algorithms_writes_one_header(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    argv = ["yao", "--b", "3", "--alg", "ff", "--alg", "nf", "--trials", "3", "--out", str(out)]
+    assert main(argv) == 0
+    with out.open() as fh:
+        reader = csv.DictReader(fh)
+        rows = [list(row.values()) for row in reader]
+    assert len(rows) == 2 * 3
+    assert reader.fieldnames not in rows
+    assert [row[1] for row in rows] == ["ff"] * 3 + ["nf"] * 3
 
 
 def test_yao_command(capsys):
@@ -396,15 +409,18 @@ def test_non_positive_trials_exit_two(capsys, trials):
     _assert_usage_error(capsys, ["yao", "--b", "3", "--trials", trials])
 
 
-@pytest.mark.parametrize("missing", ["decision", "u", "v", "color"])
+@pytest.mark.parametrize("missing", ["decision", "u", "v", "color", "u, v, decision, color"])
 def test_nf_order_csv_without_column_exits_two(tmp_path, capsys, missing):
-    trace = engine.run("nf", nf_path_killer(4))
-    lines = trace_csv(trace).strip().split("\n")
-    drop = lines[0].split(",").index(missing)
-    kept = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
     src = tmp_path / "trace.csv"
-    src.write_text("\n".join(kept) + "\n")
-    _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+    if "," in missing:  # an empty file has no header at all
+        src.write_text("")
+    else:
+        lines = trace_csv(engine.run("nf", nf_path_killer(4))).strip().split("\n")
+        drop = lines[0].split(",").index(missing)
+        kept = [",".join(f for i, f in enumerate(line.split(",")) if i != drop) for line in lines]
+        src.write_text("\n".join(kept) + "\n")
+    err = _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+    assert err == f"error: trace CSV {src} lacks column(s) {missing}\n"
 
 
 def test_nf_order_short_row_exits_two(tmp_path, capsys):
@@ -491,6 +507,12 @@ def test_verify_refuses_flags_its_mode_never_reads(tmp_path, monkeypatch, capsys
     _assert_usage_error(capsys, ["verify", *base, *extra])
     assert not (tmp_path / "x.csv").exists()
     assert main(["verify", *base]) == 0
+
+
+def test_a_missing_size_is_reported_before_an_unread_one(capsys):
+    err = _assert_usage_error(capsys, ["run", "--adv", "nf-tree", "--alg", "nf", "--k", "4",
+                                       "--m", "3"])
+    assert err == "error: construction 'nf-tree' needs --N\n"
 
 
 @pytest.mark.parametrize("argv,flag", [

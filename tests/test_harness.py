@@ -58,8 +58,15 @@ def test_run_rejects_unknown_construction():
 
 
 def test_run_rejects_algorithm_mismatch():
-    with pytest.raises(ValueError):
-        run_experiment(config(adversary="det-path-killer", algorithm="rp", p=0.7, n=5))
+    with pytest.raises(ValueError, match="does not accept algorithm"):
+        run_experiment(config(adversary="det-path-killer", algorithm="rp", p=0.7, m=None, n=5))
+
+
+def test_run_refuses_what_the_matchup_never_reads():
+    with pytest.raises(ValueError, match="does not read --N"):
+        run_experiment(config(algorithm="nf", m=5, N=3))
+    with pytest.raises(ValueError, match="--alg ff does not read --p"):
+        run_experiment(config(p=0.7))
 
 
 def test_run_requires_parameters():

@@ -13,7 +13,7 @@ from palette.oracle import (
     opt_bruteforce,
     opt_path,
     opt_tree,
-    opt_value,
+    opt_witness,
 )
 
 
@@ -160,9 +160,9 @@ def test_opt_monotone_under_edge_addition():
 
 def test_opt_value_dispatch():
     tree = build_graph([(0, 1), (1, 2)])
-    assert opt_value(tree, 2) == 2
+    assert opt_witness(tree, 2).count == 2
     triangle = build_graph([(0, 1), (1, 2), (2, 0)])
-    assert opt_value(triangle, 2) == 2
+    assert opt_witness(triangle, 2).count == 2
 
 
 @pytest.mark.parametrize("edges,coloring,count,message", [
