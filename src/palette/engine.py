@@ -179,8 +179,10 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     through ``send`` (fixed reveal sequences simply ignore what is sent).
     """
     algorithm = resolve_algorithm(alg)
-    if rng is None and not algorithm.deterministic:
-        rng = random.Random(seed)  # a deterministic algorithm never reads one
+    if algorithm.deterministic:
+        rng = None  # the contract: a deterministic algorithm never gets one
+    elif rng is None:
+        rng = random.Random(seed)
     k = script.k
     algorithm.reset(k, rng)
     g = Graph()

@@ -56,6 +56,7 @@ class RatioReport:
     opt: float
     ratio: Fraction  # exact mean of colored/opt over the trials
     bound: Fraction | None  # None when no bound is proven for the algorithm
+    expected: Fraction  # exact E[colored/opt] over the matchup's coins
     per_trial: list[tuple[int, int]] = field(default_factory=list)  # (colored, opt)
 
     @property
@@ -63,15 +64,9 @@ class RatioReport:
         return None if self.bound is None else self.bound - self.ratio
 
     def violates_bound(self) -> bool:
-        """True when the observed ratio exceeds the construction's ceiling:
-        exactly for a run without spread, by more than three standard errors
-        for a sampled mean."""
-        if self.bound is None or self.ratio <= self.bound:
-            return False
-        slack = 0.0
-        if self.colored_stderr is not None and self.opt > 0:
-            slack = 3 * self.colored_stderr / self.opt
-        return self.ratio - self.bound > slack
+        """True when the exact expected ratio exceeds the construction's
+        ceiling; the sample describes the run but never judges it."""
+        return self.bound is not None and self.expected > self.bound
 
     def write_csv(self, out) -> None:
         write_ratio_csv([self], out)
@@ -233,18 +228,16 @@ def construction_for(config: ExperimentConfig) -> Construction:
 
 
 def run_experiment(config: ExperimentConfig) -> RatioReport:
-    """Play the configured matchup and aggregate colored/opt over trials.
-
-    Deterministic algorithm on a fixed construction runs once; a sampled
-    run (randomized algorithm or resampled construction) runs config.trials
-    >= 2 times with per-trial derived seeds, and only it reports a spread.  A
-    biased-pair run on a fixed path order is delegated to the vectorized
-    path runner, which is decision-for-decision equivalent to the engine,
-    and the resampled yao distribution is drawn and played exactly as
-    yao_experiment does.  The report carries the k the script actually
-    played, and a bound only when the construction's bound is proven for
-    the configured algorithm.  Like construction_for, it refuses what the
-    matchup never reads: p is read by rp alone.
+    """Play the configured matchup over its trials, with the exact expected
+    colored/opt its verdict reads.  A sampled run (randomized algorithm or
+    resampled construction) needs config.trials >= 2.  rp on a fixed path
+    order runs on the vectorized path runner, decision-for-decision the
+    engine's, and yao as yao_experiment does; any other matchup is coin-free
+    (deterministic, or fair against a script its coins cannot steer: see
+    adversaries._require_coin_free_opponent), so one play is every trial's
+    outcome.  The report carries the k the script played, and a bound only
+    when it is proven for the algorithm.  Like construction_for, it refuses
+    what the matchup never reads: p is read by rp alone.
     """
     spec = construction_for(config)
     if config.p is not None and config.algorithm != "rp":
@@ -264,8 +257,8 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
 
     if spec.resamples:
         draws = _yao_draws(config.b, trials, config.seed)
-        per_trial = _yao_outcomes(config.algorithm, config.b, draws)
-        return _ratio_report(config, 2, per_trial, sampled)
+        per_trial, expected = _yao_outcomes(config.algorithm, config.b, draws)
+        return _ratio_report(config, 2, per_trial, expected)
     script = spec.build(config, algorithm, None)
     if isinstance(script, RevealSequence) and isinstance(algorithm, engine.RandomParity):
         counts = engine.rp_path_colored_counts(
@@ -273,24 +266,25 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
         ).tolist()
         opt = opt_path(len(script.edges), script.k)  # the kernel refuses a non-path
         shared = {c: (c, opt) for c in set(counts)}
-        return _ratio_report(config, script.k, [shared[c] for c in counts], sampled)
-    per_trial = []
-    for t in range(trials):
-        trace = engine.run(algorithm, script, rng=engine.derive_rng(config.seed, "alg", t))
-        # every construction reveals a forest, whatever the opponent decides
-        per_trial.append((trace.colored_count, opt_tree(trace.graph, trace.k).count))
-    return _ratio_report(config, trace.k, per_trial, sampled)
+        # an edge's initial ledger value is the probability rp colors it
+        rows = charging.rp_path_charge(script, config.p).rows
+        return _ratio_report(config, script.k, [shared[c] for c in counts],
+                             Fraction(sum(row.v_i for row in rows), opt))
+    trace = engine.run(algorithm, script, rng=engine.derive_rng(config.seed, "alg", 0))
+    # every construction reveals a forest, whatever the opponent decides
+    colored, opt = trace.colored_count, opt_tree(trace.graph, trace.k).count
+    return _ratio_report(config, trace.k, [(colored, opt)] * trials, Fraction(colored, opt))
 
 
-def _ratio_report(config: ExperimentConfig, k: int, per_trial, sampled: bool) -> RatioReport:
+def _ratio_report(config: ExperimentConfig, k: int, per_trial, expected: Fraction) -> RatioReport:
     """The report on per-trial (colored, opt) outcomes, in trial order.  Every
     statistic comes exactly from their tally: the means are rounded once, and
-    the standard error is the float root of the exact sample variance."""
+    a sampled run's standard error is the float root of the exact variance."""
     tally = Counter(per_trial)
     n = len(per_trial)
     total = sum(c * w for (c, _), w in tally.items())
     stderr = None
-    if sampled:
+    if n > 1:  # only a sampled run has more than one trial
         squares = sum(c * c * w for (c, _), w in tally.items())
         variance = Fraction(n * squares - total * total, n * (n - 1))
         stderr = math.sqrt(variance) / math.sqrt(n)
@@ -312,6 +306,7 @@ def _ratio_report(config: ExperimentConfig, k: int, per_trial, sampled: bool) ->
         opt=float(mean_opt),
         ratio=sum(Fraction(c, o) * w for (c, o), w in tally.items()) / n,
         bound=spec.bound(config, mean_opt) if proven else None,
+        expected=expected,
         per_trial=per_trial,
     )
 
@@ -339,15 +334,17 @@ def _yao_draws(b: int, trials: int, seed) -> list[int]:
     return [adversaries.sample_subphase_count(b, rng) for _ in range(trials)]
 
 
-def _yao_outcomes(algorithm: str, b: int, draws: list[int]) -> list[tuple[int, int]]:
+def _yao_outcomes(algorithm: str, b: int, draws: list[int]) -> tuple[list, Fraction]:
     """Per-trial (colored, opt) of a deterministic algorithm on the drawn
-    instances; the instance depends only on L, so each distinct L is played
-    once and its outcome shared by every trial that drew it."""
+    instances, and its exact expected ratio.  The instance depends only on
+    L, so each L in 0..b-1 is played once, shared by every trial that drew
+    it and weighted by P[L] = 2^-min(L+1, b-1) in the expectation."""
     shared = {}
-    for L in set(draws):
+    for L in range(b):
         seq = adversaries.yao_instance(b, L).reveal_sequence()
         shared[L] = (engine.run(algorithm, seq).colored_count, opt_path(len(seq.edges), seq.k))
-    return [shared[L] for L in draws]
+    expected = sum(Fraction(c, o * 2 ** min(L + 1, b - 1)) for L, (c, o) in shared.items())
+    return [shared[L] for L in draws], expected
 
 
 def yao_experiment(
@@ -364,7 +361,7 @@ def yao_experiment(
     return [
         _ratio_report(
             ExperimentConfig(algorithm=name, adversary="yao", b=b, trials=trials, seed=seed),
-            2, _yao_outcomes(name, b, draws), sampled=True,
+            2, *_yao_outcomes(name, b, draws),
         )
         for name in algorithms
     ]

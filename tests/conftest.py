@@ -26,9 +26,6 @@ class RandomFair:
         choices = [c for c in range(1, self.k + 1) if mask >> (c - 1) & 1]
         return self.rng.choice(choices)
 
-    def clone(self):
-        return RandomFair()
-
 
 class RejectAll:
     """Plug-in strategy that rejects everything (deterministic, unfair)."""
@@ -42,9 +39,6 @@ class RejectAll:
 
     def decide(self, coloring, g, eid):
         return None
-
-    def clone(self):
-        return RejectAll()
 
 
 def random_tree_sequence(seed: int, max_edges: int, k: int) -> RevealSequence:

@@ -23,7 +23,7 @@ from palette.adversaries import (
     yao_instance,
     yao_sample,
 )
-from palette.graph import PartialColoring, build_graph
+from palette.graph import PartialColoring, build_graph, path_positions
 from palette.oracle import opt_tree
 
 
@@ -113,6 +113,31 @@ def test_det_path_killer_unfair_deterministic():
     trace = engine.run(RejectAll(), det_path_killer(4, RejectAll()))
     assert trace.graph.num_edges == 11
     assert trace.colored_count <= 8
+
+
+class _SplitFirstFit(engine.FirstFit):
+    """Deterministic plug-in: first-fit, except that it rejects the fragment
+    edges revealed at steps 3 mod 4, so both chains are non-empty."""
+
+    name = "split-ff"
+    fair = False
+
+    def __init__(self, fragment_edges):
+        self.fragment_edges = fragment_edges
+
+    def decide(self, coloring, g, eid):
+        if eid < self.fragment_edges and eid % 4 == 3:
+            return None
+        return super().decide(coloring, g, eid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
+def test_det_path_killer_bridges_full_and_partial_chains(n):
+    alg = _SplitFirstFit(2 * n)
+    trace = engine.run(alg, det_path_killer(n, alg))
+    path_positions(trace.graph.edges)  # one path: the bridge joined the chains
+    assert trace.graph.num_edges == 3 * n - 1
+    assert trace.colored_count <= 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +401,21 @@ def test_equivalent():
     y.color(d, 0, 1)
     y.color(d, 1, 1)
     assert not equivalent(x, y)
+    # nor is one that maps a color to two
+    assert not equivalent(y, x)
+    # the color count and the decided edges must agree
+    z = PartialColoring(3)
+    z.color(d, 0, 1)
+    z.color(d, 1, 2)
+    assert not equivalent(x, z)
+    partial = PartialColoring(2)
+    partial.color(d, 0, 1)
+    assert not equivalent(x, partial)
+    # an edge rejected in both matches
+    e = PartialColoring(2)
+    e.color(g, 0, 2)
+    e.reject(1)
+    assert equivalent(c, e)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import random
 import shlex
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,35 @@ def test_negative_seed_runs_on_the_rp_kernel(capsys):
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] != ""
+
+
+def test_non_integer_seed_runs_on_the_rp_kernel(capsys):
+    # a seed that is no int is hashed from its text, the same way each run
+    argv = ["run", "--adv", "rp-mod3", "--alg", "rp", "--p", "0.7", "--m", "4",
+            "--trials", "2", "--seed", "abc"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["yao", "--b", "7", "--trials", "2", "--seed", "1"],
+     "yao vs ff (k=2, b=7): colored 1457 +- 0 (stderr, 2 trials), opt 2185, ratio 0.666819, "
+     "bound 0.801191, margin +0.134371\n"
+     "yao vs nf (k=2, b=7): colored 2185 +- 0 (stderr, 2 trials), opt 2185, ratio 1.000000, "
+     "bound 0.801191, margin -0.198809\n"),
+    (["run", "--adv", "rp-mod3", "--alg", "rp", "--p", "0.7", "--m", "7", "--trials", "2",
+      "--seed", "0"],
+     "rp-mod3 vs rp (k=2, m=7, p=0.7): colored 6 +- 0 (stderr, 2 trials), opt 7, "
+     "ratio 0.857143, bound 0.834286, margin -0.022857\n"),
+], ids=["yao", "rp-mod3"])
+def test_a_sample_above_the_bound_is_no_violation(capsys, argv, out):
+    # the exact expectations lie at or below the bounds; the samples printed
+    # describe the run and do not judge it
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_readme_commands_parse():
@@ -427,6 +457,22 @@ def test_nf_order_short_row_exits_two(tmp_path, capsys):
     src = tmp_path / "trace.csv"
     src.write_text("step,u,v,decision,color\n0,0,1,C,1\n1,1,2\n")
     _assert_usage_error(capsys, ["nf-order", "--file", str(src), "--k", "2"])
+
+
+def test_exhaustive_floor_violation_exits_one(capsys, monkeypatch):
+    def failing(max_edges, k, algorithm):
+        summary = harness.ExhaustiveSummary("path", max_edges, k, algorithm, Fraction(2, 3))
+        summary.add(1, 2, [(0, 1), (1, 2)])
+        return summary
+
+    monkeypatch.setattr(harness, "exhaustive_paths", failing)
+    assert main(["exhaustive", "--class", "path", "--max-edges", "2", "--k", "2"]) == 1
+    assert "FLOOR VIOLATED by order [(0, 1), (1, 2)]" in capsys.readouterr().err
+
+
+def test_opt_refuses_an_adaptive_construction(capsys):
+    err = _assert_usage_error(capsys, ["opt", "--adv", "star-chain", "--N", "3", "--k", "2"])
+    assert "is adaptive" in err
 
 
 def test_exhaustive_without_edges_exits_two(capsys):

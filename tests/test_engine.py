@@ -207,13 +207,28 @@ def test_engine_rejects_improper_decision():
         def decide(self, coloring, g, eid):
             return 1
 
-        def clone(self):
-            return Cheater()
-
     from palette.graph import GraphError
 
     with pytest.raises(GraphError):
         run(Cheater(), RevealSequence(edges=[(0, 1), (1, 2)], k=2))
+
+
+def test_deterministic_plug_in_gets_no_rng():
+    # the contract: reset sees None whatever rng the caller hands run
+    class Recorder:
+        name = "recorder"
+        deterministic = True
+        fair = False
+
+        def reset(self, k, rng):
+            self.rng = rng
+
+        def decide(self, coloring, g, eid):
+            return None
+
+    alg = Recorder()
+    run(alg, RevealSequence(edges=[(0, 1)], k=2), rng=random.Random(1))
+    assert alg.rng is None
 
 
 def test_prefix_colored_counts_bounded_by_prefix_opt():

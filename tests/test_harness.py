@@ -94,9 +94,14 @@ def test_run_star_chain_and_bound():
     assert not report.violates_bound()
 
 
-@pytest.mark.parametrize("trials", [5, 20])
-def test_path_then_stars_plays_each_trial_once(monkeypatch, trials):
-    # the path score is read off each session's own decisions: no replays
+@pytest.mark.parametrize("adversary,size,trials,outcome", [
+    pytest.param("path-then-stars", dict(m=20), 5, (22, 42), id="path-then-stars-5"),
+    pytest.param("path-then-stars", dict(m=20), 20, (22, 42), id="path-then-stars-20"),
+    pytest.param("star-chain", dict(m=None, N=50), 20, (51, 100), id="star-chain-20"),
+])
+def test_coin_free_matchup_is_played_once(monkeypatch, adversary, size, trials, outcome):
+    # rp's coins cannot change which edges these scripts see colored, so one
+    # play is every trial's outcome and the exact expectation
     calls = []
     real_run = engine.run
 
@@ -105,12 +110,11 @@ def test_path_then_stars_plays_each_trial_once(monkeypatch, trials):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(engine, "run", counting_run)
-    report = run_experiment(config(adversary="path-then-stars", algorithm="rp", p=0.7,
-                                   m=20, trials=trials))
-    assert len(calls) == trials
-    # rp colors the whole path, so every trial enters the stars phase
-    assert Counter(report.per_trial) == {(22, 42): trials}
-    assert report.ratio == Fraction(11, 21)
+    report = run_experiment(config(adversary=adversary, algorithm="rp", p=0.7,
+                                   trials=trials, **size))
+    assert len(calls) == 1
+    assert Counter(report.per_trial) == {outcome: trials}
+    assert report.ratio == report.expected == Fraction(*outcome)
 
 
 def test_report_csv_reproducible():
@@ -180,6 +184,37 @@ def test_yao_experiment_means_below_bound():
         assert report.colored_mean <= bound
         assert 0 <= report.ratio <= 1
         assert report.colored_stderr is not None
+
+
+def test_yao_expectations_are_exact():
+    # first-fit attains 4*3^b/5 - 1 - 4/(5*2^b) on the (3^b - 2)-edge path
+    for b in range(1, 8):
+        ff, nf = yao_experiment(b, trials=2)
+        closed = Fraction(4 * 3**b, 5) - 1 - Fraction(4, 5 * 2**b)
+        assert ff.expected * (3**b - 2) == closed
+        assert not ff.violates_bound() and not nf.violates_bound()
+    assert ff.expected * 2185 == Fraction(55955, 32)
+    assert nf.expected * 2185 == Fraction(111847, 64)
+
+
+@pytest.mark.parametrize("adversary,m", [
+    ("rp-mod3", 31), ("rp-mod3", 3001), ("rp-oddeven", 21), ("rp-oddeven", 3001),
+])
+@pytest.mark.parametrize("p", [0.5, 0.7, 0.7236068, 1.0])
+def test_rp_expectation_meets_the_bound_exactly(adversary, m, p):
+    report = run_experiment(config(adversary=adversary, algorithm="rp", p=p, m=m, trials=2))
+    assert report.expected == report.bound
+    assert not report.violates_bound()
+
+
+def test_samplers_agree_with_the_exact_expectations():
+    # the sampled means are a self-test of the yao sampler and the rp kernel
+    reports = yao_experiment(6, trials=100_000)
+    reports += [run_experiment(config(adversary=name, algorithm="rp", p=0.7236068, m=3001,
+                                      trials=10_000)) for name in ("rp-mod3", "rp-oddeven")]
+    for report in reports:
+        assert report.colored_stderr > 0
+        assert abs(report.colored_mean - report.expected * report.opt) <= 5 * report.colored_stderr
 
 
 def test_sampled_runs_need_two_trials():
