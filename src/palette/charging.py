@@ -12,11 +12,12 @@ one certificate, `_TreeCertificate`: one preparation per trace and one pass
 per root, which differ between them only in a routing hook (first-fit moves
 1/k past high-colored double edges) and a check hook (each strategy's
 structural facts).  All three keep their books in their own unit (ints
-scaled by k for first-fit, ints scaled by 2*sqrt(k)-1 for fair at square k
-and exact surds at other k, ints counting half-slacks (1-C)/2 for the pair
-strategy) and end in one ledger close, `_close`, which checks that no value
-leaked and decides the verdict in ledger units; the per-edge rows are built
-when first read, which a sweep never does.
+scaled by k for first-fit and by 2*sqrt(k)-1 for fair at square k, both times
+lcm(1..d) for the most rejected optimum edges d at a vertex so every split is
+exact; surds for fair at other k; ints counting half-slacks (1-C)/2 for the
+pair strategy) and end in one ledger close, `_close`, which checks that no
+value leaked and decides the verdict in ledger units; the per-edge rows are
+built when first read, which a sweep never does.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,13 +63,15 @@ class EdgeReport:
 
 @dataclass
 class VerdictReport:
-    """A ledger's verdict; build_rows makes the per-edge rows on first read."""
+    """A ledger's verdict; build_rows makes the per-edge rows on first read, and
+    initial() the exact sum of v_i, the run's expected colored count."""
 
     strategy: str
     C: object
     passed: bool
     min_margin: object | None
     build_rows: Callable[[], list[EdgeReport]] = field(repr=False, compare=False)
+    initial: Callable[[], object] = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def rows(self) -> list[EdgeReport]:
@@ -103,6 +107,8 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
     margins v_f - C (or margin_of(v_f) where exact is not linear) of the
     judged edges decide the verdict.  Every exact is increasing, so the
     least margin is exact(min v_f - C), found without converting the rest.
+    The report's initial() is the exact sum of v_i: exact(total) where exact
+    is linear, else the sum over each distinct v_i.
     """
     if sum(v_f) + residual != total:
         raise ChargingError("ledger leaked value during redistribution")
@@ -111,9 +117,12 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
         passed = low is None or low >= C
         min_margin = None if low is None else exact(low - C)
         margin_of = lambda v: exact(v - C)
+        initial = lambda: exact(total)
     else:  # one comparison per distinct value, in order of first appearance
         min_margin = min(map(margin_of, dict.fromkeys(v_f[e] for e in judged)), default=None)
         passed = min_margin is None or min_margin >= 0
+        parts = [(exact(v), n) for v, n in Counter(v_i).items()]  # so v_i can go with the rows
+        initial = lambda: sum(value * n for value, n in parts)
 
     def build_rows():
         return [
@@ -122,7 +131,7 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
             for e, kl in klass.items()
         ]
 
-    return VerdictReport(strategy, exact(C), passed, min_margin, build_rows)
+    return VerdictReport(strategy, exact(C), passed, min_margin, build_rows, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +170,11 @@ def _settle(incident: list, view: RootedView, klass: dict, held: list, v_f: list
     of its holding equally among its rejected optimum child edges (its other
     incident edges, as the graph is a tree), and keeps
     what is left; v_f is updated in place and the residual kept by all
-    vertices is returned.  Values may be ints, Fractions or surds:
-    `rem * Fraction(1, n)` is the same exact split for all of them, and a
-    single child (by far the common case) takes rem as it is.
+    vertices is returned.  An int ledger (C an int) is in a unit that every
+    child count divides, so `rem // n` is exact; a surd ledger splits as
+    `rem * Fraction(1, n)`, and a single child takes rem as it is.
     """
-    residual = 0
+    residual, whole = 0, isinstance(C, int)
     for v, rem in enumerate(held):
         pe = view.parent_edge[v]
         if pe != -1 and klass[pe] == "opt-only":
@@ -175,7 +184,7 @@ def _settle(incident: list, view: RootedView, klass: dict, held: list, v_f: list
         minus_children = [f for f in incident[v] if f != pe and klass[f] == "opt-only"]
         if minus_children and rem > 0:
             n = len(minus_children)
-            share = rem if n == 1 else rem * Fraction(1, n)
+            share = rem // n if whole else rem if n == 1 else rem * Fraction(1, n)
             for f in minus_children:
                 v_f[f] += share
             rem = 0
@@ -196,11 +205,14 @@ class _TreeCertificate:
     Construction walks the tree once (refusing anything else, and keeping the
     walk for root 0), audits the witness and derives the edge classes, vertex
     tallies and initial values.  Values are kept multiplied by `scale`: a
-    colored edge is worth `scale` and C is `target`.  `charge(root)` sends
-    each colored edge's surplus (`scale`, or `scale - target` for a
-    double-colored edge) to its parent endpoint, lets the strategy's `_route`
-    move value between those holdings, settles the rejected optimum edges,
-    names their cases, runs the strategy's `_check` and closes the books.
+    colored edge is worth `scale` and C is `target`, both the strategy's times
+    `unit`: lcm(1..d) for the most rejected optimum edges d at one vertex in
+    an int ledger, so each split stays an int, and 1 in a surd ledger.
+    `charge(root)` sends each colored edge's surplus (`scale`, or `scale -
+    target` for a double-colored edge) to its parent endpoint, lets the
+    strategy's `_route` move value between those holdings, settles the
+    rejected optimum edges, names their cases, runs the strategy's `_check`
+    and closes the books.
     """
 
     def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int, target):
@@ -209,15 +221,18 @@ class _TreeCertificate:
         if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
-        self.trace, self.witness, self.scale, self.target = trace, witness, scale, target
+        self.trace, self.witness = trace, witness
         self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
         self.klass, self.tallies = edge_classes(trace, witness)
         colors = trace.colors()
         self.color_of = {e: c for e, c in enumerate(colors) if c is not None}
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
-        self.v_i = [0 if c is None else scale for c in colors]
-        self.total = scale * len(self.color_of)
-        self._unscale = _unscaler(scale)
+        d = max(Counter(x for e in self.opt_only for x in g.edges[e]).values(), default=1)  # <= k
+        unit = math.lcm(*range(1, d + 1)) if isinstance(target, int) else 1
+        self.unit, self.scale, self.target = unit, scale * unit, target * unit
+        self.v_i = [0 if c is None else self.scale for c in colors]
+        self.total = self.scale * len(self.color_of)
+        self._unscale = _unscaler(self.scale)
 
     def charge(self, root: int) -> VerdictReport:
         g, klass, scale, target = self.trace.graph, self.klass, self.scale, self.target
@@ -264,8 +279,8 @@ class FFTreeCertificate(_TreeCertificate):
     fed by their children) are checked on the way (`_check`).
 
     Construction refuses traces first-fit did not produce.  Values are kept
-    multiplied by k: C is k-1 and a unit of 1/k is 1, so values stay ints
-    until a vertex splits its rest among several rejected child edges.
+    multiplied by k times `unit`: C is (k-1)*unit and 1/k is `unit`, so
+    values stay ints throughout.
     """
 
     strategy = "ff-tree"
@@ -286,15 +301,15 @@ class FFTreeCertificate(_TreeCertificate):
     def _route(self, view, held, parent_of):
         """Send 1/k of each colored edge past its parent edge when that edge
         is double-colored with a higher color; returns each edge's via-credit."""
-        g, klass, color_of = self.trace.graph, self.klass, self.color_of
+        g, klass, color_of, unit = self.trace.graph, self.klass, self.color_of, self.unit
         parent_edge = view.parent_edge
         via_credit = dict.fromkeys(color_of, 0)
         for (e, c), x in zip(color_of.items(), parent_of):
             pe = parent_edge[x]
             if pe != -1 and klass[pe] == "double" and color_of[pe] > c:
-                held[x] -= 1
-                held[g.other_end(pe, x)] += 1
-                via_credit[pe] += 1
+                held[x] -= unit
+                held[g.other_end(pe, x)] += unit
+                via_credit[pe] += unit
         return via_credit
 
     def _check(self, view, held, parent_of, cases, via_credit):
@@ -302,20 +317,20 @@ class FFTreeCertificate(_TreeCertificate):
         # the vertex-holdings fact is checked where the guarantee invokes it:
         # below an uncolored (or absent) parent edge -- a merely single-colored
         # parent edge may itself hold one of the counted colors
-        k, klass, color_of = self.trace.k, self.klass, self.color_of
+        k, klass, color_of, unit = self.trace.k, self.klass, self.color_of, self.unit
         for (e, c), x in zip(color_of.items(), parent_of):
             pe = view.parent_edge[x]
-            if (pe == -1 or pe not in color_of) and held[x] < c:
+            if (pe == -1 or pe not in color_of) and held[x] < c * unit:
                 raise ChargingError(
-                    f"vertex {x} holds {Fraction(held[x], k)} < {c}/{k} despite "
+                    f"vertex {x} holds {Fraction(held[x], self.scale)} < {c}/{k} despite "
                     f"color {c} at a child edge with no colored parent edge"
                 )
             if klass[e] == "double" and c > self.top_free[x]:
                 need = k - self.tallies[x]["d_c"]
-                if via_credit[e] < need:
+                if via_credit[e] < need * unit:
                     raise ChargingError(
                         f"high-colored double edge {e} routed only "
-                        f"{Fraction(via_credit[e], k)} < {Fraction(need, k)} past itself"
+                        f"{Fraction(via_credit[e], self.scale)} < {Fraction(need, k)} past itself"
                     )
 
 
@@ -341,14 +356,15 @@ class FairTreeCertificate(_TreeCertificate):
     parent edge up to C and splits the rest among its rejected-optimum child
     edges.  For each rejected optimum edge whose child endpoint cannot
     already cover C, `_check` re-checks the case inequalities behind the
-    guarantee exactly on the run's actual vertex tallies.
+    guarantee exactly on the run's actual vertex tallies, once per distinct
+    (case, tallies of both endpoints) in the certificate's lifetime.
 
     Construction refuses traces that `engine.audit_fair` finds unfair; that
     audit is the one fairness check (each rejected edge arrived with all k
     colors at its endpoints, so the final coloring holds them too).  At
     square k = s*s values are kept multiplied by 2s-1: C is 2s-2, a colored
     edge is worth 2s-1 and a double-colored one sends up 1.  Other k keep
-    exact surds.
+    exact surds.  Both are times `unit` (see `_TreeCertificate`).
     """
 
     strategy = "fair-tree"
@@ -364,13 +380,17 @@ class FairTreeCertificate(_TreeCertificate):
         square = s * s == k
         self.C = fair_ratio(k)
         super().__init__(trace, witness, 2 * s - 1 if square else 1, 2 * s - 2 if square else self.C)
+        self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
     def _check(self, view, held, parent_of, cases, routed):
-        g = self.trace.graph
+        g, tallies = self.trace.graph, self.tallies
         for e, case in cases.items():
             x, y = view.parent_side(g, e)
             if held[y] < self.target:  # the child endpoint cannot pay C by itself
-                _check_fair_case(self.trace.k, self.C, case, self.tallies[x], self.tallies[y], e)
+                key = (case, *tallies[x].values(), *tallies[y].values())
+                if key not in self._judged:
+                    _check_fair_case(self.trace.k, self.C, case, tallies[x], tallies[y], e)
+                    self._judged.add(key)
 
 
 def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:

@@ -43,16 +43,17 @@ class FirstFit:
         self.k = k
 
     def decide(self, coloring: PartialColoring, g: Graph, eid: int) -> int | None:
-        u, v = g.endpoints(eid)
-        used = coloring.used_mask(u) | coloring.used_mask(v)
-        return lowest_free_color(used, self.k)
+        free = coloring.available_mask(g, eid)
+        return (free & -free).bit_length() or None
 
 
 class NextFit:
     """Scan colors cyclically, starting just after the last color used.
 
     The very first edge gets color 1.  The scan pointer advances only when
-    an edge is actually colored; rejections leave it untouched.
+    an edge is actually colored; rejections leave it untouched.  The scan is
+    two mask steps: the lowest open color above the last one used, else the
+    lowest open color.
     """
 
     name = "nf"
@@ -64,15 +65,12 @@ class NextFit:
         self.c_last = k  # makes the first scan start at color 1
 
     def decide(self, coloring: PartialColoring, g: Graph, eid: int) -> int | None:
-        u, v = g.endpoints(eid)
-        used = coloring.used_mask(u) | coloring.used_mask(v)
-        k = self.k
-        for step in range(1, k + 1):
-            c = (self.c_last + step - 1) % k + 1
-            if not used >> (c - 1) & 1:
-                self.c_last = c
-                return c
-        return None
+        free = coloring.available_mask(g, eid)
+        if not free:
+            return None
+        low = free >> self.c_last << self.c_last or free  # colors above c_last, else all
+        self.c_last = (low & -low).bit_length()
+        return self.c_last
 
 
 class RandomParity:
@@ -98,15 +96,10 @@ class RandomParity:
         self.rng = rng
 
     def decide(self, coloring: PartialColoring, g: Graph, eid: int) -> int | None:
-        u, v = g.endpoints(eid)
-        used = coloring.used_mask(u) | coloring.used_mask(v)
-        if used == 0b11:
-            return None
-        if used == 0b01:
-            return 2
-        if used == 0b10:
-            return 1
-        return 1 if self.rng.random() < self.p else 2
+        free = coloring.available_mask(g, eid)
+        if free == 0b11:
+            return 1 if self.rng.random() < self.p else 2
+        return free.bit_length() or None  # the one open color, if any
 
 
 def derive_rng(seed, *path) -> random.Random:
@@ -187,21 +180,20 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     algorithm.reset(k, rng)
     g = Graph()
     coloring = PartialColoring(k)
-    session = script.session()
-    decision: int | None = None
-    first = True
+    add_edge, decide, color, reject = g.add_edge, algorithm.decide, coloring.color, coloring.reject
+    send = script.session().send
+    decision: int | None = None  # a fresh generator's send(None) is its next()
     while True:
         try:
-            u, v = next(session) if first else session.send(decision)
+            u, v = send(decision)
         except StopIteration:
             break
-        first = False
-        eid = g.add_edge(u, v)
-        decision = algorithm.decide(coloring, g, eid)
+        eid = add_edge(u, v)
+        decision = decide(coloring, g, eid)
         if decision is None:
-            coloring.reject(eid)
+            reject(eid)
         else:
-            coloring.color(g, eid, decision)  # raises if improper/unavailable
+            color(g, eid, decision)  # raises if improper/unavailable
     return Trace(
         k=k,
         algorithm=getattr(algorithm, "name", type(algorithm).__name__),

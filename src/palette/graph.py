@@ -51,7 +51,7 @@ class Graph:
         self.edges: list[tuple[int, int]] = []
         self.num_vertices = 0
         self._incident: list[list[int]] | None = None  # built on first read
-        self._seen: set[tuple[int, int]] = set()
+        self._seen: set[int] = set()  # one int per unordered pair, see add_edge
 
     @property
     def incident(self) -> list[list[int]]:
@@ -69,22 +69,23 @@ class Graph:
         return len(self.edges)
 
     def add_edge(self, u: int, v: int) -> int:
-        """Add edge (u, v), creating vertices as needed; returns its id."""
+        """Add edge (u, v), creating vertices as needed; returns its id.  A
+        duplicate is found by the int hi*(hi-1)//2 + lo, one per pair lo < hi."""
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        if u < 0 or v < 0:
+        lo, hi = (u, v) if u < v else (v, u)
+        if lo < 0:
             raise GraphError(f"negative vertex id in ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
+        key = hi * (hi - 1) // 2 + lo
         if key in self._seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
         self._seen.add(key)
         eid = len(self.edges)
         self.edges.append((u, v))
-        hi = key[1] + 1
-        if hi > self.num_vertices:
-            self.num_vertices = hi
+        if hi >= self.num_vertices:
+            self.num_vertices = hi + 1
         if self._incident is not None:
-            self._incident.extend([] for _ in range(hi - len(self._incident)))
+            self._incident.extend([] for _ in range(hi + 1 - len(self._incident)))
             self._incident[u].append(eid)
             self._incident[v].append(eid)
         return eid
@@ -154,7 +155,7 @@ class RootedView:
 
     def parent_side(self, g: Graph, eid: int) -> tuple[int, int]:
         """Endpoints of eid ordered (parent, child)."""
-        u, v = g.endpoints(eid)
+        u, v = g.edges[eid]
         return (u, v) if self.parent_edge[v] == eid else (v, u)
 
 
@@ -205,12 +206,12 @@ class PartialColoring:
     through `color`.
     """
 
-    __slots__ = ("k", "state", "_used")
+    __slots__ = ("k", "state", "_used", "_all")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+        self.k, self._all = k, full_mask(k)
         self.state: dict[int, int] = {}  # eid -> color or REJECTED
         self._used: dict[int, int] = {}  # vertex -> color bitmask
 
@@ -218,23 +219,26 @@ class PartialColoring:
         return self._used.get(v, 0)
 
     def available_mask(self, g: Graph, eid: int) -> int:
-        u, v = g.endpoints(eid)
-        return ~(self.used_mask(u) | self.used_mask(v)) & full_mask(self.k)
+        """Colors open at both endpoints of eid, as a mask."""
+        u, v = g.edges[eid]
+        used = self._used
+        return ~(used.get(u, 0) | used.get(v, 0)) & self._all
 
     def color(self, g: Graph, eid: int, c: int) -> None:
         if not 1 <= c <= self.k:
             raise GraphError(f"color {c} outside 1..{self.k}")
         if eid in self.state:
             raise GraphError(f"edge {eid} already decided")
-        u, v = g.endpoints(eid)
-        bit = color_bit(c)
-        if (self.used_mask(u) | self.used_mask(v)) & bit:
+        u, v = g.edges[eid]
+        used = self._used
+        mu, mv, bit = used.get(u, 0), used.get(v, 0), 1 << (c - 1)
+        if (mu | mv) & bit:
             raise GraphError(
                 f"color {c} already used at an endpoint of edge {eid}"
             )
         self.state[eid] = c
-        self._used[u] = self.used_mask(u) | bit
-        self._used[v] = self.used_mask(v) | bit
+        used[u] = mu | bit
+        used[v] = mv | bit
 
     def reject(self, eid: int) -> None:
         if eid in self.state:

@@ -267,9 +267,8 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
         opt = opt_path(len(script.edges), script.k)  # the kernel refuses a non-path
         shared = {c: (c, opt) for c in set(counts)}
         # an edge's initial ledger value is the probability rp colors it
-        rows = charging.rp_path_charge(script, config.p).rows
-        return _ratio_report(config, script.k, [shared[c] for c in counts],
-                             Fraction(sum(row.v_i for row in rows), opt))
+        colored = charging.rp_path_charge(script, config.p).initial()
+        return _ratio_report(config, script.k, [shared[c] for c in counts], Fraction(colored, opt))
     trace = engine.run(algorithm, script, rng=engine.derive_rng(config.seed, "alg", 0))
     # every construction reveals a forest, whatever the opponent decides
     colored, opt = trace.colored_count, opt_tree(trace.graph, trace.k).count

@@ -32,13 +32,16 @@ def audit_witness(g: Graph, k: int, witness: OptWitness) -> None:
         raise GraphError("witness count does not match its edge set")
     if set(witness.coloring) != set(witness.edges):
         raise GraphError("witness coloring does not cover exactly its edges")
-    # colors in 1..k that differ at every vertex keep at most k edges there
+    # colors in 1..k that differ at every vertex keep at most k edges there;
+    # each (vertex, color) pair is claimed by one edge, so the check is O(m)
+    owner: dict[tuple[int, int], int] = {}
     for eid, c in witness.coloring.items():
         if not 1 <= c <= k:
             raise GraphError(f"witness color {c} outside 1..{k}")
-        for f in g.adjacent_edges(eid):
-            if witness.coloring.get(f) == c:
-                raise GraphError(f"witness colors adjacent edges {eid},{f} alike")
+        for x in g.edges[eid]:
+            f = owner.setdefault((x, c), eid)
+            if f != eid:
+                raise GraphError(f"witness colors adjacent edges {f},{eid} alike")
 
 
 def opt_path(m: int, k: int) -> int:

@@ -571,3 +571,65 @@ def test_fair_guard_case_chain_must_hold():
     with pytest.raises(charging.ChargingError, match="case-1 inequality chain failed"):
         charging._check_fair_case(4, fair_ratio(4), "1", {"d_c": 0, "d_d": 0},
                                   {"d_c": 0, "d_d": 0}, 0)
+
+
+# -- the int ledger: lcm(1..d) makes every split at a vertex exact ----------------
+
+
+def test_tree_ledgers_split_three_ways_in_ints(monkeypatch):
+    # star at k = 4: four leaf edges take colors 1..4, three more are rejected,
+    # and the witness keeps the three rejected ones and the color-4 edge
+    edges = [(0, leaf) for leaf in range(1, 8)]
+    witness = OptWitness(frozenset({3, 4, 5, 6}), {3: 4, 4: 1, 5: 2, 6: 3}, 4)
+    closed, close = [], charging._close
+
+    def spy(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0):
+        closed.append((C, v_i, v_f, total, residual))
+        return close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual)
+
+    monkeypatch.setattr(charging, "_close", spy)
+    F = Fraction
+    # Fraction reference: a single edge ends at 0, the double one at C, and the
+    # root splits its 3 singles plus the double's 1 - C among 3 rejected edges
+    for alg, certify, C in (("ff", FFTreeCertificate, F(3, 4)), ("nf", FairTreeCertificate, F(2, 3))):
+        trace = engine.run(alg, RevealSequence(edges=edges, k=4))
+        certificate = certify(trace, witness)
+        assert certificate.unit == 6  # lcm(1, 2, 3)
+        report = certificate.charge(0)
+        split = (3 + 1 - C) / 3
+        expected = [EdgeReport(e, "single", F(1), F(0), None) for e in range(3)]
+        expected.append(EdgeReport(3, "double", F(1), C, F(0)))
+        case = "2" if alg == "ff" else "4"  # the root has no parent edge
+        expected += [EdgeReport(e, "opt-only", F(0), split, split - C, case) for e in range(4, 7)]
+        assert report.rows == expected and report.C == C and report.min_margin == 0
+        assert report.initial() == 4
+        target, v_i, v_f, total, residual = closed.pop()
+        assert all(type(v) is int for v in [target, total, residual, *v_i, *v_f])
+
+
+def test_ff_guards_keep_their_messages_at_an_lcm_unit():
+    def empty_held(self, view, held, parent_of):
+        routed = FFTreeCertificate._route(self, view, held, parent_of)
+        held[:] = [0] * len(held)
+        return routed
+
+    def credit_nothing(self, view, held, parent_of):
+        return dict.fromkeys(self.color_of, 0)
+
+    # k = 2 star: two leaf edges colored, the two rejected ones are the witness
+    star = engine.run("ff", RevealSequence(edges=[(0, leaf) for leaf in range(1, 5)], k=2))
+    certificate = type("Doctored", (FFTreeCertificate,), {"_route": empty_held})(
+        star, OptWitness(frozenset({2, 3}), {2: 1, 3: 2}, 2))
+    assert certificate.unit == 2
+    with pytest.raises(charging.ChargingError, match="vertex 0 holds 0 < 1/2"):
+        certificate.charge(0)
+    # the high-colored double edge 3 from the routing guard's instance, with two
+    # rejected optimum leaf edges at vertex 1
+    edges = [(0, 1), (0, 2), (3, 4), (2, 3), (1, 5), (1, 6), (1, 7), (1, 8)]
+    trace = engine.run("ff", RevealSequence(edges=edges, k=3))
+    coloring = {0: 1, 1: 2, 2: 2, 3: 1, 6: 2, 7: 3}
+    certificate = type("Doctored", (FFTreeCertificate,), {"_route": credit_nothing})(
+        trace, OptWitness(frozenset(coloring), coloring, 6))
+    assert certificate.unit == 2
+    with pytest.raises(charging.ChargingError, match="routed only 0 < 1/3"):
+        certificate.charge(0)

@@ -18,6 +18,7 @@ from palette.adversaries import (
 )
 from palette.engine import (
     FirstFit,
+    NextFit,
     RandomParity,
     Step,
     Trace,
@@ -506,3 +507,61 @@ def test_run_builds_an_rng_only_for_randomized_algorithms():
     # a randomized algorithm still gets a generator seeded from seed=
     plays = [run_fixed(RandomParity(0.7), path_edges(30), 2, seed=4) for _ in range(2)]
     assert [s.color for s in plays[0].steps] == [s.color for s in plays[1].steps]
+
+
+# -- reference decide bodies: two used_mask reads, then a scan or a case per mask --
+
+
+class ScanFirstFit(FirstFit):
+    """First-fit from two `used_mask` reads and `lowest_free_color`."""
+
+    def decide(self, coloring, g, eid):
+        u, v = g.endpoints(eid)
+        return lowest_free_color(coloring.used_mask(u) | coloring.used_mask(v), self.k)
+
+
+class ScanNextFit(NextFit):
+    """Next-fit as a k-step cyclic scan from the color after c_last."""
+
+    def decide(self, coloring, g, eid):
+        u, v = g.endpoints(eid)
+        used = coloring.used_mask(u) | coloring.used_mask(v)
+        k = self.k
+        for step in range(1, k + 1):
+            c = (self.c_last + step - 1) % k + 1
+            if not used >> (c - 1) & 1:
+                self.c_last = c
+                return c
+        return None
+
+
+class CaseRandomParity(RandomParity):
+    """Random parity with one case per used mask."""
+
+    def decide(self, coloring, g, eid):
+        u, v = g.endpoints(eid)
+        used = coloring.used_mask(u) | coloring.used_mask(v)
+        if used == 0b11:
+            return None
+        if used == 0b01:
+            return 2
+        if used == 0b10:
+            return 1
+        return 1 if self.rng.random() < self.p else 2
+
+
+def test_mask_strategies_decide_as_their_scan_references_on_every_small_tree():
+    orders = 0
+    for m in range(1, 7):
+        for edges in harness.tree_reveal_orders(m):
+            orders += 1
+            for k in range(2, 6):
+                seq = RevealSequence(edges=edges, k=k)
+                assert run(FirstFit(), seq).colors() == run(ScanFirstFit(), seq).colors()
+                assert run(NextFit(), seq).colors() == run(ScanNextFit(), seq).colors()
+            seq = RevealSequence(edges=edges, k=2)
+            for p in (0.5, 0.7, 1):
+                seed = f"{orders}/{p}"
+                fast = run(RandomParity(p), seq, rng=random.Random(seed)).colors()
+                assert fast == run(CaseRandomParity(p), seq, rng=random.Random(seed)).colors()
+    assert orders == 2648  # every reveal-order class of the trees with m <= 6

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -178,3 +178,32 @@ def test_audit_witness_refuses_bad_witnesses(edges, coloring, count, message):
     audit_witness(g, 2, OptWitness(frozenset({0, 1, 2}), {0: 1, 1: 2, 2: 1}, 3))
     with pytest.raises(GraphError, match=message):
         audit_witness(g, 2, OptWitness(frozenset(edges), coloring, count))
+
+
+def scan_refuses(g, k, witness) -> bool:
+    """Reference audit, True where it refuses: the count and cover checks, then
+    each witness edge's color range and its adjacent edges scanned for that color."""
+    if witness.count != len(witness.edges) or set(witness.coloring) != set(witness.edges):
+        return True
+    return any(not 1 <= c <= k or any(witness.coloring.get(f) == c for f in g.adjacent_edges(eid))
+               for eid, c in witness.coloring.items())
+
+
+def test_audit_witness_refuses_what_the_adjacent_edge_scan_refuses():
+    refused = seen = 0
+    for m in range(1, 5):
+        for edges in harness.tree_reveal_orders(m):
+            g = build_graph(edges)
+            for size in range(m + 1):
+                for subset, colors in product(combinations(range(m), size), product((1, 2, 3), repeat=size)):
+                    witness = OptWitness(frozenset(subset), dict(zip(subset, colors)), size)
+                    for k in (2, 3):
+                        try:
+                            audit_witness(g, k, witness)
+                        except GraphError:
+                            refused += 1
+                            assert scan_refuses(g, k, witness)
+                        else:
+                            assert not scan_refuses(g, k, witness)
+                        seen += 1
+    assert 0 < refused < seen

@@ -10,10 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "palette"
 
 # name -> why it stays although nothing outside tests reads it
-ALLOWED = {
-    "available_mask": "the plug-in algorithm contract: a user strategy reads its open colors "
-                      "through it, as conftest.RandomFair does",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _sources():
