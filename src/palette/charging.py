@@ -8,10 +8,10 @@ and the certificate holds if every optimum edge ends with at least C.  Each
 strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
 random pair strategy on two-colorable paths.  The two tree strategies share
-one certificate, `_TreeCertificate`: one preparation per trace and one pass
-per root, which differ between them only in a routing hook (first-fit moves
-1/k past high-colored double edges) and a check hook (each strategy's
-structural facts).  All three keep their books in their own unit (ints
+one certificate, `_TreeCertificate`: one preparation per trace, one pass
+per root and one rerooting walk for every root at once, which differ
+between them only in a routing hook (first-fit moves 1/k past high-colored
+double edges) and a check hook (each strategy's structural facts).  All three keep their books in their own unit (ints
 scaled by k for first-fit and by 2*sqrt(k)-1 for fair at square k, both times
 lcm(1..d) for the most rejected optimum edges d at a vertex so every split is
 exact; surds for fair at other k; ints counting half-slacks (1-C)/2 for the
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import heapq
 import math
 from collections import Counter
 from collections.abc import Callable
@@ -39,7 +40,7 @@ from itertools import groupby
 from . import engine
 from .adversaries import RevealSequence
 from .exact import Sqrt5, surd
-from .graph import GraphError, RootedView, full_mask, path_positions, rooted_view
+from .graph import GraphError, RootedView, color_bit, full_mask, path_positions, rooted_view
 from .oracle import OptWitness, audit_witness
 
 
@@ -138,17 +139,18 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
 # tree machinery shared by the two tree strategies
 
 
-def edge_classes(trace: engine.Trace, witness: OptWitness):
+def edge_classes(trace: engine.Trace, witness: OptWitness, colors=None):
     """Split edges into double / single / opt-only and tally them per vertex.
 
     Returns (klass, tallies): klass maps edge id to one of 'double',
     'single', 'opt-only', 'neither'; tallies[v] is a dict with the counts
-    d_c, d_d of incident colored / double edges.
+    d_c, d_d of incident colored / double edges.  colors is the trace's
+    `colors()` where the caller already holds it.
     """
     g = trace.graph
     klass: dict[int, str] = {}
     tallies = [{"d_c": 0, "d_d": 0} for _ in range(g.num_vertices)]
-    for e, c in enumerate(trace.colors()):
+    for e, c in enumerate(trace.colors() if colors is None else colors):
         opt = e in witness.edges
         if c is None:
             klass[e] = "opt-only" if opt else "neither"
@@ -212,10 +214,10 @@ class _TreeCertificate:
     target` for a double-colored edge) to its parent endpoint, lets the
     strategy's `_route` move value between those holdings, settles the
     rejected optimum edges, names their cases, runs the strategy's `_check`
-    and closes the books.
+    and closes the books.  `charge_all()` gives every root's verdict at once.
     """
 
-    def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int, target):
+    def __init__(self, trace: engine.Trace, witness: OptWitness, colors: list, scale: int, target):
         g = trace.graph
         view = rooted_view(g, range(g.num_vertices))
         if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
@@ -223,8 +225,7 @@ class _TreeCertificate:
         audit_witness(g, trace.k, witness)
         self.trace, self.witness = trace, witness
         self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
-        self.klass, self.tallies = edge_classes(trace, witness)
-        colors = trace.colors()
+        self.klass, self.tallies = edge_classes(trace, witness, colors)
         self.color_of = {e: c for e, c in enumerate(colors) if c is not None}
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
         d = max(Counter(x for e in self.opt_only for x in g.edges[e]).values(), default=1)  # <= k
@@ -232,7 +233,7 @@ class _TreeCertificate:
         self.unit, self.scale, self.target = unit, scale * unit, target * unit
         self.v_i = [0 if c is None else self.scale for c in colors]
         self.total = self.scale * len(self.color_of)
-        self._unscale = _unscaler(self.scale)
+        self.exact = _unscaler(self.scale)
 
     def charge(self, root: int) -> VerdictReport:
         g, klass, scale, target = self.trace.graph, self.klass, self.scale, self.target
@@ -250,11 +251,132 @@ class _TreeCertificate:
         cases = self._cases(view)
         self._check(view, held, parent_of, cases, routed)
         return _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
-                      self.witness.edges, self._unscale, residual)
+                      self.witness.edges, self.exact, residual)
+
+    def charge_all(self) -> list:
+        """Every root's least margin v_f - C over the judged edges, in ledger
+        units (None when nothing is judged), indexed by root: the verdicts of
+        `charge` at each root, from one table and one rerooting walk.
+
+        A vertex's holding, what it settles and the strategy's guards on it
+        depend only on its parent edge, so the table has a state per incident
+        edge plus one for the root.  Moving the root across an edge changes
+        the states of its two ends only, and with them the v_f of the rejected
+        optimum edges there, the settled sum (checked against the total at
+        every root) and the count of vertices whose guards fail.  At the least
+        root where a guard fails or value leaks, `charge` raises its own error.
+        """
+        g, klass, target = self.trace.graph, self.klass, self.target
+        edges, incident, n = g.edges, g.incident, g.num_vertices
+        held = []  # held[v][p]: v's holding after routing when p is its parent edge
+        for v in range(n):
+            up = {}  # what each colored edge sends v while it is a child edge
+            for f in incident[v]:
+                if klass[f] == "single":
+                    up[f] = self.scale
+                elif klass[f] == "double":
+                    u, w = edges[f]
+                    up[f] = self.scale - target + self._credit(f, w if u == v else u)
+            below = sum(up.values())  # a double parent edge routes its own credit on up
+            held.append({-1: below} | {
+                p: below - up.get(p, 0) - (self._credit(p, v) if klass[p] == "double" else 0)
+                for p in incident[v]})
+        whole, opt_at = isinstance(target, int), [[] for _ in range(n)]
+        for e in self.opt_only:
+            for x in edges[e]:
+                opt_at[x].append(e)
+        pay, share, settled, sound = [], [], [], []
+        for v in range(n):  # `_settle` in every state
+            pay_v, share_v, settled_v = {}, {}, {}
+            for p, rem in held[v].items():
+                t, kids = 0, len(opt_at[v])
+                if p != -1 and klass[p] == "opt-only":
+                    pay_v[p] = t = min(rem, target)
+                    rem, kids = rem - t, kids - 1
+                s = 0
+                if kids and rem > 0:
+                    s = rem // kids if whole else rem if kids == 1 else rem * Fraction(1, kids)
+                    rem = s * kids
+                share_v[p], settled_v[p] = s, t + rem
+            pay.append(pay_v)
+            share.append(share_v)
+            settled.append(settled_v)
+            sound.append(self._sound(v, held))
+
+        state = list(self._view0.parent_edge)  # each vertex's parent edge, -1 at the root
+
+        def value(e):  # paid by the child end, plus the parent end's share
+            u, w = edges[e]
+            y, x = (w, u) if state[w] == e else (u, w)
+            return pay[y][e] + share[x][state[x]]
+
+        v_f = {e: value(e) for e in self.opt_only}
+        count = Counter(v_f.values())
+        doubles = sum(kl == "double" for kl in klass.values())
+        count[target] += doubles  # a double-colored edge ends at C from every root
+        queued = {v for v, c in count.items() if c}
+        heap = list(queued)
+        heapq.heapify(heap)
+        kept = sum(settled[v][state[v]] for v in range(n)) + target * doubles
+        failing = sum(not sound[v][state[v]] for v in range(n))
+        margins, refused = [None] * n, []
+
+        def verdict(root):
+            if failing or kept != self.total:
+                refused.append(root)
+            while heap and not count[heap[0]]:
+                queued.discard(heapq.heappop(heap))
+            if heap:
+                margins[root] = heap[0] - target
+
+        def move(r, s, f):  # the root moves from r to its neighbour s across f
+            nonlocal kept, failing
+            for v in (r, s):
+                kept -= settled[v][state[v]]
+                failing -= not sound[v][state[v]]
+            state[r], state[s] = f, -1
+            for v in (r, s):
+                kept += settled[v][state[v]]
+                failing += not sound[v][state[v]]
+            for e in {*opt_at[r], *opt_at[s]}:
+                old, new = v_f[e], value(e)
+                if new != old:
+                    count[old] -= 1
+                    count[new] += 1
+                    v_f[e] = new
+                    if new not in queued:
+                        queued.add(new)
+                        heapq.heappush(heap, new)
+
+        parent_edge = self._view0.parent_edge
+        verdict(0)
+        walk = [(0, iter(incident[0]))]  # depth first from root 0, moving the root along
+        while walk:
+            r, todo = walk[-1]
+            f = next(todo, None)
+            if f is None:
+                walk.pop()
+                if walk:
+                    move(r, walk[-1][0], parent_edge[r])
+            elif f != parent_edge[r]:
+                u, s = edges[f]
+                s = u if s == r else s
+                move(r, s, f)
+                verdict(s)
+                walk.append((s, iter(incident[s])))
+        if refused:
+            root = min(refused)
+            self.charge(root)
+            raise ChargingError(f"the rerooting walk refuses root {root}, which charge({root}) passes")
+        return margins
 
     def _route(self, view: RootedView, held: list, parent_of: list):
         """Move value between holdings before they settle; returns what `_check` reads."""
         return None  # unless a strategy routes, nothing moves
+
+    def _credit(self, f: int, child: int):
+        """What `_route` moves past double edge f when child is its child end."""
+        return 0
 
     def _cases(self, view: RootedView) -> dict:
         """Each rejected optimum edge's case from this root, named after the
@@ -289,14 +411,15 @@ class FFTreeCertificate(_TreeCertificate):
                       "neither": "2", "": "2"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        if not engine.audit_fair(trace, first_fit=True):
+        colors = trace.colors()
+        if not engine.audit_fair(trace, first_fit=True, colors=colors):
             raise ValueError("trace was not produced by first-fit; refusing to certify")
         k = trace.k
-        super().__init__(trace, witness, k, k - 1)
+        super().__init__(trace, witness, colors, k, k - 1)
         free = full_mask(k)
+        self.used = [trace.coloring.used_mask(v) for v in range(trace.graph.num_vertices)]
         # the largest color unused at v in the final coloring, else 0
-        self.top_free = [(~trace.coloring.used_mask(v) & free).bit_length()
-                         for v in range(trace.graph.num_vertices)]
+        self.top_free = [(~used & free).bit_length() for used in self.used]
 
     def _route(self, view, held, parent_of):
         """Send 1/k of each colored edge past its parent edge when that edge
@@ -332,6 +455,28 @@ class FFTreeCertificate(_TreeCertificate):
                         f"high-colored double edge {e} routed only "
                         f"{Fraction(via_credit[e], self.scale)} < {Fraction(need, k)} past itself"
                     )
+
+    def _credit(self, f, child):
+        # 1/k from each colored edge at the child end below f's color
+        return self.unit * (self.used[child] & (color_bit(self.color_of[f]) - 1)).bit_count()
+
+    def _sound(self, v: int, held: list) -> dict:
+        """`_check`'s two facts at v in each of its states: below an uncolored
+        or absent parent edge v holds its highest color, and a high-colored
+        double parent edge is fed enough from v."""
+        k, klass, color_of, unit = self.trace.k, self.klass, self.color_of, self.unit
+        top = self.used[v].bit_length() * unit
+        sound = {}
+        for p, h in held[v].items():
+            if p not in color_of:
+                sound[p] = h >= top
+            elif klass[p] == "double":
+                x = self.trace.graph.other_end(p, v)
+                sound[p] = (color_of[p] <= self.top_free[x]
+                            or self._credit(p, v) >= (k - self.tallies[x]["d_c"]) * unit)
+            else:
+                sound[p] = True
+        return sound
 
 
 def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
@@ -373,13 +518,15 @@ class FairTreeCertificate(_TreeCertificate):
                       "neither": "4", "": "4"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        if not engine.audit_fair(trace):
+        colors = trace.colors()
+        if not engine.audit_fair(trace, colors=colors):
             raise ValueError("trace is not fair; refusing to certify")
         k = trace.k
         s = math.isqrt(k)
         square = s * s == k
         self.C = fair_ratio(k)
-        super().__init__(trace, witness, 2 * s - 1 if square else 1, 2 * s - 2 if square else self.C)
+        super().__init__(trace, witness, colors, 2 * s - 1 if square else 1,
+                         2 * s - 2 if square else self.C)
         self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
     def _check(self, view, held, parent_of, cases, routed):
@@ -387,10 +534,34 @@ class FairTreeCertificate(_TreeCertificate):
         for e, case in cases.items():
             x, y = view.parent_side(g, e)
             if held[y] < self.target:  # the child endpoint cannot pay C by itself
-                key = (case, *tallies[x].values(), *tallies[y].values())
-                if key not in self._judged:
-                    _check_fair_case(self.trace.k, self.C, case, tallies[x], tallies[y], e)
-                    self._judged.add(key)
+                self._judge(case, tallies[x], tallies[y], e)
+
+    def _judge(self, case, tx, ty, e):
+        key = (case, *tx.values(), *ty.values())
+        if key not in self._judged:
+            _check_fair_case(self.trace.k, self.C, case, tx, ty, e)
+            self._judged.add(key)
+
+    def _sound(self, v: int, held: list) -> dict:
+        """`_check` at v's rejected optimum child edges in each of v's states:
+        the case follows v's parent edge, the rest is fixed per child edge."""
+        g, klass, tallies = self.trace.graph, self.klass, self.tallies
+        needy = []  # rejected optimum edges whose child end y cannot pay C, with y
+        for f in g.incident[v]:
+            y = g.other_end(f, v)
+            if klass[f] == "opt-only" and held[y][f] < self.target:
+                needy.append((f, y))
+        sound = {}
+        for p in held[v]:
+            case = self.case_of_parent[klass[p] if p != -1 else ""]
+            try:
+                for f, y in needy:
+                    if f != p:
+                        self._judge(case, tallies[v], tallies[y], f)
+                sound[p] = True
+            except ChargingError:
+                sound[p] = False
+        return sound
 
 
 def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:

@@ -113,15 +113,17 @@ def cmd_verify(args) -> int:
             f"not {args.strategy}"
         )
     mode = f"--strategy {args.strategy} " + (f"--adv {args.adv}" if args.adv else "without --adv")
-    unread = ["--random", "--max-edges", "--all-roots", "--seed"] if args.adv else ["--out", "--N"]
+    unread = ["--random", "--max-edges", "--seed"] if args.adv else ["--out", "--N"]
     unread += ["--k", "--all-roots"] if args.strategy == "rp-path" else ["--p"]
     for flag in unread:
         if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
             raise ValueError(f"verify {mode} does not read {flag}")
+    if args.all_roots and args.out:
+        raise ValueError("verify --all-roots writes no --out: the CSV holds one root's rows")
     k = 2 if args.k is None else args.k
     if args.adv is not None:
         report = harness.verify_construction(harness.ExperimentConfig(
-            adversary=args.adv, k=k, N=10 if args.N is None else args.N))
+            adversary=args.adv, k=k, N=10 if args.N is None else args.N), all_roots=args.all_roots)
         print(
             f"{args.strategy} on {args.adv}(k={k}): passed={report.passed}, "
             f"min margin {report.min_margin}"

@@ -202,19 +202,20 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     )
 
 
-def audit_fair(trace: Trace, *, first_fit: bool = False) -> bool:
+def audit_fair(trace: Trace, *, first_fit: bool = False, colors=None) -> bool:
     """Check that every rejection happened with all k colors blocked, and
     with first_fit also that every colored edge took the lowest open color:
     fairness plus lowest-color is exactly first-fit.
 
     Replays per-vertex color masks in reveal order, so the verdict reflects
     the state each decision saw, not the final coloring.  Properness is not
-    re-checked: `PartialColoring.color` built the trace's coloring.
+    re-checked: `PartialColoring.color` built the trace's coloring.  colors
+    is the trace's `colors()` where the caller already holds it.
     """
     k, edges = trace.k, trace.graph.edges
     used = [0] * trace.graph.num_vertices
     all_colors = full_mask(k)
-    for (u, v), c in zip(edges, trace.colors()):
+    for (u, v), c in zip(edges, trace.colors() if colors is None else colors):
         seen = used[u] | used[v]
         if c is None:
             if seen != all_colors:

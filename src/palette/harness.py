@@ -609,8 +609,11 @@ class VerifySummary:
     min_margin: object | None = None
 
     def add(self, report: charging.VerdictReport) -> None:
-        self.failures += not report.passed
-        margin = report.min_margin
+        self.fold(not report.passed, report.min_margin)
+
+    def fold(self, failures: int, margin) -> None:
+        """Count failed verdicts and keep the least exact margin."""
+        self.failures += failures
         if margin is not None and (self.min_margin is None or margin < self.min_margin):
             self.min_margin = margin
 
@@ -650,11 +653,15 @@ TREE_CERTIFICATES = {
 
 def _certify(strategy: str, trace, witness, all_roots: bool, tally: VerifySummary) -> None:
     """Prepare the strategy's certificate on the trace once and fold its
-    verdicts into the tally: from every root when all_roots is set, else
+    verdicts into the tally: from every root in one `charge_all` when
+    all_roots is set (its failures and least margin, made exact once), else
     from root 0."""
     certificate = TREE_CERTIFICATES[strategy][1](trace, witness)
-    for root in range(trace.graph.num_vertices) if all_roots else (0,):
-        tally.add(certificate.charge(root))
+    if not all_roots:
+        tally.add(certificate.charge(0))
+        return
+    margins = [m for m in certificate.charge_all() if m is not None]
+    tally.fold(sum(m < 0 for m in margins), certificate.exact(min(margins)) if margins else None)
 
 
 def verify_trees(
@@ -700,9 +707,17 @@ def verify_rp_paths(count: int, max_edges: int, p, seed=0) -> VerifySummary:
     return tally
 
 
-def verify_construction(config: ExperimentConfig) -> charging.VerdictReport:
+def verify_construction(
+    config: ExperimentConfig, *, all_roots: bool = False
+) -> charging.VerdictReport | VerifySummary:
     """Let next-fit play the configured tree construction and charge the fair
-    certificate from root 0; on the nf-tree family the minimum margin is 0."""
+    certificate: from root 0 as a verdict report, or from every root as a
+    tally of one instance.  On the nf-tree family the minimum margin is 0."""
     nf = engine.make_algorithm("nf")
     trace = engine.run(nf, construction_for(config).build(config, nf, None))
-    return charging.FairTreeCertificate(trace, opt_tree(trace.graph, trace.k)).charge(0)
+    witness = opt_tree(trace.graph, trace.k)
+    if not all_roots:
+        return charging.FairTreeCertificate(trace, witness).charge(0)
+    tally = VerifySummary("fair-tree", 1)
+    _certify("fair-tree", trace, witness, True, tally)
+    return tally

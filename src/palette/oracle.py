@@ -74,7 +74,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
 
     # best count in x's subtree with x's parent edge free to keep / kept,
     # and x's child edges whose keeping gains 1, in reveal order
-    incident, parent_edge = g.incident, view.parent_edge
+    incident, edges, parent_edge = g.incident, g.edges, view.parent_edge
     free, tight = [0] * n, [0] * n
     gainers: list[list[int]] = [[]] * n
     for x in reversed(view.order):
@@ -82,9 +82,12 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
         for f in incident[x]:
             if f == pe:
                 continue
-            y = g.other_end(f, x)
-            base += free[y]
-            if free[y] == tight[y]:
+            u, y = edges[f]
+            if y == x:
+                y = u
+            fy = free[y]
+            base += fy
+            if fy == tight[y]:
                 up.append(f)
         gainers[x] = up
         free[x] = base + min(len(up), k)
@@ -99,7 +102,8 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
             if c == pc:
                 c += 1
             coloring[f] = c
-            parent_color[g.other_end(f, x)] = c
+            u, y = edges[f]
+            parent_color[u if y == x else y] = c
     return OptWitness(edges=frozenset(coloring), coloring=coloring, count=len(coloring))
 
 

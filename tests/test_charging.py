@@ -169,6 +169,108 @@ def test_fair_certificate_verdicts_are_pinned_at_k5_and_k9():
     assert _all_roots_digest(FairTreeCertificate, cases) == (767, FAIR_SURD_AND_SQUARE_SHA256)
 
 
+def _assert_charge_all_matches(certificate):
+    margins = certificate.charge_all()
+    assert len(margins) == certificate.trace.graph.num_vertices
+    for root, margin in enumerate(margins):
+        report = certificate.charge(root)
+        exact = None if margin is None else certificate.exact(margin)
+        assert (margin is None or margin >= 0, exact) == (report.passed, report.min_margin)
+        assert type(exact) is type(report.min_margin)
+
+
+def _rejected_part(trace, witness):
+    """The witness cut down to the edges the run rejected: no judged edge is
+    pinned at C, so each root's least margin comes from the moving values."""
+    colors = trace.colors()
+    kept = {e: c for e, c in witness.coloring.items() if colors[e] is None}
+    return trace, OptWitness(frozenset(kept), kept, len(kept))
+
+
+def test_charge_all_gives_every_roots_verdict():
+    for m in range(1, 6):
+        for edges in harness.tree_reveal_orders(m):
+            for k in (2, 3, 4, 5):
+                seq = RevealSequence(edges=edges, k=k)
+                _assert_charge_all_matches(FFTreeCertificate(*_played("ff", seq)))
+                _assert_charge_all_matches(FairTreeCertificate(*_played("nf", seq)))
+    for t in range(30):
+        seq = random_tree_sequence(t, 14, 9)
+        _assert_charge_all_matches(FFTreeCertificate(*_played("ff", seq)))
+        for alg in ("nf", "ff", RandomFair()):
+            _assert_charge_all_matches(FairTreeCertificate(*_played(alg, seq, seed=t)))
+
+
+def test_charge_all_follows_margins_that_move_with_the_root():
+    spreads = []  # distinct least margins over the roots of each certificate
+    for m in range(1, 6):
+        for edges in harness.tree_reveal_orders(m):
+            for k in (2, 3):
+                seq = RevealSequence(edges=edges, k=k)
+                for certify, alg in ((FFTreeCertificate, "ff"), (FairTreeCertificate, "nf")):
+                    certificate = certify(*_rejected_part(*_played(alg, seq)))
+                    if _least_refused_root(certificate) is None:
+                        _assert_charge_all_matches(certificate)
+                        spreads.append(len(set(certificate.charge_all())))
+    assert sum(n > 1 for n in spreads) >= 200  # 228 of 988
+
+
+def _least_refused_root(certificate):
+    """The least root `charge` refuses, checking that `charge_all` refuses
+    with the same message, or None when every root passes."""
+    for root in range(certificate.trace.graph.num_vertices):
+        try:
+            certificate.charge(root)
+        except charging.ChargingError as error:
+            with pytest.raises(charging.ChargingError) as walked:
+                certificate.charge_all()
+            assert str(walked.value) == str(error)
+            return root
+    certificate.charge_all()
+    return None
+
+
+def test_charge_all_raises_the_least_refused_roots_guard_error(monkeypatch):
+    class Unfed(FFTreeCertificate):  # every double edge counts as high-colored
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.top_free = [0] * len(self.top_free)
+
+    def strict(k, C, case, tx, ty, e):  # one case never holds
+        if case == refused_case:
+            raise charging.ChargingError(f"edge {e}: case-{case} refused")
+        check(k, C, case, tx, ty, e)
+
+    check = charging._check_fair_case
+    monkeypatch.setattr(charging, "_check_fair_case", strict)
+    refused = {Unfed: [], FairTreeCertificate: []}
+    for m in range(1, 6):
+        for edges in harness.tree_reveal_orders(m):
+            seq = RevealSequence(edges=edges, k=3)
+            refused[Unfed].append(_least_refused_root(Unfed(*_played("ff", seq))))
+            for refused_case in "12":
+                certificate = FairTreeCertificate(*_played("nf", seq))
+                refused[FairTreeCertificate].append(_least_refused_root(certificate))
+    # each doctored guard trips first at root 0 on some runs and at a later root
+    # on others; the strict case checks let most runs pass
+    assert all(0 in roots and any(roots) for roots in refused.values())
+    assert None in refused[FairTreeCertificate]
+
+
+def test_charge_all_checks_conservation_at_every_root(monkeypatch):
+    # a k = 4 star centred at 7 whose rejected optimum edges 4, 5, 6 need a
+    # unit of 6 to split exactly; at unit 1 some roots leak, root 0 does not
+    edges = [(1, 7), (2, 7), (3, 7), (4, 7), (0, 7), (5, 7), (6, 7)]
+    witness = OptWitness(frozenset({3, 4, 5, 6}), {3: 4, 4: 1, 5: 2, 6: 3}, 4)
+    monkeypatch.setattr(charging.math, "lcm", lambda *counts: 1)
+    for alg, certify in (("ff", FFTreeCertificate), ("nf", FairTreeCertificate)):
+        certificate = certify(engine.run(alg, RevealSequence(edges=edges, k=4)), witness)
+        assert certificate.unit == 1 and certificate.charge(0).passed
+        with pytest.raises(charging.ChargingError, match="leaked value"):
+            certificate.charge(7)
+        assert _least_refused_root(certificate) > 0
+
+
 def test_prepared_certificates_refuse_and_range_check():
     seq = RevealSequence(edges=[(0, 1), (1, 2)], k=2)
     rejected = engine.run(RejectAll(), seq)  # first-fit would color both edges

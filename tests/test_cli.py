@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import shlex
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import RandomFair, random_tree_sequence, trace_csv
-from palette import engine, harness
+from palette import charging, engine, harness
 from palette.adversaries import nf_path_killer, star_chain
 from palette.cli import build_parser, main
 from palette.graph import format_edge_list
@@ -542,7 +543,7 @@ ADV = ["--adv", "nf-tree", "--k", "4", "--N", "2"]
     (["--strategy", "rp-path", *SWEEP], ["--out", "x.csv"]),
     (["--strategy", "fair-tree", *ADV], ["--random", "5"]),
     (["--strategy", "fair-tree", *ADV], ["--max-edges", "5"]),
-    (["--strategy", "fair-tree", *ADV], ["--all-roots"]),  # would certify root 0 only
+    (["--strategy", "fair-tree", *ADV], ["--all-roots", "--out", "x.csv"]),  # one root's rows
     (["--strategy", "ff-tree", *SWEEP], ["--p", "0.7"]),
     (["--strategy", "fair-tree", *SWEEP], ["--p", "0.7"]),
     (["--strategy", "rp-path", *SWEEP], ["--k", "3"]),  # always plays k=2
@@ -553,6 +554,22 @@ def test_verify_refuses_flags_its_mode_never_reads(tmp_path, monkeypatch, capsys
     _assert_usage_error(capsys, ["verify", *base, *extra])
     assert not (tmp_path / "x.csv").exists()
     assert main(["verify", *base]) == 0
+
+
+def test_verify_adv_all_roots_certifies_every_root(monkeypatch, capsys):
+    charged = []
+    monkeypatch.setattr(charging._TreeCertificate, "charge",
+                        lambda self, root: charged.append(root))
+    start = time.perf_counter()
+    assert main(["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "16",
+                 "--N", "50", "--all-roots"]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out == "fair-tree on nf-tree(k=16): passed=True, min margin 0\n"
+    assert main(["verify", "--strategy", "fair-tree", "--adv", "nf-tree-rounded", "--k", "5",
+                 "--N", "2", "--all-roots"]) == 0
+    assert capsys.readouterr().out == (
+        "fair-tree on nf-tree-rounded(k=5): passed=True, min margin 0\n")
+    assert charged == []  # every root from the one rerooting walk, none through charge(root)
 
 
 def test_a_missing_size_is_reported_before_an_unread_one(capsys):
