@@ -142,24 +142,27 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
 def edge_classes(trace: engine.Trace, witness: OptWitness, colors=None):
     """Split edges into double / single / opt-only and tally them per vertex.
 
-    Returns (klass, tallies): klass maps edge id to one of 'double',
-    'single', 'opt-only', 'neither'; tallies[v] is a dict with the counts
-    d_c, d_d of incident colored / double edges.  colors is the trace's
-    `colors()` where the caller already holds it.
+    Returns (klass, d_c, d_d): klass maps edge id to one of 'double',
+    'single', 'opt-only', 'neither'; d_c[v] and d_d[v] count the colored and
+    the double edges at vertex v, in two flat int lists.  colors is the
+    trace's `colors()` where the caller already holds it.
     """
     g = trace.graph
     klass: dict[int, str] = {}
-    tallies = [{"d_c": 0, "d_d": 0} for _ in range(g.num_vertices)]
+    d_c, d_d = [0] * g.num_vertices, [0] * g.num_vertices
     for e, c in enumerate(trace.colors() if colors is None else colors):
         opt = e in witness.edges
         if c is None:
             klass[e] = "opt-only" if opt else "neither"
             continue
         klass[e] = "double" if opt else "single"
-        for v in g.edges[e]:
-            tallies[v]["d_c"] += 1
-            tallies[v]["d_d"] += opt
-    return klass, tallies
+        u, v = g.edges[e]
+        d_c[u] += 1
+        d_c[v] += 1
+        if opt:
+            d_d[u] += 1
+            d_d[v] += 1
+    return klass, d_c, d_d
 
 
 _ONE = Fraction(1)
@@ -204,9 +207,9 @@ def _unscaler(scale: int):
 class _TreeCertificate:
     """Both tree certificates: a per-trace preparation and a per-root pass.
 
-    Construction walks the tree once (refusing anything else, and keeping the
-    walk for root 0), audits the witness and derives the edge classes, vertex
-    tallies and initial values.  Values are kept multiplied by `scale`: a
+    Construction reads the graph's walk (`Graph.walk`, the walk from root 0),
+    refuses anything but a tree, audits the witness and derives the edge
+    classes, vertex tallies and initial values.  Values are kept multiplied by `scale`: a
     colored edge is worth `scale` and C is `target`, both the strategy's times
     `unit`: lcm(1..d) for the most rejected optimum edges d at one vertex in
     an int ledger, so each split stays an int, and 1 in a surd ledger.
@@ -219,13 +222,13 @@ class _TreeCertificate:
 
     def __init__(self, trace: engine.Trace, witness: OptWitness, colors: list, scale: int, target):
         g = trace.graph
-        view = rooted_view(g, range(g.num_vertices))
+        view = g.walk
         if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
         self.trace, self.witness = trace, witness
         self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
-        self.klass, self.tallies = edge_classes(trace, witness, colors)
+        self.klass, self.d_c, self.d_d = edge_classes(trace, witness, colors)
         self.color_of = {e: c for e, c in enumerate(colors) if c is not None}
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
         d = max(Counter(x for e in self.opt_only for x in g.edges[e]).values(), default=1)  # <= k
@@ -449,7 +452,7 @@ class FFTreeCertificate(_TreeCertificate):
                     f"color {c} at a child edge with no colored parent edge"
                 )
             if klass[e] == "double" and c > self.top_free[x]:
-                need = k - self.tallies[x]["d_c"]
+                need = k - self.d_c[x]
                 if via_credit[e] < need * unit:
                     raise ChargingError(
                         f"high-colored double edge {e} routed only "
@@ -473,7 +476,7 @@ class FFTreeCertificate(_TreeCertificate):
             elif klass[p] == "double":
                 x = self.trace.graph.other_end(p, v)
                 sound[p] = (color_of[p] <= self.top_free[x]
-                            or self._credit(p, v) >= (k - self.tallies[x]["d_c"]) * unit)
+                            or self._credit(p, v) >= (k - self.d_c[x]) * unit)
             else:
                 sound[p] = True
         return sound
@@ -530,22 +533,24 @@ class FairTreeCertificate(_TreeCertificate):
         self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
     def _check(self, view, held, parent_of, cases, routed):
-        g, tallies = self.trace.graph, self.tallies
+        g = self.trace.graph
         for e, case in cases.items():
             x, y = view.parent_side(g, e)
             if held[y] < self.target:  # the child endpoint cannot pay C by itself
-                self._judge(case, tallies[x], tallies[y], e)
+                self._judge(case, x, y, e)
 
-    def _judge(self, case, tx, ty, e):
-        key = (case, *tx.values(), *ty.values())
+    def _judge(self, case, x, y, e):
+        """`_check_fair_case` on edge e from parent end x to child end y."""
+        d_c, d_d = self.d_c, self.d_d
+        key = (case, d_c[x], d_d[x], d_c[y], d_d[y])
         if key not in self._judged:
-            _check_fair_case(self.trace.k, self.C, case, tx, ty, e)
+            _check_fair_case(self.trace.k, self.C, *key, e)
             self._judged.add(key)
 
     def _sound(self, v: int, held: list) -> dict:
         """`_check` at v's rejected optimum child edges in each of v's states:
         the case follows v's parent edge, the rest is fixed per child edge."""
-        g, klass, tallies = self.trace.graph, self.klass, self.tallies
+        g, klass = self.trace.graph, self.klass
         needy = []  # rejected optimum edges whose child end y cannot pay C, with y
         for f in g.incident[v]:
             y = g.other_end(f, v)
@@ -557,7 +562,7 @@ class FairTreeCertificate(_TreeCertificate):
             try:
                 for f, y in needy:
                     if f != p:
-                        self._judge(case, tallies[v], tallies[y], f)
+                        self._judge(case, v, y, f)
                 sound[p] = True
             except ChargingError:
                 sound[p] = False
@@ -569,19 +574,19 @@ def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
     return FairTreeCertificate(trace, witness).charge(0)
 
 
-def _check_fair_case(k, C, case, tx, ty, e):
-    """Re-derive the case inequalities on the run's actual tallies.
+def _check_fair_case(k, C, case, dcx, ddx, dcy, ddy, e):
+    """Re-derive the case inequalities on the run's actual tallies: the
+    colored and double edge counts at parent end x and child end y of e.
 
     Only binding when the child endpoint cannot already pay C by itself (the
     caller checks that); in that regime every colored edge there must be
     double-colored, and the three inequalities of the matching case must hold.
     """
-    if ty["d_c"] != ty["d_d"]:
+    if dcy != ddy:
         raise ChargingError(
             f"edge {e}: child endpoint holds less than C yet has a "
             "single-colored edge"
         )
-    dcx, ddx, dcy = tx["d_c"], tx["d_d"], ty["d_c"]
     if case == "1":
         chain = [
             dcx + (1 - C) * dcy * (k - ddx - 1) >= C * k,

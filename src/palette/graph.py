@@ -5,17 +5,23 @@ existence the first time an edge mentions them; edge ids are assigned in
 reveal order.  Colors are the
 integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
 set means color ``c`` is present).  A graph's adjacency (`Graph.incident`)
-is built from its edge list on first read and kept current by `add_edge`
-after that, so a game whose strategy reads only color masks never builds it.
-`rooted_view` is the package's one graph walk: components, the tree oracle
-and both tree certificates read its parent edges and its parents-first
-vertex order.  On a forest every other incident edge of a vertex is a child
-edge, so a walk records nothing more.
+is one tuple of edge ids per vertex, built from its edge list on first read
+and kept current by `add_edge` after that (each new edge id is appended to
+its endpoints' tuples), so a game whose strategy reads only color masks
+never builds it.  Tuples rather than lists: the cyclic garbage collector
+stops tracking a tuple of ints at its first collection, so a big graph
+leaves it nothing per vertex to sweep.  `rooted_view` is the package's one
+graph walk: components, the tree oracle and both tree certificates read its
+parent edges and its parents-first vertex order, and the walk from every
+vertex in id order is made once per graph and kept until the next edge
+(`Graph.walk`).  On a forest every other incident edge of a vertex is a
+child edge, so a walk records nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class GraphError(ValueError):
@@ -45,24 +51,54 @@ def lowest_free_color(used: int, k: int) -> int | None:
 class Graph:
     """Simple undirected graph built one edge at a time."""
 
-    __slots__ = ("edges", "num_vertices", "_incident", "_seen")
+    __slots__ = ("edges", "num_vertices", "_incident", "_walk", "_seen")
 
     def __init__(self):
         self.edges: list[tuple[int, int]] = []
         self.num_vertices = 0
-        self._incident: list[list[int]] | None = None  # built on first read
+        self._incident: list[tuple[int, ...]] | None = None  # built on first read
+        self._walk: RootedView | None = None  # made on first read, dropped by add_edge
         self._seen: set[int] = set()  # one int per unordered pair, see add_edge
 
     @property
-    def incident(self) -> list[list[int]]:
-        """vertex -> incident edge ids, in reveal order."""
+    def incident(self) -> list[tuple[int, ...]]:
+        """vertex -> tuple of incident edge ids, in reveal order.
+
+        Built in O(m) on first read: the degrees, one flat array of edge ids
+        grouped by vertex, then a tuple slice of it per vertex, so no
+        per-vertex list is left alive.  After that `add_edge` appends each
+        new edge id to its endpoints' tuples, O(deg) per edge.
+        """
         if self._incident is None:
-            incident = [[] for _ in range(self.num_vertices)]
-            for eid, (u, v) in enumerate(self.edges):
-                incident[u].append(eid)
-                incident[v].append(eid)
+            edges = self.edges
+            deg = [0] * self.num_vertices
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            pos = [0, *accumulate(deg)]  # where each vertex's ids go next
+            flat = [0] * pos[-1]
+            for eid, (u, v) in enumerate(edges):
+                p = pos[u]
+                flat[p] = eid
+                pos[u] = p + 1
+                p = pos[v]
+                flat[p] = eid
+                pos[v] = p + 1
+            flat = tuple(flat)  # so each slice is a tuple already
+            incident, start = [], 0
+            for stop in pos[:-1]:  # x's ids now end where x + 1's start
+                incident.append(flat[start:stop])
+                start = stop
             self._incident = incident
         return self._incident
+
+    @property
+    def walk(self) -> RootedView:
+        """`rooted_view(self, range(num_vertices))`: made on first read and kept
+        until the next `add_edge`.  Callers share it, so they only read it."""
+        if self._walk is None:
+            self._walk = rooted_view(self, range(self.num_vertices))
+        return self._walk
 
     @property
     def num_edges(self) -> int:
@@ -84,10 +120,12 @@ class Graph:
         self.edges.append((u, v))
         if hi >= self.num_vertices:
             self.num_vertices = hi + 1
-        if self._incident is not None:
-            self._incident.extend([] for _ in range(hi + 1 - len(self._incident)))
-            self._incident[u].append(eid)
-            self._incident[v].append(eid)
+        incident = self._incident
+        if incident is not None:  # a walk reads the adjacency, so none exists before it
+            incident.extend([()] * (hi + 1 - len(incident)))
+            incident[u] += (eid,)
+            incident[v] += (eid,)
+            self._walk = None
         return eid
 
     def endpoints(self, eid: int) -> tuple[int, int]:
@@ -109,8 +147,8 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as lists of vertex ids (isolated ones too),
-        each from its least vertex, parents first, as `rooted_view` walks it."""
-        view = rooted_view(self, range(self.num_vertices))
+        each from its least vertex, parents first, as `walk` visits them."""
+        view = self.walk
         comps = []
         for x in view.order:
             if view.parent_edge[x] == -1:  # a root starts the next component

@@ -20,6 +20,7 @@ from itertools import permutations
 
 from . import adversaries, charging, engine
 from .adversaries import RevealSequence, path_edges
+from .graph import REJECTED
 from .oracle import opt_path, opt_tree
 
 ORDER_EXHAUSTIVE_LIMIT = 8
@@ -382,15 +383,21 @@ class ExhaustiveSummary:
     algorithm: str
     bound: Fraction
     instances: int = 0
-    min_ratio: Fraction | None = None
+    least: tuple[int, int] | None = None  # (colored, opt) of the least ratio so far
     witness: object = None  # the first reveal order attaining min_ratio
     charges: VerifySummary = field(default_factory=lambda: VerifySummary("ff-tree"))
 
     def add(self, colored: int, opt: int, order) -> None:
+        """Fold in one instance; ratios are compared by cross-multiplying
+        (opt > 0), and strict < keeps the first order on ties."""
         self.instances += 1
-        ratio = Fraction(colored, opt)
-        if self.min_ratio is None or ratio < self.min_ratio:
-            self.min_ratio, self.witness = ratio, order
+        least = self.least
+        if least is None or colored * least[1] < least[0] * opt:
+            self.least, self.witness = (colored, opt), order
+
+    @property
+    def min_ratio(self) -> Fraction | None:
+        return None if self.least is None else Fraction(*self.least)
 
     @property
     def charge_failures(self) -> int:
@@ -553,7 +560,7 @@ def exhaustive_trees(
                 trace = engine.run("ff", RevealSequence(edges=edges, k=summary.k))
                 witness = opt_tree(trace.graph, summary.k)
                 summary.add(trace.colored_count, witness.count, edges)
-                if witness.edges - set(trace.coloring.colored_edges()):
+                if REJECTED in map(trace.coloring.state.get, witness.edges):
                     _certify("ff-tree", trace, witness, all_roots, summary.charges)
     return summaries
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, GraphError, rooted_view
+from .graph import Graph, GraphError
 
 BRUTE_FORCE_EDGE_LIMIT = 16
 
@@ -33,13 +33,14 @@ def audit_witness(g: Graph, k: int, witness: OptWitness) -> None:
     if set(witness.coloring) != set(witness.edges):
         raise GraphError("witness coloring does not cover exactly its edges")
     # colors in 1..k that differ at every vertex keep at most k edges there;
-    # each (vertex, color) pair is claimed by one edge, so the check is O(m)
-    owner: dict[tuple[int, int], int] = {}
+    # each (vertex, color) pair, keyed by the int x*k + c - 1, is claimed by
+    # one edge, so the check is O(m)
+    owner: dict[int, int] = {}
     for eid, c in witness.coloring.items():
         if not 1 <= c <= k:
             raise GraphError(f"witness color {c} outside 1..{k}")
         for x in g.edges[eid]:
-            f = owner.setdefault((x, c), eid)
+            f = owner.setdefault(x * k + c - 1, eid)
             if f != eid:
                 raise GraphError(f"witness colors adjacent edges {f},{eid} alike")
 
@@ -59,7 +60,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
     """Optimum on a forest: max edge set with all degrees <= k, properly colored.
 
     Per-vertex DP with two states (parent edge kept or not), bottom-up over
-    one rooted walk.  Keeping a child edge changes the subtree value by 0 or
+    the graph's walk.  Keeping a child edge changes the subtree value by 0 or
     1, so the best children are the ones that gain 1, lowest edge id first,
     capped by the remaining degree budget.  One top-down pass then keeps and
     colors them: a vertex's kept child edges take the lowest colors not used
@@ -68,17 +69,17 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.num_vertices
-    view = rooted_view(g, range(n))
+    view = g.walk
     if g.num_edges + view.parent_edge.count(-1) != n:  # one root per component
         raise GraphError("tree oracle requires an acyclic graph")
 
-    # best count in x's subtree with x's parent edge free to keep / kept,
-    # and x's child edges whose keeping gains 1, in reveal order
+    # best count in x's subtree with x's parent edge free to keep / kept, and
+    # how many of x's child edges gain 1 when kept: those to children y with
+    # free[y] == tight[y]
     incident, edges, parent_edge = g.incident, g.edges, view.parent_edge
-    free, tight = [0] * n, [0] * n
-    gainers: list[list[int]] = [[]] * n
+    free, tight, gainers = [0] * n, [0] * n, [0] * n
     for x in reversed(view.order):
-        base, up, pe = 0, [], parent_edge[x]
+        base, up, pe = 0, 0, parent_edge[x]
         for f in incident[x]:
             if f == pe:
                 continue
@@ -88,22 +89,34 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
             fy = free[y]
             base += fy
             if fy == tight[y]:
-                up.append(f)
+                up += 1
         gainers[x] = up
-        free[x] = base + min(len(up), k)
-        tight[x] = base + min(len(up), k - 1)
+        free[x] = base + min(up, k)
+        tight[x] = base + min(up, k - 1)
 
     coloring: dict[int, int] = {}
     parent_color = [0] * n  # color of x's kept parent edge, 0 if none
     for x in view.order:
-        pc, c = parent_color[x], 0
-        for f in gainers[x][: k - 1 if pc else k]:
-            c += 1
-            if c == pc:
-                c += 1
-            coloring[f] = c
+        pc = parent_color[x]
+        take = min(gainers[x], k - 1 if pc else k)
+        if not take:
+            continue
+        c, pe = 0, parent_edge[x]
+        for f in incident[x]:  # the gaining child edges again, in reveal order
+            if f == pe:
+                continue
             u, y = edges[f]
-            parent_color[u if y == x else y] = c
+            if y == x:
+                y = u
+            if free[y] == tight[y]:
+                c += 1
+                if c == pc:
+                    c += 1
+                coloring[f] = c
+                parent_color[y] = c
+                take -= 1
+                if not take:
+                    break
     return OptWitness(edges=frozenset(coloring), coloring=coloring, count=len(coloring))
 
 

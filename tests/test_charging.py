@@ -22,6 +22,7 @@ from palette.adversaries import (
     path_edges,
     rp_strategy_mod3,
     rp_strategy_oddeven,
+    star_chain,
 )
 from palette.charging import (
     EdgeReport,
@@ -47,11 +48,12 @@ def ff_trace(edges, k):
 def test_edge_class_tallies():
     trace = ff_trace([(0, 1), (1, 2), (3, 4), (2, 3)], 2)
     witness = opt_tree(trace.graph, 2)
-    klass, tallies = edge_classes(trace, witness)
+    klass, d_c, d_d = edge_classes(trace, witness)
     assert klass[3] == "opt-only"
-    for v, t in enumerate(tallies):
+    assert len(d_c) == len(d_d) == trace.graph.num_vertices
+    for v in range(trace.graph.num_vertices):
         singles = sum(klass[e] == "single" for e in trace.graph.incident[v])
-        assert t["d_c"] == t["d_d"] + singles
+        assert d_c[v] == d_d[v] + singles
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,21 @@ def test_ff_charge_random_suite():
         assert report.passed, (seq.edges, seq.k)
         done += 1
     assert done == 500
+
+
+def test_certifying_a_big_tree_leaves_no_per_vertex_container():
+    """Adjacency, walk, optimum, tallies and ledger of a 30,001-vertex tree
+    live in tuples and flat int lists: kept alive, they leave the cyclic
+    collector nothing per vertex to scan."""
+    gc.collect()
+    before = len(gc.get_objects())
+    trace = engine.run("ff", star_chain(5, 5000, "ff", rng=random.Random("gc")))
+    witness = opt_tree(trace.graph, 5)
+    certificate = FFTreeCertificate(trace, witness)
+    report = certificate.charge(0)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 300
+    assert trace.graph.num_vertices == 30_001 and witness.count == 25_000 and report.passed
 
 
 def test_ff_charge_every_root():
@@ -236,10 +253,10 @@ def test_charge_all_raises_the_least_refused_roots_guard_error(monkeypatch):
             super().__init__(*args)
             self.top_free = [0] * len(self.top_free)
 
-    def strict(k, C, case, tx, ty, e):  # one case never holds
+    def strict(k, C, case, dcx, ddx, dcy, ddy, e):  # one case never holds
         if case == refused_case:
             raise charging.ChargingError(f"edge {e}: case-{case} refused")
-        check(k, C, case, tx, ty, e)
+        check(k, C, case, dcx, ddx, dcy, ddy, e)
 
     check = charging._check_fair_case
     monkeypatch.setattr(charging, "_check_fair_case", strict)
@@ -665,14 +682,12 @@ def test_ff_guard_high_colored_double_edge_is_fed():
 
 def test_fair_guard_child_endpoint_has_no_single_colored_edge():
     with pytest.raises(charging.ChargingError, match="has a single-colored edge"):
-        charging._check_fair_case(4, fair_ratio(4), "1", {"d_c": 1, "d_d": 1},
-                                  {"d_c": 2, "d_d": 1}, 0)
+        charging._check_fair_case(4, fair_ratio(4), "1", 1, 1, 2, 1, 0)
 
 
 def test_fair_guard_case_chain_must_hold():
     with pytest.raises(charging.ChargingError, match="case-1 inequality chain failed"):
-        charging._check_fair_case(4, fair_ratio(4), "1", {"d_c": 0, "d_d": 0},
-                                  {"d_c": 0, "d_d": 0}, 0)
+        charging._check_fair_case(4, fair_ratio(4), "1", 0, 0, 0, 0, 0)
 
 
 # -- the int ledger: lcm(1..d) makes every split at a vertex exact ----------------

@@ -201,7 +201,7 @@ def test_adjacency_is_built_on_first_read_and_kept_current():
                 for eid, (a, b) in enumerate(edges[: i + 1]):
                     eager[a].append(eid)
                     eager[b].append(eid)
-                assert g.incident == eager
+                assert g.incident == [tuple(row) for row in eager]
                 assert g.num_vertices == max(map(max, edges[: i + 1])) + 1
         assert g.incident == build_graph(edges).incident
 

@@ -108,3 +108,22 @@ def test_no_package_or_demo_module_imports_a_name_it_never_uses():
     modules = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
     modules += sorted((ROOT / "demos").glob("*.py"))
     assert [where for path in modules for where in _unused_imports(path)] == []
+
+
+def test_the_package_leaves_the_collector_settings_alone():
+    """A library must not change settings for the whole process: no module
+    under src/palette calls gc.disable, gc.set_threshold or gc.freeze."""
+    banned = {"disable", "set_threshold", "freeze"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names if a.name == "gc"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and isinstance(node.value, ast.Name) and node.value.id in names):
+                found.append(f"{path.name}:{node.lineno} gc.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found += [f"{path.name}:{node.lineno} from gc import {a.name}"
+                          for a in node.names if a.name in banned | {"*"}]
+    assert found == []
