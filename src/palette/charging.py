@@ -8,13 +8,15 @@ and the certificate holds if every optimum edge ends with at least C.  Each
 strategy here mirrors one guarantee: first-fit on trees at (k-1)/k, any
 fair algorithm on trees at (2*sqrt(k)-2)/(2*sqrt(k)-1), and the biased
 random pair strategy on two-colorable paths.  The two tree strategies share
-one certificate, `_TreeCertificate`: one preparation per trace, one pass
-per root and one rerooting walk for every root at once, which differ
-between them only in a routing hook (first-fit moves 1/k past high-colored
-double edges) and a check hook (each strategy's structural facts).  All three keep their books in their own unit (ints
-scaled by k for first-fit and by 2*sqrt(k)-1 for fair at square k, both times
-lcm(1..d) for the most rejected optimum edges d at a vertex so every split is
-exact; surds for fair at other k; ints counting half-slacks (1-C)/2 for the
+one certificate, `_TreeCertificate`: one preparation per trace and one
+state function, which settles a vertex under a given parent edge and which
+both the pass from one root and the rerooting walk over every root read.
+The two differ only in a credit hook (first-fit moves 1/k past
+high-colored double edges) and a guard hook (each strategy's structural
+facts).  All three keep their books in their own unit (ints scaled by k
+for first-fit and by 2*sqrt(k)-1 for fair at square k, both times lcm(1..d)
+for the most rejected optimum edges d at a vertex so every split is exact;
+surds for fair at other k; ints counting half-slacks (1-C)/2 for the
 pair strategy) and end in one ledger close, `_close`, which checks that no
 value leaked and decides the verdict in ledger units; the per-edge rows are
 built when first read, which a sweep never does.
@@ -35,12 +37,12 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 
 from . import engine
 from .adversaries import RevealSequence
 from .exact import Sqrt5, surd
-from .graph import GraphError, RootedView, color_bit, full_mask, path_positions, rooted_view
+from .graph import GraphError, color_bit, full_mask, path_positions, rooted_view
 from .oracle import OptWitness, audit_witness
 
 
@@ -168,35 +170,6 @@ def edge_classes(trace: engine.Trace, witness: OptWitness, colors=None):
 _ONE = Fraction(1)
 
 
-def _settle(incident: list, view: RootedView, klass: dict, held: list, v_f: list, C):
-    """The per-vertex pass shared by both tree strategies.
-
-    Each vertex pays its rejected optimum parent edge up to C, splits the rest
-    of its holding equally among its rejected optimum child edges (its other
-    incident edges, as the graph is a tree), and keeps
-    what is left; v_f is updated in place and the residual kept by all
-    vertices is returned.  An int ledger (C an int) is in a unit that every
-    child count divides, so `rem // n` is exact; a surd ledger splits as
-    `rem * Fraction(1, n)`, and a single child takes rem as it is.
-    """
-    residual, whole = 0, isinstance(C, int)
-    for v, rem in enumerate(held):
-        pe = view.parent_edge[v]
-        if pe != -1 and klass[pe] == "opt-only":
-            t = min(rem, C)
-            v_f[pe] += t
-            rem -= t
-        minus_children = [f for f in incident[v] if f != pe and klass[f] == "opt-only"]
-        if minus_children and rem > 0:
-            n = len(minus_children)
-            share = rem // n if whole else rem if n == 1 else rem * Fraction(1, n)
-            for f in minus_children:
-                v_f[f] += share
-            rem = 0
-        residual += rem
-    return residual
-
-
 def _unscaler(scale: int):
     """The exact v/scale of a ledger value v, once per distinct v (surds occur only
     at scale 1 and stay as they are); not a method, so rows keep only its cache."""
@@ -205,54 +178,112 @@ def _unscaler(scale: int):
 
 
 class _TreeCertificate:
-    """Both tree certificates: a per-trace preparation and a per-root pass.
+    """Both tree certificates: a per-trace preparation and one state function
+    that the per-root pass and the all-roots walk both read.
 
     Construction reads the graph's walk (`Graph.walk`, the walk from root 0),
     refuses anything but a tree, audits the witness and derives the edge
-    classes, vertex tallies and initial values.  Values are kept multiplied by `scale`: a
-    colored edge is worth `scale` and C is `target`, both the strategy's times
-    `unit`: lcm(1..d) for the most rejected optimum edges d at one vertex in
-    an int ledger, so each split stays an int, and 1 in a surd ledger.
-    `charge(root)` sends each colored edge's surplus (`scale`, or `scale -
-    target` for a double-colored edge) to its parent endpoint, lets the
-    strategy's `_route` move value between those holdings, settles the
-    rejected optimum edges, names their cases, runs the strategy's `_check`
-    and closes the books.  `charge_all()` gives every root's verdict at once.
+    classes, vertex tallies and initial values.  Values are kept multiplied
+    by `scale`: a colored edge is worth `scale` and C is `target`, both the
+    strategy's times `unit`: lcm(1..d) for the most rejected optimum edges d
+    at one vertex in an int ledger, so each split stays an int, and 1 in a
+    surd ledger.
+
+    Each colored edge sends its surplus (`scale`, or `scale - target` for a
+    double-colored edge) to its parent endpoint, which passes the strategy's
+    `_credit` of it on past a double-colored parent edge.  So what a vertex
+    holds, pays, shares out and keeps, and whether the strategy's guards hold
+    there, depend only on its parent edge: `_state(v, p)` settles v under
+    parent edge p.  `charge(root)` reads each vertex's state under its parent
+    edge from root, names the cases and closes the books; `charge_all()`
+    reads every state once and gives every root's verdict.
     """
 
     def __init__(self, trace: engine.Trace, witness: OptWitness, colors: list, scale: int, target):
-        g = trace.graph
-        view = g.walk
+        g, view = trace.graph, trace.graph.walk
         if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
         self.trace, self.witness = trace, witness
         self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
         self.klass, self.d_c, self.d_d = edge_classes(trace, witness, colors)
-        self.color_of = {e: c for e, c in enumerate(colors) if c is not None}
+        self.colors = colors
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
-        d = max(Counter(x for e in self.opt_only for x in g.edges[e]).values(), default=1)  # <= k
-        unit = math.lcm(*range(1, d + 1)) if isinstance(target, int) else 1
+        self.opt_deg = [0] * g.num_vertices  # rejected optimum edges at each vertex, <= k
+        for e in self.opt_only:
+            for x in g.edges[e]:
+                self.opt_deg[x] += 1
+        self.whole = isinstance(target, int)
+        unit = math.lcm(*range(1, max(self.opt_deg) + 1)) if self.whole else 1
         self.unit, self.scale, self.target = unit, scale * unit, target * unit
         self.v_i = [0 if c is None else self.scale for c in colors]
-        self.total = self.scale * len(self.color_of)
+        self.total = self.scale * (len(colors) - colors.count(None))
         self.exact = _unscaler(self.scale)
+        # under parent edge p (through[-1] = 0 at the root) v holds below[v] -
+        # through[p]: as the root it holds each colored edge's surplus and the
+        # credit fed past each double edge towards it, fed[2f + i] from its end
+        # edges[f][i]; a parent edge sends its surplus the other way instead
+        # and, when double, takes v's own credit on past itself
+        edges, m, klass, credit = g.edges, g.num_edges, self.klass, self._credit
+        below, through, fed = [0] * g.num_vertices, [0] * (m + 1), [0] * (2 * m)
+        scale, surplus = self.scale, self.scale - self.target
+        for f, kl in klass.items():
+            if kl == "single" or kl == "double":
+                u, w = edges[f]
+                cu = cw = 0
+                if kl == "double" and credit:
+                    cu, cw = fed[2 * f], fed[2 * f + 1] = credit(f, u, w)
+                through[f] = t = scale if kl == "single" else surplus + cu + cw
+                below[u] += t - cu
+                below[w] += t - cw
+        self.below, self.through, self.fed = below, through, fed
+
+    def _state(self, v: int, p: int):
+        """v settled under parent edge p (-1 at the root): (pay, share, keep, guard).
+
+        v pays a rejected optimum p up to C, splits the rest of its holding
+        equally among its other rejected optimum edges (its child edges, as
+        the graph is a tree) and keeps it when it has none.  An int ledger's
+        unit makes `rem // n` exact; a surd ledger splits as `rem * Fraction(1,
+        n)`, a single child taking rem as it is.  What a split drops is kept
+        by no one, so the books show it as a leak.  guard is the strategy's
+        first failing check at v, as (edge, order, message), or None.
+        """
+        held = self.below[v] - self.through[p]
+        kl, kids = self.klass.get(p, ""), self.opt_deg[v]
+        pay = share = keep = 0
+        if kl == "opt-only":
+            pay = held if held < self.target else self.target
+            kids -= 1
+        elif kl == "double" and not self.whole and not held.b:
+            held = held.a  # rational, as the sum over v's child edges is
+        rem = held - pay
+        if kids and rem > 0:
+            share = rem // kids if self.whole else rem if kids == 1 else rem * Fraction(1, kids)
+        else:
+            keep = rem
+        return pay, share, keep, self._guard(v, p, kl, held)
 
     def charge(self, root: int) -> VerdictReport:
-        g, klass, scale, target = self.trace.graph, self.klass, self.scale, self.target
-        view = self._view0 if root == 0 else rooted_view(g, (root,))
-        held = [0] * g.num_vertices  # value parked at each vertex
-        parent_of = []  # parent endpoint of each colored edge, in color_of order
-        double_surplus = scale - target  # a double-colored edge keeps target
-        for e in self.color_of:
-            x, _ = view.parent_side(g, e)
-            parent_of.append(x)
-            held[x] += double_surplus if klass[e] == "double" else scale
-        routed = self._route(view, held, parent_of)
+        g, klass, target = self.trace.graph, self.klass, self.target
+        parent_edge = (self._view0 if root == 0 else rooted_view(g, (root,))).parent_edge
         v_f = [target if kl == "double" else 0 for kl in klass.values()]
-        residual = _settle(g.incident, view, klass, held, v_f, target)
-        cases = self._cases(view)
-        self._check(view, held, parent_of, cases, routed)
+        share, residual, guards, state = [0] * g.num_vertices, 0, [], self._state
+        for v, p in enumerate(parent_edge):  # each state is dropped once read: no tuples pile up
+            pay, share[v], keep, guard = state(v, p)
+            if pay:  # only to a rejected optimum parent edge, never at the root
+                v_f[p] += pay
+            residual += keep
+            if guard is not None:
+                guards.append(guard)
+        if guards:  # the least (edge, order) fails first
+            raise ChargingError(min(guards)[2])
+        cases = {}  # named after the class of the edge above the parent end
+        for e in self.opt_only:  # the parent end's share on top of the child end's pay
+            x, y = g.edges[e]
+            x = y if parent_edge[x] == e else x
+            v_f[e] += share[x]
+            cases[e] = self.case_of_parent[klass.get(parent_edge[x], "")]
         return _close(self.strategy, target, klass, cases, self.v_i, v_f, self.total,
                       self.witness.edges, self.exact, residual)
 
@@ -261,97 +292,65 @@ class _TreeCertificate:
         units (None when nothing is judged), indexed by root: the verdicts of
         `charge` at each root, from one table and one rerooting walk.
 
-        A vertex's holding, what it settles and the strategy's guards on it
-        depend only on its parent edge, so the table has a state per incident
-        edge plus one for the root.  Moving the root across an edge changes
-        the states of its two ends only, and with them the v_f of the rejected
-        optimum edges there, the settled sum (checked against the total at
-        every root) and the count of vertices whose guards fail.  At the least
-        root where a guard fails or value leaks, `charge` raises its own error.
+        The table holds every vertex's `_state` under each incident edge and
+        as the root: slot 2f + i for the end edges[f][i] under parent edge f,
+        slot 2m + v for root v.  Moving the root across an edge changes the
+        states of its two ends only, and with them the v_f of the rejected
+        optimum edges there, the books' balance (checked at every root) and
+        the count of vertices whose guards fail.  At the least root where a
+        guard fails or value leaks, `charge` raises its own error.
         """
-        g, klass, target = self.trace.graph, self.klass, self.target
-        edges, incident, n = g.edges, g.incident, g.num_vertices
-        held = []  # held[v][p]: v's holding after routing when p is its parent edge
-        for v in range(n):
-            up = {}  # what each colored edge sends v while it is a child edge
-            for f in incident[v]:
-                if klass[f] == "single":
-                    up[f] = self.scale
-                elif klass[f] == "double":
-                    u, w = edges[f]
-                    up[f] = self.scale - target + self._credit(f, w if u == v else u)
-            below = sum(up.values())  # a double parent edge routes its own credit on up
-            held.append({-1: below} | {
-                p: below - up.get(p, 0) - (self._credit(p, v) if klass[p] == "double" else 0)
-                for p in incident[v]})
-        whole, opt_at = isinstance(target, int), [[] for _ in range(n)]
-        for e in self.opt_only:
-            for x in edges[e]:
-                opt_at[x].append(e)
-        pay, share, settled, sound = [], [], [], []
-        for v in range(n):  # `_settle` in every state
-            pay_v, share_v, settled_v = {}, {}, {}
-            for p, rem in held[v].items():
-                t, kids = 0, len(opt_at[v])
-                if p != -1 and klass[p] == "opt-only":
-                    pay_v[p] = t = min(rem, target)
-                    rem, kids = rem - t, kids - 1
-                s = 0
-                if kids and rem > 0:
-                    s = rem // kids if whole else rem if kids == 1 else rem * Fraction(1, kids)
-                    rem = s * kids
-                share_v[p], settled_v[p] = s, t + rem
-            pay.append(pay_v)
-            share.append(share_v)
-            settled.append(settled_v)
-            sound.append(self._sound(v, held))
-
-        state = list(self._view0.parent_edge)  # each vertex's parent edge, -1 at the root
+        g, klass, target, state = self.trace.graph, self.klass, self.target, self._state
+        edges, incident, m, opt_deg = g.edges, g.incident, g.num_edges, self.opt_deg
+        slots = []
+        for f, (u, w) in enumerate(edges):
+            slots += state(u, f), state(w, f)
+        slots += map(state, range(g.num_vertices), repeat(-1))
+        parent_edge = self._view0.parent_edge
+        at = [2 * m + v if p == -1 else 2 * p + (edges[p][1] == v)
+              for v, p in enumerate(parent_edge)]  # each vertex's slot
 
         def value(e):  # paid by the child end, plus the parent end's share
             u, w = edges[e]
-            y, x = (w, u) if state[w] == e else (u, w)
-            return pay[y][e] + share[x][state[x]]
+            a, b = slots[at[u]], slots[at[w]]
+            return a[0] + b[1] if at[u] == 2 * e else b[0] + a[1]
 
-        v_f = {e: value(e) for e in self.opt_only}
-        count = Counter(v_f.values())
-        doubles = sum(kl == "double" for kl in klass.values())
-        count[target] += doubles  # a double-colored edge ends at C from every root
-        queued = {v for v, c in count.items() if c}
-        heap = list(queued)
+        # a double-colored edge ends at C from every root
+        v_f = [value(e) if kl == "opt-only" else target if kl == "double" else 0
+               for e, kl in klass.items()]
+        count = Counter(v_f[e] for e in self.witness.edges)
+        heap = [v for v, c in count.items() if c]  # holds every value counted, and stale ones
         heapq.heapify(heap)
-        kept = sum(settled[v][state[v]] for v in range(n)) + target * doubles
-        failing = sum(not sound[v][state[v]] for v in range(n))
-        margins, refused = [None] * n, []
+        balance = sum(v_f) + sum(slots[i][2] for i in at) - self.total  # as `_close` checks it
+        failing = sum(slots[i][3] is not None for i in at)
+        margins, refused = [None] * len(at), []
 
         def verdict(root):
-            if failing or kept != self.total:
+            if failing or balance != 0:
                 refused.append(root)
             while heap and not count[heap[0]]:
-                queued.discard(heapq.heappop(heap))
+                heapq.heappop(heap)
             if heap:
                 margins[root] = heap[0] - target
 
         def move(r, s, f):  # the root moves from r to its neighbour s across f
-            nonlocal kept, failing
+            nonlocal balance, failing
+            for v, i in ((r, 2 * f + (edges[f][1] == r)), (s, 2 * m + s)):
+                old, new = slots[at[v]], slots[i]
+                at[v] = i
+                balance += new[2] - old[2]
+                failing += (new[3] is not None) - (old[3] is not None)
             for v in (r, s):
-                kept -= settled[v][state[v]]
-                failing -= not sound[v][state[v]]
-            state[r], state[s] = f, -1
-            for v in (r, s):
-                kept += settled[v][state[v]]
-                failing += not sound[v][state[v]]
-            for e in {*opt_at[r], *opt_at[s]}:
-                old, new = v_f[e], value(e)
-                if new != old:
-                    count[old] -= 1
-                    count[new] += 1
-                    v_f[e] = new
-                    if new not in queued:
-                        queued.add(new)
-                        heapq.heappush(heap, new)
+                if opt_deg[v]:
+                    for e in incident[v]:
+                        if klass[e] == "opt-only" and (new := value(e)) != (old := v_f[e]):
+                            count[old] -= 1
+                            count[new] += 1
+                            v_f[e] = new
+                            balance += new - old
+                            if count[new] == 1:
+                                heapq.heappush(heap, new)
 
-        parent_edge = self._view0.parent_edge
         verdict(0)
         walk = [(0, iter(incident[0]))]  # depth first from root 0, moving the root along
         while walk:
@@ -362,8 +361,7 @@ class _TreeCertificate:
                 if walk:
                     move(r, walk[-1][0], parent_edge[r])
             elif f != parent_edge[r]:
-                u, s = edges[f]
-                s = u if s == r else s
+                s = g.other_end(f, r)
                 move(r, s, f)
                 verdict(s)
                 walk.append((s, iter(incident[s])))
@@ -373,35 +371,21 @@ class _TreeCertificate:
             raise ChargingError(f"the rerooting walk refuses root {root}, which charge({root}) passes")
         return margins
 
-    def _route(self, view: RootedView, held: list, parent_of: list):
-        """Move value between holdings before they settle; returns what `_check` reads."""
-        return None  # unless a strategy routes, nothing moves
-
-    def _credit(self, f: int, child: int):
-        """What `_route` moves past double edge f when child is its child end."""
-        return 0
-
-    def _cases(self, view: RootedView) -> dict:
-        """Each rejected optimum edge's case from this root, named after the
-        class of the edge above it."""
-        g, klass, parent_edge = self.trace.graph, self.klass, view.parent_edge
-        cases = {}
-        for e in self.opt_only:
-            pe = parent_edge[view.parent_side(g, e)[0]]
-            cases[e] = self.case_of_parent[klass[pe] if pe != -1 else ""]
-        return cases
+    # a strategy that routes defines `_credit(f, u, w)`: what ends u and w of
+    # double edge f pass on past f when it is their parent edge
+    _credit = None
 
 
 class FFTreeCertificate(_TreeCertificate):
     """Certify a first-fit run on a tree at ratio C = (k-1)/k.
 
     Redistribution: each colored edge sends 1/k up past its parent edge when
-    that edge is double-colored with a higher color (`_route`), and the rest
+    that edge is double-colored with a higher color (`_credit`), and the rest
     of its surplus to its parent vertex; each vertex then settles its own
     rejected parent edge (up to C) and splits the rest among its rejected
     optimum child edges.  Two structural facts about first-fit (a vertex
     holds at least c/k after seeing color c; high-colored double edges are
-    fed by their children) are checked on the way (`_check`).
+    fed by their children) are checked on the way (`_guard`).
 
     Construction refuses traces first-fit did not produce.  Values are kept
     multiplied by k times `unit`: C is (k-1)*unit and 1/k is `unit`, so
@@ -417,69 +401,39 @@ class FFTreeCertificate(_TreeCertificate):
         colors = trace.colors()
         if not engine.audit_fair(trace, first_fit=True, colors=colors):
             raise ValueError("trace was not produced by first-fit; refusing to certify")
-        k = trace.k
-        super().__init__(trace, witness, colors, k, k - 1)
-        free = full_mask(k)
-        self.used = [trace.coloring.used_mask(v) for v in range(trace.graph.num_vertices)]
+        k, free = trace.k, full_mask(trace.k)
+        self.used = list(map(trace.coloring.used_mask, range(trace.graph.num_vertices)))
         # the largest color unused at v in the final coloring, else 0
         self.top_free = [(~used & free).bit_length() for used in self.used]
+        super().__init__(trace, witness, colors, k, k - 1)
 
-    def _route(self, view, held, parent_of):
-        """Send 1/k of each colored edge past its parent edge when that edge
-        is double-colored with a higher color; returns each edge's via-credit."""
-        g, klass, color_of, unit = self.trace.graph, self.klass, self.color_of, self.unit
-        parent_edge = view.parent_edge
-        via_credit = dict.fromkeys(color_of, 0)
-        for (e, c), x in zip(color_of.items(), parent_of):
-            pe = parent_edge[x]
-            if pe != -1 and klass[pe] == "double" and color_of[pe] > c:
-                held[x] -= unit
-                held[g.other_end(pe, x)] += unit
-                via_credit[pe] += unit
-        return via_credit
+    def _credit(self, f, u, w):
+        # 1/k from each colored edge at the child end below f's color
+        below_f, unit, used = color_bit(self.colors[f]) - 1, self.unit, self.used
+        return unit * (used[u] & below_f).bit_count(), unit * (used[w] & below_f).bit_count()
 
-    def _check(self, view, held, parent_of, cases, via_credit):
+    def _guard(self, v, p, kl, held):
         # structural facts of the strategy (violations mean a bug, not a bad run);
         # the vertex-holdings fact is checked where the guarantee invokes it:
         # below an uncolored (or absent) parent edge -- a merely single-colored
         # parent edge may itself hold one of the counted colors
-        k, klass, color_of, unit = self.trace.k, self.klass, self.color_of, self.unit
-        for (e, c), x in zip(color_of.items(), parent_of):
-            pe = view.parent_edge[x]
-            if (pe == -1 or pe not in color_of) and held[x] < c * unit:
-                raise ChargingError(
-                    f"vertex {x} holds {Fraction(held[x], self.scale)} < {c}/{k} despite "
-                    f"color {c} at a child edge with no colored parent edge"
-                )
-            if klass[e] == "double" and c > self.top_free[x]:
+        if kl == "double":
+            u, w = self.trace.graph.edges[p]
+            x = w if v == u else u
+            if self.colors[p] > self.top_free[x]:
+                k, credit = self.trace.k, self.fed[2 * p + (v == w)]
                 need = k - self.d_c[x]
-                if via_credit[e] < need * unit:
-                    raise ChargingError(
-                        f"high-colored double edge {e} routed only "
-                        f"{Fraction(via_credit[e], self.scale)} < {Fraction(need, k)} past itself"
-                    )
-
-    def _credit(self, f, child):
-        # 1/k from each colored edge at the child end below f's color
-        return self.unit * (self.used[child] & (color_bit(self.color_of[f]) - 1)).bit_count()
-
-    def _sound(self, v: int, held: list) -> dict:
-        """`_check`'s two facts at v in each of its states: below an uncolored
-        or absent parent edge v holds its highest color, and a high-colored
-        double parent edge is fed enough from v."""
-        k, klass, color_of, unit = self.trace.k, self.klass, self.color_of, self.unit
-        top = self.used[v].bit_length() * unit
-        sound = {}
-        for p, h in held[v].items():
-            if p not in color_of:
-                sound[p] = h >= top
-            elif klass[p] == "double":
-                x = self.trace.graph.other_end(p, v)
-                sound[p] = (color_of[p] <= self.top_free[x]
-                            or self._credit(p, v) >= (k - self.d_c[x]) * unit)
-            else:
-                sound[p] = True
-        return sound
+                if credit < need * self.unit:
+                    return p, 1, (f"high-colored double edge {p} routed only "
+                                  f"{Fraction(credit, self.scale)} < {Fraction(need, k)} "
+                                  "past itself")
+        elif kl != "single" and held < self.used[v].bit_length() * self.unit:
+            for f in self.trace.graph.incident[v]:  # the first child edge colored above held
+                if (c := self.colors[f]) is not None and c * self.unit > held:
+                    return f, 0, (f"vertex {v} holds {Fraction(held, self.scale)} < "
+                                  f"{c}/{self.trace.k} despite color {c} at a child edge "
+                                  "with no colored parent edge")
+        return None
 
 
 def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
@@ -503,7 +457,7 @@ class FairTreeCertificate(_TreeCertificate):
     vertex (nothing is routed); each vertex settles its rejected-optimum
     parent edge up to C and splits the rest among its rejected-optimum child
     edges.  For each rejected optimum edge whose child endpoint cannot
-    already cover C, `_check` re-checks the case inequalities behind the
+    already cover C, `_guard` re-checks the case inequalities behind the
     guarantee exactly on the run's actual vertex tallies, once per distinct
     (case, tallies of both endpoints) in the certificate's lifetime.
 
@@ -532,41 +486,25 @@ class FairTreeCertificate(_TreeCertificate):
                          2 * s - 2 if square else self.C)
         self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
-    def _check(self, view, held, parent_of, cases, routed):
-        g = self.trace.graph
-        for e, case in cases.items():
-            x, y = view.parent_side(g, e)
-            if held[y] < self.target:  # the child endpoint cannot pay C by itself
-                self._judge(case, x, y, e)
-
-    def _judge(self, case, x, y, e):
-        """`_check_fair_case` on edge e from parent end x to child end y."""
-        d_c, d_d = self.d_c, self.d_d
-        key = (case, d_c[x], d_d[x], d_c[y], d_d[y])
-        if key not in self._judged:
-            _check_fair_case(self.trace.k, self.C, *key, e)
-            self._judged.add(key)
-
-    def _sound(self, v: int, held: list) -> dict:
-        """`_check` at v's rejected optimum child edges in each of v's states:
-        the case follows v's parent edge, the rest is fixed per child edge."""
-        g, klass = self.trace.graph, self.klass
-        needy = []  # rejected optimum edges whose child end y cannot pay C, with y
+    def _guard(self, v, p, kl, held):
+        """The case step at each rejected optimum child edge f of v whose child
+        end y cannot pay C by itself, in the case v's parent edge names; each
+        distinct (case, tallies of both ends) is judged once per certificate."""
+        if not self.opt_deg[v]:
+            return None
+        g, klass, below, d_c, d_d = self.trace.graph, self.klass, self.below, self.d_c, self.d_d
         for f in g.incident[v]:
-            y = g.other_end(f, v)
-            if klass[f] == "opt-only" and held[y][f] < self.target:
-                needy.append((f, y))
-        sound = {}
-        for p in held[v]:
-            case = self.case_of_parent[klass[p] if p != -1 else ""]
-            try:
-                for f, y in needy:
-                    if f != p:
-                        self._judge(case, v, y, f)
-                sound[p] = True
-            except ChargingError:
-                sound[p] = False
-        return sound
+            if f != p and klass[f] == "opt-only":
+                y = g.other_end(f, v)
+                if below[y] < self.target:
+                    key = (self.case_of_parent[kl], d_c[v], d_d[v], d_c[y], d_d[y])
+                    if key not in self._judged:
+                        try:
+                            _check_fair_case(self.trace.k, self.C, *key, f)
+                        except ChargingError as error:
+                            return f, 0, str(error)
+                        self._judged.add(key)
+        return None
 
 
 def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:

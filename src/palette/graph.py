@@ -191,11 +191,6 @@ class RootedView:
     parent_edge: list[int]  # -1 at a root and at vertices not reached
     order: list[int]  # reached vertices, parents before children
 
-    def parent_side(self, g: Graph, eid: int) -> tuple[int, int]:
-        """Endpoints of eid ordered (parent, child)."""
-        u, v = g.edges[eid]
-        return (u, v) if self.parent_edge[v] == eid else (v, u)
-
 
 def rooted_view(g: Graph, starts) -> RootedView:
     """Walk g from each start not reached yet; each such start roots a tree.

@@ -37,7 +37,7 @@ from palette.charging import (
     rp_path_charge,
 )
 from palette.exact import PHI_OVER_SQRT5, Sqrt5
-from palette.graph import GraphError
+from palette.graph import GraphError, rooted_view
 from palette.oracle import OptWitness, opt_bruteforce, opt_tree
 
 
@@ -247,12 +247,13 @@ def _least_refused_root(certificate):
     return None
 
 
-def test_charge_all_raises_the_least_refused_roots_guard_error(monkeypatch):
-    class Unfed(FFTreeCertificate):  # every double edge counts as high-colored
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.top_free = [0] * len(self.top_free)
+class Unfed(FFTreeCertificate):  # every double edge counts as high-colored
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.top_free = [0] * len(self.top_free)
 
+
+def test_charge_all_raises_the_least_refused_roots_guard_error(monkeypatch):
     def strict(k, C, case, dcx, ddx, dcy, ddy, e):  # one case never holds
         if case == refused_case:
             raise charging.ChargingError(f"edge {e}: case-{case} refused")
@@ -286,6 +287,114 @@ def test_charge_all_checks_conservation_at_every_root(monkeypatch):
         with pytest.raises(charging.ChargingError, match="leaked value"):
             certificate.charge(7)
         assert _least_refused_root(certificate) > 0
+
+
+# -- the per-root reference: one pass per root that routes, settles, names
+# the cases and checks the guards with no state function, for `charge` to match
+
+
+def _reference_charge(certificate, root):
+    """Route, settle, name the cases, check the guards and close, walking the
+    tree from root; reads only the certificate's preparation."""
+    c, g = certificate, certificate.trace.graph
+    klass, colors, unit, target, k = c.klass, c.colors, c.unit, c.target, c.trace.k
+    parent_edge = rooted_view(g, (root,)).parent_edge
+
+    def parent_side(e):
+        u, w = g.edges[e]
+        return (u, w) if parent_edge[w] == e else (w, u)
+
+    colored = [e for e, color in enumerate(colors) if color is not None]
+    parent_of = [parent_side(e)[0] for e in colored]
+    held = [0] * g.num_vertices
+    for e, x in zip(colored, parent_of):
+        held[x] += c.scale - target if klass[e] == "double" else c.scale
+    via_credit = dict.fromkeys(colored, 0)
+    if isinstance(c, FFTreeCertificate):  # 1/k past a higher-colored double parent edge
+        for e, x in zip(colored, parent_of):
+            pe = parent_edge[x]
+            if pe != -1 and klass[pe] == "double" and colors[pe] > colors[e]:
+                held[x] -= unit
+                held[g.other_end(pe, x)] += unit
+                via_credit[pe] += unit
+    v_f = [target if kl == "double" else 0 for kl in klass.values()]
+    residual = 0
+    for v, rem in enumerate(held):
+        pe = parent_edge[v]
+        if pe != -1 and klass[pe] == "opt-only":
+            t = min(rem, target)
+            v_f[pe] += t
+            rem -= t
+        kids = [f for f in g.incident[v] if f != pe and klass[f] == "opt-only"]
+        if kids and rem > 0:
+            n = len(kids)
+            share = rem // n if isinstance(target, int) else rem if n == 1 else rem * Fraction(1, n)
+            for f in kids:
+                v_f[f] += share
+            rem = 0
+        residual += rem
+    cases = {}
+    for e in c.opt_only:
+        pe = parent_edge[parent_side(e)[0]]
+        cases[e] = c.case_of_parent[klass[pe] if pe != -1 else ""]
+    if isinstance(c, FFTreeCertificate):
+        for e, x in zip(colored, parent_of):
+            color, pe = colors[e], parent_edge[x]
+            if (pe == -1 or colors[pe] is None) and held[x] < color * unit:
+                raise charging.ChargingError(
+                    f"vertex {x} holds {Fraction(held[x], c.scale)} < {color}/{k} despite "
+                    f"color {color} at a child edge with no colored parent edge")
+            if klass[e] == "double" and color > c.top_free[x]:
+                need = k - c.d_c[x]
+                if via_credit[e] < need * unit:
+                    raise charging.ChargingError(
+                        f"high-colored double edge {e} routed only "
+                        f"{Fraction(via_credit[e], c.scale)} < {Fraction(need, k)} past itself")
+    else:
+        for e, case in cases.items():
+            x, y = parent_side(e)
+            if held[y] < target:  # the child endpoint cannot pay C by itself
+                charging._check_fair_case(k, c.C, case, c.d_c[x], c.d_d[x], c.d_c[y], c.d_d[y], e)
+    return charging._close(c.strategy, target, klass, cases, c.v_i, v_f, c.total,
+                           c.witness.edges, c.exact, residual)
+
+
+def _outcome(charge, root):
+    """What charging from root gives, down to the type of each exact value."""
+    try:
+        report = charge(root)
+    except charging.ChargingError as error:
+        return str(error)
+    return report.passed, repr(report.min_margin), repr(report.rows)
+
+
+def _assert_charge_matches_the_reference(certificate):
+    for root in range(certificate.trace.graph.num_vertices):
+        assert _outcome(certificate.charge, root) == _outcome(
+            lambda r: _reference_charge(certificate, r), root)
+
+
+def test_charge_matches_the_per_root_reference(monkeypatch):
+    for m in range(1, 6):
+        for edges in harness.tree_reveal_orders(m):
+            for k in (2, 3):
+                seq = RevealSequence(edges=edges, k=k)
+                _assert_charge_matches_the_reference(FFTreeCertificate(*_played("ff", seq)))
+                _assert_charge_matches_the_reference(FairTreeCertificate(*_played("nf", seq)))
+
+    def strict(k, C, case, dcx, ddx, dcy, ddy, e):  # one case never holds
+        if case == refused_case:
+            raise charging.ChargingError(f"edge {e}: case-{case} refused")
+        check(k, C, case, dcx, ddx, dcy, ddy, e)
+
+    check = charging._check_fair_case
+    monkeypatch.setattr(charging, "_check_fair_case", strict)
+    for m in range(1, 6):
+        for edges in harness.tree_reveal_orders(m):
+            seq = RevealSequence(edges=edges, k=3)
+            _assert_charge_matches_the_reference(Unfed(*_played("ff", seq)))
+            for refused_case in "12":
+                _assert_charge_matches_the_reference(FairTreeCertificate(*_played("nf", seq)))
 
 
 def test_prepared_certificates_refuse_and_range_check():
@@ -654,30 +763,30 @@ def test_close_refuses_a_ledger_that_leaked_value():
         charging._close("ff-tree", 1, {0: "double"}, {}, [2], [1], 2, {0}, Fraction)
 
 
-def _ff_certificate(route, edges, k):
-    class Doctored(FFTreeCertificate):
-        _route = route
+class Starved(FFTreeCertificate):  # no vertex holds anything
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.below = [0] * len(self.below)
 
+
+class Unrouted(FFTreeCertificate):  # nothing is routed past a double edge
+    def _credit(self, f, u, w):
+        return 0, 0
+
+
+def _ff_certificate(doctored, edges, k):
     trace = engine.run("ff", RevealSequence(edges=edges, k=k))
-    return Doctored(trace, opt_tree(trace.graph, k))
+    return doctored(trace, opt_tree(trace.graph, k))
 
 
 def test_ff_guard_vertex_holds_at_least_its_color():
-    def empty_held(self, view, held, parent_of):
-        routed = FFTreeCertificate._route(self, view, held, parent_of)
-        held[:] = [0] * len(held)
-        return routed
-
     with pytest.raises(charging.ChargingError, match="vertex 0 holds 0 < 1/2"):
-        _ff_certificate(empty_held, [(0, 1)], 2).charge(0)
+        _ff_certificate(Starved, [(0, 1)], 2).charge(0)
 
 
 def test_ff_guard_high_colored_double_edge_is_fed():
-    def credit_nothing(self, view, held, parent_of):
-        return dict.fromkeys(self.color_of, 0)
-
     with pytest.raises(charging.ChargingError, match="routed only 0 < 1/3"):
-        _ff_certificate(credit_nothing, [(0, 1), (0, 2), (3, 4), (2, 3)], 3).charge(0)
+        _ff_certificate(Unrouted, [(0, 1), (0, 2), (3, 4), (2, 3)], 3).charge(0)
 
 
 def test_fair_guard_child_endpoint_has_no_single_colored_edge():
@@ -725,18 +834,9 @@ def test_tree_ledgers_split_three_ways_in_ints(monkeypatch):
 
 
 def test_ff_guards_keep_their_messages_at_an_lcm_unit():
-    def empty_held(self, view, held, parent_of):
-        routed = FFTreeCertificate._route(self, view, held, parent_of)
-        held[:] = [0] * len(held)
-        return routed
-
-    def credit_nothing(self, view, held, parent_of):
-        return dict.fromkeys(self.color_of, 0)
-
     # k = 2 star: two leaf edges colored, the two rejected ones are the witness
     star = engine.run("ff", RevealSequence(edges=[(0, leaf) for leaf in range(1, 5)], k=2))
-    certificate = type("Doctored", (FFTreeCertificate,), {"_route": empty_held})(
-        star, OptWitness(frozenset({2, 3}), {2: 1, 3: 2}, 2))
+    certificate = Starved(star, OptWitness(frozenset({2, 3}), {2: 1, 3: 2}, 2))
     assert certificate.unit == 2
     with pytest.raises(charging.ChargingError, match="vertex 0 holds 0 < 1/2"):
         certificate.charge(0)
@@ -745,8 +845,7 @@ def test_ff_guards_keep_their_messages_at_an_lcm_unit():
     edges = [(0, 1), (0, 2), (3, 4), (2, 3), (1, 5), (1, 6), (1, 7), (1, 8)]
     trace = engine.run("ff", RevealSequence(edges=edges, k=3))
     coloring = {0: 1, 1: 2, 2: 2, 3: 1, 6: 2, 7: 3}
-    certificate = type("Doctored", (FFTreeCertificate,), {"_route": credit_nothing})(
-        trace, OptWitness(frozenset(coloring), coloring, 6))
+    certificate = Unrouted(trace, OptWitness(frozenset(coloring), coloring, 6))
     assert certificate.unit == 2
     with pytest.raises(charging.ChargingError, match="routed only 0 < 1/3"):
         certificate.charge(0)

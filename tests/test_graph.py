@@ -234,7 +234,6 @@ def test_rooted_view_roots_each_tree_at_the_first_start_reaching_it():
     children = [[f for f in g.incident[x] if f != view.parent_edge[x]]
                 for x in range(g.num_vertices)]
     assert children == [[], [1], [3], [4], [0, 2], [], [], [], [], [5]]
-    assert view.parent_side(g, 2) == (4, 3)
     assert sorted(view.order) == list(range(10))
     assert [x for x in view.order if view.parent_edge[x] == -1] == [4, 2, 7, 9]
     place = {x: i for i, x in enumerate(view.order)}
