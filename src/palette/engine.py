@@ -12,14 +12,14 @@ user-supplied strategies through the same interface:
 
 A run's record, `Trace`, is its graph and its coloring: edge ids are reveal
 steps, and `Trace.steps` builds the per-step `Step` view from the two on read.
+The random-pair kernel, `rp_path_colored_counts`, is the package's only numpy
+reader, and numpy loads at its first call, not with this module.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graph import (
     REJECTED,
@@ -232,7 +232,7 @@ def audit_fair(trace: Trace, *, first_fit: bool = False, colors=None) -> bool:
 RP_CHUNK_TRIALS = 1 << 14
 _RP_STEP_BLOCK = 32  # steps whose uniforms are drawn in one call
 # (neighbours' color bits | 4 when a fresh draw picks color 2) -> new color bits
-_RP_TABLE = np.array([1, 2, 1, 0, 2, 2, 1, 0], dtype=np.uint8)
+_RP_TABLE = (1, 2, 1, 0, 2, 2, 1, 0)
 
 
 def rp_path_colored_counts(
@@ -245,22 +245,24 @@ def rp_path_colored_counts(
 ) -> np.ndarray:
     """Colored-edge counts of many independent random-parity runs on a path.
 
-    Vectorizes the runs across trials with numpy; the reveal order is fixed
-    and must form a path.  The state holds color bits (0 open or rejected, 1
-    and 2 the colors) in an (m+2, trials) uint8 array, one row per path
-    position plus a sentinel at each end, and each step looks its new bits up
-    in an 8-entry table.  Trials run in chunks of RP_CHUNK_TRIALS: chunk 0
-    reads ``default_rng(seed)``, the stream of an unchunked run, and chunk
-    c > 0 the c-th child spawned by ``SeedSequence(seed)``.  ``draws``, when
-    given, is a (trials, m) array of the uniform for every (trial, step) pair
-    and overrides the seed; the draw at a step is consumed only by trials
-    whose edge has no colored neighbor at that moment, which matches the
-    sequential engine's behavior edge for edge.
+    Vectorizes the runs across trials with numpy, which the first call
+    imports; the reveal order is fixed and must form a path.  The state holds
+    color bits (0 open or rejected, 1 and 2 the colors) in an (m+2, trials)
+    uint8 array, one row per path position plus a sentinel at each end, and
+    each step looks its new bits up in an 8-entry table.  Trials run in chunks
+    of RP_CHUNK_TRIALS: chunk 0 reads ``default_rng(seed)``, the stream of an
+    unchunked run, and chunk c > 0 the c-th child spawned by
+    ``SeedSequence(seed)``.  ``draws``, when given, is a (trials, m) array of
+    the uniform for every (trial, step) pair and overrides the seed; the draw
+    at a step is consumed only by trials whose edge has no colored neighbor at
+    that moment, which matches the sequential engine's behavior edge for edge.
     """
     if not 0.5 <= p <= 1:
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
+    import numpy as np
     positions = path_positions(order)
     m = len(order)
+    table = np.array(_RP_TABLE, dtype=np.uint8)
     root = np.random.SeedSequence(seed)
     counts = np.zeros(trials, dtype=np.int64)
     for lo in range(0, trials, RP_CHUNK_TRIALS):
@@ -276,7 +278,7 @@ def rp_path_colored_counts(
                 row = state[pos]
                 np.bitwise_or(state[pos - 1], state[pos + 1], out=row)
                 row |= fresh
-                np.take(_RP_TABLE, row, out=row, mode="clip")
+                np.take(table, row, out=row, mode="clip")
         for r0 in range(1, m + 1, _RP_STEP_BLOCK):
             counts[lo : lo + n] += np.count_nonzero(state[r0 : r0 + _RP_STEP_BLOCK], axis=0)
     return counts

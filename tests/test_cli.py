@@ -4,6 +4,8 @@ import hashlib
 import os
 import random
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import RandomFair, random_tree_sequence, trace_csv
-from palette import charging, engine, harness
+from palette import adversaries, charging, engine, harness
 from palette.adversaries import nf_path_killer, star_chain
 from palette.cli import build_parser, main
 from palette.graph import format_edge_list
@@ -177,6 +179,51 @@ def test_readme_commands_parse():
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         if args.command in ("run", "opt") and args.adv is not None:
             assert args.adv in harness.CONSTRUCTIONS, line
+
+
+def test_only_the_random_pair_kernel_loads_numpy_and_hashlib():
+    """numpy is about half of a palette process's start, so a fresh
+    interpreter loads neither it nor hashlib until the rp kernel runs on a
+    seed it must hash."""
+    code = """
+import sys
+import palette, palette.cli
+from palette.cli import main
+for argv in (["list"],
+             ["exhaustive", "--class", "tree", "--max-edges", "4", "--k", "2", "--all-roots"],
+             ["verify", "--strategy", "ff-tree", "--random", "5", "--max-edges", "6", "--k", "3"],
+             ["run", "--adv", "star-chain", "--alg", "ff", "--k", "3", "--N", "5"],
+             ["run", "--adv", "yao", "--alg", "ff", "--b", "3", "--trials", "4"]):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules and "hashlib" not in sys.modules, "loaded at start"
+assert main(["run", "--adv", "rp-mod3", "--alg", "rp", "--p", "0.7", "--m", "31",
+             "--trials", "100", "--seed", "x"]) == 0
+assert "numpy" in sys.modules and "hashlib" in sys.modules, "not loaded by the kernel"
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = {name: value for name, value in os.environ.items() if name != "PALETTE_SEED"}
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("b", [harness.YAO_B_LIMIT + 1, 40])
+def test_yao_refuses_b_past_its_limit_before_building_a_path(b, capsys, monkeypatch):
+    # a yao path has 3^b - 2 edges: b = 40 is refused up front, never built
+    def built(*args):
+        raise AssertionError(f"b = {b} reached the yao sampler")
+
+    monkeypatch.setattr(adversaries, "yao_instance", built)
+    monkeypatch.setattr(adversaries, "sample_subphase_count", built)
+    message = f"b must be >= 1 and <= {harness.YAO_B_LIMIT}"
+    with pytest.raises(ValueError, match=message):
+        harness.yao_experiment(b, trials=2)
+    with pytest.raises(ValueError, match=message):
+        harness.run_experiment(harness.ExperimentConfig(adversary="yao", b=b, trials=2))
+    for argv in (["yao", "--b", str(b), "--trials", "2"],
+                 ["run", "--adv", "yao", "--alg", "ff", "--b", str(b), "--trials", "2"],
+                 ["opt", "--adv", "yao", "--b", str(b)]):
+        assert message in _assert_usage_error(capsys, argv, silent=True)
 
 
 def test_run_yao_samples_as_the_yao_command(tmp_path, capsys):

@@ -127,3 +127,24 @@ def test_the_package_leaves_the_collector_settings_alone():
                 found += [f"{path.name}:{node.lineno} from gc import {a.name}"
                           for a in node.names if a.name in banned | {"*"}]
     assert found == []
+
+
+def _numpy_import_scopes(node, scope=None):
+    """The enclosing function of each numpy import under node, None at import time."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_import_scopes(child, child.name)
+        elif (isinstance(child, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in child.names)
+              or isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy"):
+            yield scope
+        else:
+            yield from _numpy_import_scopes(child, scope)
+
+
+def test_only_the_random_pair_kernel_imports_numpy():
+    """numpy costs about 40 ms of every process that imports it, and only the
+    random-pair kernel reads it: no module under src/palette imports it at
+    import time, and the kernel imports it on its first call."""
+    found = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _numpy_import_scopes(ast.parse(path.read_text()))]
+    assert found == [("engine.py", "rp_path_colored_counts")]
