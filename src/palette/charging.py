@@ -14,12 +14,13 @@ both the pass from one root and the rerooting walk over every root read.
 The two differ only in a credit hook (first-fit moves 1/k past
 high-colored double edges) and a guard hook (each strategy's structural
 facts).  All three keep their books in their own unit (ints scaled by k
-for first-fit and by 2*sqrt(k)-1 for fair at square k, both times lcm(1..d)
-for the most rejected optimum edges d at a vertex so every split is exact;
-surds for fair at other k; ints counting half-slacks (1-C)/2 for the
-pair strategy) and end in one ledger close, `_close`, which checks that no
-value leaked and decides the verdict in ledger units; the per-edge rows are
-built when first read, which a sweep never does.
+for first-fit and by 2*sqrt(k)-1 for fair, at every k, both times
+lcm(1..d) for the most rejected optimum edges d at a vertex so every split
+is exact; ints counting half-slacks (1-C)/2 for the pair strategy) and end
+in one ledger close, `_close`, which checks that no value leaked and
+decides the verdict in ledger units; the per-edge rows are built when first
+read, which a sweep never does.  A fair value at non-square k is a + b*sqrt(k)
+with int a and b, compared and split in ints.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -41,7 +42,7 @@ from itertools import groupby, repeat
 
 from . import engine
 from .adversaries import RevealSequence
-from .exact import Sqrt5, surd
+from .exact import Sqrt5, sqrt
 from .graph import GraphError, color_bit, full_mask, path_positions, rooted_view
 from .oracle import OptWitness, audit_witness
 
@@ -168,13 +169,14 @@ def edge_classes(trace: engine.Trace, witness: OptWitness, colors=None):
 
 
 _ONE = Fraction(1)
+# 1/scale per (k, scale), for a sweep's many certificates; k first, so no two radicands meet
+_inverse = functools.cache(lambda k, scale: _ONE / scale)
 
 
-def _unscaler(scale: int):
-    """The exact v/scale of a ledger value v, once per distinct v (surds occur only
-    at scale 1 and stay as they are); not a method, so rows keep only its cache."""
-    to_fraction = functools.cache(lambda v: Fraction(v, scale))
-    return lambda v: v if isinstance(v, Sqrt5) else to_fraction(v)
+def _unscaler(k: int, scale):
+    """The exact v/scale of a ledger value v, once per distinct v: a Fraction for
+    an int scale, a surd for a surd one; not a method, so rows keep only its cache."""
+    return functools.cache(lambda v: _inverse(k, scale) * v)
 
 
 class _TreeCertificate:
@@ -185,9 +187,9 @@ class _TreeCertificate:
     refuses anything but a tree, audits the witness and derives the edge
     classes, vertex tallies and initial values.  Values are kept multiplied
     by `scale`: a colored edge is worth `scale` and C is `target`, both the
-    strategy's times `unit`: lcm(1..d) for the most rejected optimum edges d
-    at one vertex in an int ledger, so each split stays an int, and 1 in a
-    surd ledger.
+    strategy's times `unit`, lcm(1..d) for the most rejected optimum edges d
+    at one vertex, so each split is exact.  Every value is an int, or at
+    non-square k a surd a + b*sqrt(k) with int a and b.
 
     Each colored edge sends its surplus (`scale`, or `scale - target` for a
     double-colored edge) to its parent endpoint, which passes the strategy's
@@ -213,12 +215,11 @@ class _TreeCertificate:
         for e in self.opt_only:
             for x in g.edges[e]:
                 self.opt_deg[x] += 1
-        self.whole = isinstance(target, int)
-        unit = math.lcm(*range(1, max(self.opt_deg) + 1)) if self.whole else 1
+        unit = math.lcm(*range(1, max(self.opt_deg) + 1))
         self.unit, self.scale, self.target = unit, scale * unit, target * unit
         self.v_i = [0 if c is None else self.scale for c in colors]
         self.total = self.scale * (len(colors) - colors.count(None))
-        self.exact = _unscaler(self.scale)
+        self.exact = _unscaler(trace.k, self.scale)
         # under parent edge p (through[-1] = 0 at the root) v holds below[v] -
         # through[p]: as the root it holds each colored edge's surplus and the
         # credit fed past each double edge towards it, fed[2f + i] from its end
@@ -243,11 +244,11 @@ class _TreeCertificate:
 
         v pays a rejected optimum p up to C, splits the rest of its holding
         equally among its other rejected optimum edges (its child edges, as
-        the graph is a tree) and keeps it when it has none.  An int ledger's
-        unit makes `rem // n` exact; a surd ledger splits as `rem * Fraction(1,
-        n)`, a single child taking rem as it is.  What a split drops is kept
-        by no one, so the books show it as a leak.  guard is the strategy's
-        first failing check at v, as (edge, order, message), or None.
+        the graph is a tree) and keeps it when it has none.  The ledger's
+        unit makes `rem // n` exact, on both coordinates of a surd; what a
+        split drops is kept by no one, so the books show it as a leak.  guard
+        is the strategy's first failing check at v, as (edge, order,
+        message), or None.
         """
         held = self.below[v] - self.through[p]
         kl, kids = self.klass.get(p, ""), self.opt_deg[v]
@@ -255,11 +256,9 @@ class _TreeCertificate:
         if kl == "opt-only":
             pay = held if held < self.target else self.target
             kids -= 1
-        elif kl == "double" and not self.whole and not held.b:
-            held = held.a  # rational, as the sum over v's child edges is
         rem = held - pay
         if kids and rem > 0:
-            share = rem // kids if self.whole else rem if kids == 1 else rem * Fraction(1, kids)
+            share = rem // kids
         else:
             keep = rem
         return pay, share, keep, self._guard(v, p, kl, held)
@@ -444,16 +443,14 @@ def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
 def fair_ratio(k: int):
     """(2*sqrt(k)-2)/(2*sqrt(k)-1), exact for every k: a Fraction for square
     k, otherwise the surd (4k-2-2*sqrt(k))/(4k-1)."""
-    s = math.isqrt(k)
-    if s * s == k:
-        return Fraction(2 * s - 2, 2 * s - 1)
-    return surd(Fraction(4 * k - 2, 4 * k - 1), Fraction(-2, 4 * k - 1), k)
+    root = sqrt(k)
+    return _ONE * (2 * root - 2) / (2 * root - 1)
 
 
 class FairTreeCertificate(_TreeCertificate):
     """Certify any fair run on a tree at C = (2*sqrt(k)-2)/(2*sqrt(k)-1).
 
-    Redistribution: every colored edge sends its whole surplus to its parent
+    Redistribution: every colored edge sends all of its surplus to its parent
     vertex (nothing is routed); each vertex settles its rejected-optimum
     parent edge up to C and splits the rest among its rejected-optimum child
     edges.  For each rejected optimum edge whose child endpoint cannot
@@ -463,10 +460,11 @@ class FairTreeCertificate(_TreeCertificate):
 
     Construction refuses traces that `engine.audit_fair` finds unfair; that
     audit is the one fairness check (each rejected edge arrived with all k
-    colors at its endpoints, so the final coloring holds them too).  At
-    square k = s*s values are kept multiplied by 2s-1: C is 2s-2, a colored
-    edge is worth 2s-1 and a double-colored one sends up 1.  Other k keep
-    exact surds.  Both are times `unit` (see `_TreeCertificate`).
+    colors at its endpoints, so the final coloring holds them too).  Values
+    are kept multiplied by 2*sqrt(k)-1 times `unit` (see `_TreeCertificate`):
+    C is 2*sqrt(k)-2, a colored edge is worth 2*sqrt(k)-1 and a
+    double-colored one sends up 1.  They are ints at square k and surds
+    a + b*sqrt(k) with int a and b otherwise.
     """
 
     strategy = "fair-tree"
@@ -478,12 +476,9 @@ class FairTreeCertificate(_TreeCertificate):
         colors = trace.colors()
         if not engine.audit_fair(trace, colors=colors):
             raise ValueError("trace is not fair; refusing to certify")
-        k = trace.k
-        s = math.isqrt(k)
-        square = s * s == k
-        self.C = fair_ratio(k)
-        super().__init__(trace, witness, colors, 2 * s - 1 if square else 1,
-                         2 * s - 2 if square else self.C)
+        root = sqrt(trace.k)
+        self.C = fair_ratio(trace.k)
+        super().__init__(trace, witness, colors, 2 * root - 1, 2 * root - 2)
         self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
     def _guard(self, v, p, kl, held):

@@ -8,7 +8,10 @@ plain fractions are not enough either.  This tiny quadratic-field type
 supports the ring operations, division, and exact ordering, which is all
 the ledgers need.  The radicand d is stored per value: `Sqrt5(a, b)` has
 d = 5 and `surd(a, b, d)` any other; arithmetic or comparison between
-values with different radicands raises.
+values with different radicands raises.  A coordinate is an int or a
+Fraction: int coordinates stay ints under +, -, * and `//`, so a ledger
+scaled to whole numbers compares and splits in ints, and `/` gives
+Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -17,23 +20,17 @@ import math
 from fractions import Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into an exact value")
-
-
 class Sqrt5:
-    """The number a + b*sqrt(d) with rational a, b and a positive non-square
-    integer d.  The constructor always gives d = 5; every value, whatever its
-    radicand, is built by the same two-argument call and then given its d,
-    so code that wraps the constructor sees one signature."""
+    """The number a + b*sqrt(d) with int or Fraction a, b and a positive
+    non-square integer d.  The constructor always gives d = 5; every value,
+    whatever its radicand, is built by the same two-argument call and then
+    given its d, so code that wraps the constructor sees one signature."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is int else Fraction(a)
+        self.b = b if type(b) is int else Fraction(b)
         self.d = 5
 
     def _like(self, a, b) -> "Sqrt5":
@@ -51,10 +48,9 @@ class Sqrt5:
                     f"cannot mix radicands sqrt({self.d}) and sqrt({other.d})"
                 )
             return other
-        try:
-            return self._like(_as_fraction(other), 0)
-        except TypeError:
-            return None
+        if isinstance(other, (int, Fraction)):
+            return self._like(other, 0)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -90,16 +86,19 @@ class Sqrt5:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Sqrt5):
-            # multiply by the conjugate; norm is a*a - d*b*b
-            o = self._coerce(other)
-            norm = o.a * o.a - o.d * o.b * o.b
-            if norm == 0:
-                raise ZeroDivisionError("division by zero")
-            num = self * o._like(o.a, -o.b)
-            return self._like(num.a / norm, num.b / norm)
-        q = _as_fraction(other)
-        return self._like(self.a / q, self.b / q)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # multiply by the conjugate; a Fraction norm a*a - d*b*b keeps ints from dividing to floats
+        norm = Fraction(o.a * o.a - o.d * o.b * o.b)
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        num = self * o._like(o.a, -o.b)
+        return self._like(num.a / norm, num.b / norm)
+
+    def __floordiv__(self, n: int):
+        """Each coordinate floor-divided by the int n: exact when n divides both."""
+        return self._like(self.a // n, self.b // n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -186,6 +185,12 @@ def surd(a, b, d: int) -> Sqrt5:
     r = Sqrt5(a, b)
     r.d = d
     return r
+
+
+def sqrt(k: int):
+    """sqrt(k) exactly: the int s for k = s*s, else the surd sqrt(k)."""
+    s = math.isqrt(k)
+    return s if s * s == k else surd(0, 1, k)
 
 
 #: (1 + sqrt(5)) / (2 sqrt(5)) = 1/2 + sqrt(5)/10, the golden ratio over sqrt(5)

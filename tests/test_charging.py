@@ -169,9 +169,12 @@ def test_prepared_certificates_reproduce_per_root_verdicts():
     assert _all_roots_digest(FairTreeCertificate, fair_cases) == (379, FAIR_ALL_ROOTS_SHA256)
 
 
-# the same digest at k = 5 (the surd ledger) and k = 9 (a second square k),
-# dumped while the fair ledger still kept Fractions at square k
-FAIR_SURD_AND_SQUARE_SHA256 = "35e2d0fb22524c10470f0ed6b8de1d750e2671f52a688be8a309f544f4f276eb"
+# the same digest at k = 5 (a non-square k) and k = 9 (a second square k),
+# first dumped while the fair ledger still kept Fractions at square k;
+# re-dumped when the ledger went to ints scaled by 2*sqrt(k)-1 at every k,
+# equal to the first dump value for value, with k = 5's rational values now
+# reported as surds like the rest
+FAIR_SURD_AND_SQUARE_SHA256 = "b3ee5f65e32b7a3f9ffa0b3e1a6fe6b1d4de9b03dbdd7e86c34cd9fb7f8af034"
 
 
 def test_fair_certificate_verdicts_are_pinned_at_k5_and_k9():
@@ -184,6 +187,34 @@ def test_fair_certificate_verdicts_are_pinned_at_k5_and_k9():
         for t in range(20)
     ]
     assert _all_roots_digest(FairTreeCertificate, cases) == (767, FAIR_SURD_AND_SQUARE_SHA256)
+
+
+def _int_coordinates(x):
+    return all(type(c) is int for c in ((x, 0) if type(x) is int else (x.a, x.b)))
+
+
+def test_fair_values_have_one_type_at_every_k():
+    """Every exact value a fair certificate reports is a Fraction at square k
+    and a surd of radicand k otherwise, whatever the sums behind it; the
+    ledger itself holds int coordinates."""
+    cases = [(k, _played("nf", RevealSequence(edges=edges, k=k)))
+             for k in (2, 3, 4, 5) for m in range(1, 5) for edges in harness.tree_reveal_orders(m)]
+    cases.append((5, _played("nf", nf_tree_worstcase_rounded(5, 2))))
+    for k, (trace, witness) in cases:
+        square = math.isqrt(k) ** 2 == k
+        certificate = FairTreeCertificate(trace, witness)
+        reported = [certificate.C]
+        for root, margin in enumerate(certificate.charge_all()):
+            report = certificate.charge(root)
+            reported += [report.C, report.min_margin, report.initial(), certificate.exact(margin)]
+            reported += [x for r in report.rows for x in (r.v_i, r.v_f, r.margin) if x is not None]
+        if square:
+            assert all(type(x) is Fraction for x in reported)
+        else:
+            assert all(isinstance(x, Sqrt5) and x.d == k for x in reported)
+            assert isinstance(certificate.scale, Sqrt5) and isinstance(certificate.target, Sqrt5)
+        ledger = [*certificate.below, *certificate.through, certificate.target, certificate.scale]
+        assert all(map(_int_coordinates, ledger))
 
 
 def _assert_charge_all_matches(certificate):
@@ -279,10 +310,18 @@ def test_charge_all_checks_conservation_at_every_root(monkeypatch):
     # a k = 4 star centred at 7 whose rejected optimum edges 4, 5, 6 need a
     # unit of 6 to split exactly; at unit 1 some roots leak, root 0 does not
     edges = [(1, 7), (2, 7), (3, 7), (4, 7), (0, 7), (5, 7), (6, 7)]
-    witness = OptWitness(frozenset({3, 4, 5, 6}), {3: 4, 4: 1, 5: 2, 6: 3}, 4)
+    witness4 = OptWitness(frozenset({3, 4, 5, 6}), {3: 4, 4: 1, 5: 2, 6: 3}, 4)
+    # a k = 5 star centred at 7: two single and three double edges leave the
+    # centre 1 + 4*sqrt(5) in ledger units (a colored edge is worth
+    # 2*sqrt(5) - 1), which its rejected optimum edges 5 and 6 split exactly
+    # only at a unit of 2; from root 0 the centre holds 4*sqrt(5) under the
+    # double edge 4, which splits whole
+    witness5 = OptWitness(frozenset({2, 3, 4, 5, 6}), {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}, 5)
     monkeypatch.setattr(charging.math, "lcm", lambda *counts: 1)
-    for alg, certify in (("ff", FFTreeCertificate), ("nf", FairTreeCertificate)):
-        certificate = certify(engine.run(alg, RevealSequence(edges=edges, k=4)), witness)
+    for k, witness, alg, certify in ((4, witness4, "ff", FFTreeCertificate),
+                                     (4, witness4, "nf", FairTreeCertificate),
+                                     (5, witness5, "nf", FairTreeCertificate)):
+        certificate = certify(engine.run(alg, RevealSequence(edges=edges, k=k)), witness)
         assert certificate.unit == 1 and certificate.charge(0).passed
         with pytest.raises(charging.ChargingError, match="leaked value"):
             certificate.charge(7)
@@ -328,7 +367,7 @@ def _reference_charge(certificate, root):
         kids = [f for f in g.incident[v] if f != pe and klass[f] == "opt-only"]
         if kids and rem > 0:
             n = len(kids)
-            share = rem // n if isinstance(target, int) else rem if n == 1 else rem * Fraction(1, n)
+            share = rem // n
             for f in kids:
                 v_f[f] += share
             rem = 0

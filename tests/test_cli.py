@@ -297,7 +297,8 @@ VERDICT_CSV_SHA256 = "533fff5b1def9a00697bfcf9509515c236ad92623a0e82fc99b6dbc05a
 
 
 def test_verdict_csv_is_pinned(tmp_path, capsys):
-    # nf-tree-rounded at k = 5 keeps its ledger in surds, nf-tree at k = 4 in scaled ints
+    # both keep their ledgers scaled by 2*sqrt(k)-1: nf-tree-rounded at k = 5 in
+    # surds with int coordinates, nf-tree at k = 4 in ints
     h = hashlib.sha256()
     for adv, k, n in (("nf-tree", "4", "10"), ("nf-tree-rounded", "5", "2")):
         out = tmp_path / f"{adv}.csv"

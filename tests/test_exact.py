@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palette.exact import PHI_OVER_SQRT5, Sqrt5, surd
+from palette.exact import PHI_OVER_SQRT5, Sqrt5, sqrt, surd
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=50
 )
 radicands = st.sampled_from([2, 3, 5, 7])
+ints = st.integers(min_value=-10**6, max_value=10**6)
+divisors = st.integers(min_value=1, max_value=12)
 
 
 def as_float(a, b, rad):
@@ -87,3 +89,53 @@ def test_rejects_unsupported_types():
         Sqrt5(1, 1) + surd(1, 1, 3)  # sqrt(5) and sqrt(3) do not mix
     with pytest.raises(ValueError):
         surd(1, 1, 4)  # sqrt(4) is rational: not a quadratic field
+
+
+def _int_coordinates(x):
+    return type(x.a) is int and type(x.b) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(radicands, ints, ints, ints, ints, divisors)
+def test_int_coordinates_stay_ints_until_divided(rad, a, b, c, d, n):
+    x, y = surd(a, b, rad), surd(c, d, rad)
+    assert _int_coordinates(x)
+    for z in (x + y, x - y, x * y, -x, x + c, c - x, c * x, x // n):
+        assert _int_coordinates(z)
+    quotients = [x / n, x / Fraction(n, 7), n / surd(1, 1, rad)]
+    if y != 0:
+        quotients.append(x / y)
+        assert (x / y) * y == x
+    for q in quotients:
+        assert type(q.a) is Fraction and type(q.b) is Fraction
+    assert x / n == surd(Fraction(a, n), Fraction(b, n), rad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(radicands, ints, ints, divisors)
+def test_floor_split_is_exact_on_multiples(rad, a, b, n):
+    x = surd(a * n, b * n, rad)
+    assert (x // n) * n == x and x // n == surd(a, b, rad)
+    y = x + 1
+    if n > 1:  # n no longer divides the rational coordinate: the split drops value
+        assert (y // n) * n != y and (y // n).a == (a * n + 1) // n
+
+
+def test_sqrt_is_an_int_exactly_at_square_k():
+    for k in range(1, 401):
+        root = sqrt(k)
+        assert (type(root) is int) == (math.isqrt(k) ** 2 == k)
+        assert root * root == k
+        if type(root) is not int:
+            assert root.d == k and _int_coordinates(root) and root > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(radicands, ints, ints)
+def test_hash_agrees_across_coordinate_types(rad, a, b):
+    x, y = surd(a, b, rad), surd(Fraction(a), Fraction(b), rad)
+    assert _int_coordinates(x) and type(y.a) is Fraction and type(y.b) is Fraction
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    assert len({x, y}) == 1
+    if b == 0:
+        assert x == a and hash(x) == hash(a) == hash(Fraction(a))

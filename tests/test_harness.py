@@ -442,9 +442,11 @@ def test_verify_loops():
     assert report.passed and report.min_margin == 0
 
 
-# sha256 of every sweep record below, dumped before the sweeps shared one
-# running tally and one certify step
-SWEEP_SUMMARIES_SHA256 = "a28b47a0a64e76a2206bb5b30b997ae1fea5426050ab4d74c7092d616fecde76"
+# sha256 of every sweep record below, first dumped before the sweeps shared
+# one running tally and one certify step; re-dumped when the fair ledger went
+# to ints scaled by 2*sqrt(k)-1 at every k, equal to the first dump value for
+# value, with nf-tree-rounded's rational values at k = 5 now reported as surds
+SWEEP_SUMMARIES_SHA256 = "4a396d9cb7e901f8173ffaa427730e77a869a197fe9f910083d5c072f350caa7"
 
 
 def _sweep_records():
