@@ -310,10 +310,7 @@ def path_then_stars(k: int, m: int, alg) -> AdversaryScript:
 
 def color_usage(coloring: PartialColoring) -> dict[int, int]:
     """Edges per color, including zero counts, over colors 1..k."""
-    counts = {c: 0 for c in range(1, coloring.k + 1)}
-    for eid in coloring.colored_edges():
-        counts[coloring.state[eid]] += 1
-    return counts
+    return {c: coloring.colors.count(c) for c in range(1, coloring.k + 1)}
 
 
 def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
@@ -336,8 +333,8 @@ def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
     by_load = sorted(counts, key=lambda c: (-counts[c], c))
     rename = {old: new for new, old in enumerate(by_load, start=1)}
     classes: list[list[int]] = [[] for _ in range(coloring.k + 1)]
-    for eid in sorted(coloring.colored_edges()):
-        classes[rename[coloring.state[eid]]].append(eid)
+    for eid in coloring.colored_edges():
+        classes[rename[coloring.colors[eid]]].append(eid)
     order: list[int] = []
     for round_no in range(max(counts.values())):
         for c in range(1, coloring.k + 1):
@@ -353,21 +350,16 @@ def nextfit_order(g: Graph, coloring: PartialColoring) -> RevealSequence:
 def equivalent(c1: PartialColoring, c2: PartialColoring) -> bool:
     """True when some renaming of the colors maps one coloring to the other.
 
-    The colored and rejected edge sets must agree edge for edge; the induced
-    color correspondence must then be a well-defined injection.
+    The decided, colored and rejected edge sets must agree edge for edge; the
+    induced color correspondence must then be a well-defined injection.
     """
-    if c1.k != c2.k:
-        return False
-    if set(c1.state) != set(c2.state):
+    if c1.k != c2.k or len(c1.colors) != len(c2.colors):
         return False
     mapping: dict[int, int] = {}
-    for eid, a in c1.state.items():
-        b = c2.state[eid]
-        if (a < 0) != (b < 0):
+    for a, b in zip(c1.colors, c2.colors):
+        if (a is None) != (b is None):
             return False
-        if a < 0:
-            continue
-        if mapping.setdefault(a, b) != b:
+        if a is not None and mapping.setdefault(a, b) != b:
             return False
     return len(set(mapping.values())) == len(mapping)
 

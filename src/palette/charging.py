@@ -142,18 +142,18 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
 # tree machinery shared by the two tree strategies
 
 
-def edge_classes(trace: engine.Trace, witness: OptWitness, colors=None):
+def edge_classes(trace: engine.Trace, witness: OptWitness):
     """Split edges into double / single / opt-only and tally them per vertex.
 
-    Returns (klass, d_c, d_d): klass maps edge id to one of 'double',
-    'single', 'opt-only', 'neither'; d_c[v] and d_d[v] count the colored and
-    the double edges at vertex v, in two flat int lists.  colors is the
-    trace's `colors()` where the caller already holds it.
+    Reads the trace's decisions, `coloring.colors`.  Returns (klass, d_c,
+    d_d): klass maps edge id to one of 'double', 'single', 'opt-only',
+    'neither'; d_c[v] and d_d[v] count the colored and the double edges at
+    vertex v, in two flat int lists.
     """
     g = trace.graph
     klass: dict[int, str] = {}
     d_c, d_d = [0] * g.num_vertices, [0] * g.num_vertices
-    for e, c in enumerate(trace.colors() if colors is None else colors):
+    for e, c in enumerate(trace.coloring.colors):
         opt = e in witness.edges
         if c is None:
             klass[e] = "opt-only" if opt else "neither"
@@ -169,14 +169,14 @@ def edge_classes(trace: engine.Trace, witness: OptWitness, colors=None):
 
 
 _ONE = Fraction(1)
-# 1/scale per (k, scale), for a sweep's many certificates; k first, so no two radicands meet
-_inverse = functools.cache(lambda k, scale: _ONE / scale)
+# 1/scale per scale, for a sweep's many certificates
+_inverse = functools.cache(lambda scale: _ONE / scale)
 
 
-def _unscaler(k: int, scale):
+def _unscaler(scale):
     """The exact v/scale of a ledger value v, once per distinct v: a Fraction for
     an int scale, a surd for a surd one; not a method, so rows keep only its cache."""
-    return functools.cache(lambda v: _inverse(k, scale) * v)
+    return functools.cache(lambda v: _inverse(scale) * v)
 
 
 class _TreeCertificate:
@@ -201,15 +201,15 @@ class _TreeCertificate:
     reads every state once and gives every root's verdict.
     """
 
-    def __init__(self, trace: engine.Trace, witness: OptWitness, colors: list, scale: int, target):
+    def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int, target):
         g, view = trace.graph, trace.graph.walk
         if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
         self.trace, self.witness = trace, witness
         self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
-        self.klass, self.d_c, self.d_d = edge_classes(trace, witness, colors)
-        self.colors = colors
+        self.klass, self.d_c, self.d_d = edge_classes(trace, witness)
+        self.colors = colors = trace.coloring.colors
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
         self.opt_deg = [0] * g.num_vertices  # rejected optimum edges at each vertex, <= k
         for e in self.opt_only:
@@ -218,8 +218,8 @@ class _TreeCertificate:
         unit = math.lcm(*range(1, max(self.opt_deg) + 1))
         self.unit, self.scale, self.target = unit, scale * unit, target * unit
         self.v_i = [0 if c is None else self.scale for c in colors]
-        self.total = self.scale * (len(colors) - colors.count(None))
-        self.exact = _unscaler(trace.k, self.scale)
+        self.total = self.scale * trace.colored_count
+        self.exact = _unscaler(self.scale)
         # under parent edge p (through[-1] = 0 at the root) v holds below[v] -
         # through[p]: as the root it holds each colored edge's surplus and the
         # credit fed past each double edge towards it, fed[2f + i] from its end
@@ -397,14 +397,13 @@ class FFTreeCertificate(_TreeCertificate):
                       "neither": "2", "": "2"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        colors = trace.colors()
-        if not engine.audit_fair(trace, first_fit=True, colors=colors):
+        if not engine.audit_fair(trace, first_fit=True):
             raise ValueError("trace was not produced by first-fit; refusing to certify")
         k, free = trace.k, full_mask(trace.k)
         self.used = list(map(trace.coloring.used_mask, range(trace.graph.num_vertices)))
         # the largest color unused at v in the final coloring, else 0
         self.top_free = [(~used & free).bit_length() for used in self.used]
-        super().__init__(trace, witness, colors, k, k - 1)
+        super().__init__(trace, witness, k, k - 1)
 
     def _credit(self, f, u, w):
         # 1/k from each colored edge at the child end below f's color
@@ -473,12 +472,11 @@ class FairTreeCertificate(_TreeCertificate):
                       "neither": "4", "": "4"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        colors = trace.colors()
-        if not engine.audit_fair(trace, colors=colors):
+        if not engine.audit_fair(trace):
             raise ValueError("trace is not fair; refusing to certify")
         root = sqrt(trace.k)
         self.C = fair_ratio(trace.k)
-        super().__init__(trace, witness, colors, 2 * root - 1, 2 * root - 2)
+        super().__init__(trace, witness, 2 * root - 1, 2 * root - 2)
         self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
     def _guard(self, v, p, kl, held):

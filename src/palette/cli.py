@@ -227,7 +227,7 @@ def cmd_nf_order(args) -> int:
     replay = engine.run("nf", order)
     target = PartialColoring(args.k)
     for i, eid in enumerate(order.params["edge_ids"]):
-        target.color(replay.graph, i, coloring.state[eid])
+        target.color(replay.graph, i, coloring.colors[eid])
     ok = adversaries.equivalent(replay.coloring, target)
     text = format_edge_list(order.edges)
     if args.out:

@@ -11,7 +11,8 @@ user-supplied strategies through the same interface:
     name / deterministic / fair    -- its label and the properties adversaries read
 
 A run's record, `Trace`, is its graph and its coloring: edge ids are reveal
-steps, and `Trace.steps` builds the per-step `Step` view from the two on read.
+steps, `coloring.colors[e]` is step e's color (None where it was rejected),
+and `Trace.steps` builds the per-step `Step` view from the two on read.
 The random-pair kernel, `rp_path_colored_counts`, is the package's only numpy
 reader, and numpy loads at its first call, not with this module.
 """
@@ -22,7 +23,6 @@ import random
 from dataclasses import dataclass
 
 from .graph import (
-    REJECTED,
     Graph,
     PartialColoring,
     color_bit,
@@ -138,22 +138,17 @@ class Step:
 
 @dataclass
 class Trace:
-    """One online run: step i revealed graph.edges[i], decided coloring.state[i]."""
+    """One online run: step i revealed graph.edges[i] and decided coloring.colors[i]."""
 
     k: int
     algorithm: str
     graph: Graph
     coloring: PartialColoring
 
-    def colors(self) -> list[int | None]:
-        """Each step's color, None where it was rejected, in reveal order."""
-        state = self.coloring.state
-        return [None if (c := state[e]) == REJECTED else c for e in range(self.graph.num_edges)]
-
     @property
     def steps(self) -> list[Step]:
         """The per-step view, built from the graph and the coloring on each read."""
-        return [Step(e, u, v, c) for e, ((u, v), c) in enumerate(zip(self.graph.edges, self.colors()))]
+        return [Step(e, u, v, c) for e, ((u, v), c) in enumerate(zip(self.graph.edges, self.coloring.colors))]
 
     @property
     def colored_count(self) -> int:
@@ -202,20 +197,22 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     )
 
 
-def audit_fair(trace: Trace, *, first_fit: bool = False, colors=None) -> bool:
-    """Check that every rejection happened with all k colors blocked, and
-    with first_fit also that every colored edge took the lowest open color:
-    fairness plus lowest-color is exactly first-fit.
+def audit_fair(trace: Trace, *, first_fit: bool = False) -> bool:
+    """Check that every edge was decided, that every rejection happened with
+    all k colors blocked, and with first_fit also that every colored edge
+    took the lowest open color: fairness plus lowest-color is exactly
+    first-fit.
 
     Replays per-vertex color masks in reveal order, so the verdict reflects
     the state each decision saw, not the final coloring.  Properness is not
-    re-checked: `PartialColoring.color` built the trace's coloring.  colors
-    is the trace's `colors()` where the caller already holds it.
+    re-checked: `PartialColoring.color` built the trace's coloring.
     """
-    k, edges = trace.k, trace.graph.edges
+    k, edges, colors = trace.k, trace.graph.edges, trace.coloring.colors
+    if len(colors) != len(edges):  # an undecided edge: not a finished run
+        return False
     used = [0] * trace.graph.num_vertices
     all_colors = full_mask(k)
-    for (u, v), c in zip(edges, trace.colors() if colors is None else colors):
+    for (u, v), c in zip(edges, colors):
         seen = used[u] | used[v]
         if c is None:
             if seen != all_colors:

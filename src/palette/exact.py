@@ -7,11 +7,11 @@ and the fair tree floor (2*sqrt(k)-2)/(2*sqrt(k)-1) involves sqrt(k) -- so
 plain fractions are not enough either.  This tiny quadratic-field type
 supports the ring operations, division, and exact ordering, which is all
 the ledgers need.  The radicand d is stored per value: `Sqrt5(a, b)` has
-d = 5 and `surd(a, b, d)` any other; arithmetic or comparison between
-values with different radicands raises.  A coordinate is an int or a
-Fraction: int coordinates stay ints under +, -, * and `//`, so a ledger
-scaled to whole numbers compares and splits in ints, and `/` gives
-Fractions, never floats.
+d = 5 and `surd(a, b, d)` any other; `==` is exact across radicands, and
+arithmetic or ordering between values with different radicands raises.  A
+coordinate is an int or a Fraction: int coordinates stay ints under +, -, *
+and `//`, so a ledger scaled to whole numbers compares and splits in ints,
+and `/` gives Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -132,9 +132,13 @@ class Sqrt5:
             return None
         return (self - o)._sign()
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
+    def __eq__(self, other):  # b*sqrt(d) is irrational unless b = 0: compare a, sign(b), b*b*d
+        if isinstance(other, Sqrt5):
+            return (self.a == other.a and (self.b > 0) == (other.b > 0)
+                    and self.b * self.b * self.d == other.b * other.b * other.d)
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -152,10 +156,13 @@ class Sqrt5:
         c = self._cmp(other)
         return NotImplemented if c is None else c >= 0
 
-    def __hash__(self):
+    def __hash__(self):  # equal values share a, the sign of b and b*b*d
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b))
+        return hash((self.a, self.b > 0, self.b * self.b * self.d))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
 
     # -- conversions ----------------------------------------------------------
 

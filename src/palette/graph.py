@@ -226,26 +226,24 @@ def rooted_view(g: Graph, starts) -> RootedView:
     return RootedView(parent_edge, order)
 
 
-REJECTED = -1  # stored in place of a color for rejected edges
-
-
 class PartialColoring:
-    """Per-edge decisions plus the per-vertex used-color masks.
+    """A game's decisions plus the per-vertex used-color masks.
 
-    Every edge is pending until `color` or `reject` records its fate.
-    Coloring enforces properness: the color must be absent at both
-    endpoints at the time of the call.  This is the package's one
-    properness check; every coloring, played or read from a file, is built
-    through `color`.
+    `colors` is the one record of the decisions, in reveal order: edge e's
+    color, or None if it was rejected.  `color` and `reject` append to it
+    and refuse any edge but the next undecided one.  Coloring enforces
+    properness: the color must be absent at both endpoints at the time of
+    the call.  This is the package's one properness check; every coloring,
+    played or read from a file, is built through `color`.
     """
 
-    __slots__ = ("k", "state", "_used", "_all")
+    __slots__ = ("k", "colors", "_used", "_all")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k, self._all = k, full_mask(k)
-        self.state: dict[int, int] = {}  # eid -> color or REJECTED
+        self.colors: list[int | None] = []  # edge id -> color, None if rejected
         self._used: dict[int, int] = {}  # vertex -> color bitmask
 
     def used_mask(self, v: int) -> int:
@@ -257,11 +255,17 @@ class PartialColoring:
         used = self._used
         return ~(used.get(u, 0) | used.get(v, 0)) & self._all
 
+    def _out_of_turn(self, eid: int) -> GraphError:
+        """The refusal of a decision on eid, which is not the next undecided edge."""
+        n = len(self.colors)
+        return GraphError(f"edge {eid} already decided" if 0 <= eid < n
+                          else f"edge {eid} is not the next undecided edge {n}")
+
     def color(self, g: Graph, eid: int, c: int) -> None:
         if not 1 <= c <= self.k:
             raise GraphError(f"color {c} outside 1..{self.k}")
-        if eid in self.state:
-            raise GraphError(f"edge {eid} already decided")
+        if eid != len(self.colors):
+            raise self._out_of_turn(eid)
         u, v = g.edges[eid]
         used = self._used
         mu, mv, bit = used.get(u, 0), used.get(v, 0), 1 << (c - 1)
@@ -269,25 +273,25 @@ class PartialColoring:
             raise GraphError(
                 f"color {c} already used at an endpoint of edge {eid}"
             )
-        self.state[eid] = c
+        self.colors.append(c)
         used[u] = mu | bit
         used[v] = mv | bit
 
     def reject(self, eid: int) -> None:
-        if eid in self.state:
-            raise GraphError(f"edge {eid} already decided")
-        self.state[eid] = REJECTED
+        if eid != len(self.colors):
+            raise self._out_of_turn(eid)
+        self.colors.append(None)
 
     @property
     def colored_count(self) -> int:
-        return sum(1 for c in self.state.values() if c != REJECTED)
+        return len(self.colors) - self.colors.count(None)
 
     @property
     def rejected_count(self) -> int:
-        return sum(1 for c in self.state.values() if c == REJECTED)
+        return self.colors.count(None)
 
     def colored_edges(self) -> list[int]:
-        return [e for e, c in self.state.items() if c != REJECTED]
+        return [e for e, c in enumerate(self.colors) if c is not None]
 
 
 def build_graph(edges) -> Graph:

@@ -19,7 +19,6 @@ from itertools import permutations
 
 from . import adversaries, charging, engine
 from .adversaries import RevealSequence, path_edges
-from .graph import REJECTED
 from .oracle import opt_path, opt_tree
 
 ORDER_EXHAUSTIVE_LIMIT = 8
@@ -568,7 +567,7 @@ def exhaustive_trees(
                 trace = engine.run("ff", RevealSequence(edges=edges, k=summary.k))
                 witness = opt_tree(trace.graph, summary.k)
                 summary.add(trace.colored_count, witness.count, edges)
-                if REJECTED in map(trace.coloring.state.get, witness.edges):
+                if None in map(trace.coloring.colors.__getitem__, witness.edges):
                     _certify("ff-tree", trace, witness, all_roots, summary.charges)
     return summaries
 

@@ -63,7 +63,7 @@ def estimate_initial_values(alg, script, trials: int, seed=0) -> list[float]:
 
 def trace_csv(trace) -> str:
     """A played trace in the CSV format `opt --out` writes and `nf-order` reads."""
-    return cli.format_trace_csv(trace.graph.edges, trace.colors())
+    return cli.format_trace_csv(trace.graph.edges, trace.coloring.colors)
 
 
 def path_depth(order, step: int) -> int:

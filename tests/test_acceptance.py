@@ -207,7 +207,7 @@ def test_criterion_10_next_fit_reproduction():
         sub = build_graph(source.graph.endpoints(e) for e in colored)
         target = PartialColoring(k)
         for i, e in enumerate(colored):
-            target.color(sub, i, source.coloring.state[e])
+            target.color(sub, i, source.coloring.colors[e])
         counts = sorted(set(color_usage(target).values()))
         if len(counts) > 2 or (len(counts) == 2 and counts[1] - counts[0] != 1):
             continue
@@ -216,7 +216,7 @@ def test_criterion_10_next_fit_reproduction():
         replay = engine.run("nf", order)
         renamed = PartialColoring(k)
         for i, eid in enumerate(order.params["edge_ids"]):
-            renamed.color(replay.graph, i, target.state[eid])
+            renamed.color(replay.graph, i, target.colors[eid])
         assert equivalent(replay.coloring, renamed)
         assert _equivalent_by_search(replay.coloring, renamed, k)
     report(10, f"100 balanced colorings reproduced by next-fit "
@@ -225,13 +225,13 @@ def test_criterion_10_next_fit_reproduction():
 
 
 def _equivalent_by_search(c1, c2, k):
-    if set(c1.state) != set(c2.state):
+    if len(c1.colors) != len(c2.colors):
         return False
     for perm in permutations(range(1, k + 1)):
         if all(
-            (col < 0 and c2.state[e] < 0)
-            or (col > 0 and c2.state[e] == perm[col - 1])
-            for e, col in c1.state.items()
+            (col is None and other is None)
+            or (col is not None and other == perm[col - 1])
+            for col, other in zip(c1.colors, c2.colors)
         ):
             return True
     return False

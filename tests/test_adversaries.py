@@ -296,15 +296,14 @@ def test_nextfit_order_refuses_uneven_counts():
 
 def brute_force_equivalent(c1, c2, g1, g2, k):
     """Equivalence by explicit search over color permutations."""
-    if set(c1.state) != set(c2.state):
+    if len(c1.colors) != len(c2.colors):
         return False
     for perm in permutations(range(1, k + 1)):
         mapping = {c: perm[c - 1] for c in range(1, k + 1)}
         ok = True
-        for e, col in c1.state.items():
-            other = c2.state[e]
-            if col < 0 or other < 0:
-                if (col < 0) != (other < 0):
+        for col, other in zip(c1.colors, c2.colors):
+            if col is None or other is None:
+                if (col is None) != (other is None):
                     ok = False
                     break
                 continue
@@ -338,7 +337,7 @@ def test_nextfit_order_reproduces_random_colorings():
         sub = build_graph(source.graph.endpoints(e) for e in colored)
         target = PartialColoring(k)
         for i, e in enumerate(colored):
-            target.color(sub, i, source.coloring.state[e])
+            target.color(sub, i, source.coloring.colors[e])
         counts = sorted(set(color_usage(target).values()))
         if len(counts) > 2 or (len(counts) == 2 and counts[1] - counts[0] != 1):
             continue
@@ -347,7 +346,7 @@ def test_nextfit_order_reproduces_random_colorings():
         replay = engine.run("nf", order)
         renamed = PartialColoring(k)
         for i, eid in enumerate(order.params["edge_ids"]):
-            renamed.color(replay.graph, i, target.state[eid])
+            renamed.color(replay.graph, i, target.colors[eid])
         assert equivalent(replay.coloring, renamed)
         assert brute_force_equivalent(
             replay.coloring, renamed, replay.graph, replay.graph, k
@@ -366,7 +365,7 @@ def test_nextfit_replay_hits_cyclic_targets():
     # the documented renaming: heavier color classes first, ties by color
     counts = color_usage(c)
     rename = {old: new for new, old in enumerate(sorted(counts, key=lambda x: (-counts[x], x)), 1)}
-    targets = [rename[c.state[eid]] for eid in order.params["edge_ids"]]
+    targets = [rename[c.colors[eid]] for eid in order.params["edge_ids"]]
     replay_g = build_graph(order.edges)
     state = PartialColoring(3)
     c_last = 0
@@ -435,7 +434,7 @@ def test_bunch_plan_connectors_blocked_by_target():
     g = build_graph(plan.colored_part.edges)
     coloring = PartialColoring(9)
     # next-fit's replay lands on each edge's target color
-    for eid, color in enumerate(engine.run("nf", plan.colored_part).colors()):
+    for eid, color in enumerate(engine.run("nf", plan.colored_part).coloring.colors):
         coloring.color(g, eid, color)
     position = {}
     for eid, (u, v) in enumerate(plan.colored_part.edges):

@@ -37,7 +37,7 @@ from palette.charging import (
     rp_path_charge,
 )
 from palette.exact import PHI_OVER_SQRT5, Sqrt5
-from palette.graph import GraphError, rooted_view
+from palette.graph import GraphError, PartialColoring, rooted_view
 from palette.oracle import OptWitness, opt_bruteforce, opt_tree
 
 
@@ -230,7 +230,7 @@ def _assert_charge_all_matches(certificate):
 def _rejected_part(trace, witness):
     """The witness cut down to the edges the run rejected: no judged edge is
     pinned at C, so each root's least margin comes from the moving values."""
-    colors = trace.colors()
+    colors = trace.coloring.colors
     kept = {e: c for e, c in witness.coloring.items() if colors[e] is None}
     return trace, OptWitness(frozenset(kept), kept, len(kept))
 
@@ -566,6 +566,28 @@ def test_fair_charge_refuses_unfair_trace():
     trace = engine.run(RejectAll(), seq)
     with pytest.raises(ValueError):
         fair_tree_charge(trace, opt_tree(trace.graph, 2))
+
+
+def test_certificates_refuse_a_trace_with_an_undecided_edge():
+    """A record shorter than the graph is no finished run: the audit says
+    False and both certificates refuse it with their one-line message."""
+    for edges, k in (([(0, 1), (1, 2), (2, 3)], 2), ([(0, 1), (1, 2), (1, 3), (1, 4)], 3)):
+        played = ff_trace(edges, k)
+        witness = opt_tree(played.graph, k)
+        assert engine.audit_fair(played, first_fit=True)
+        for undecided in range(1, len(edges) + 1):  # the last `undecided` edges
+            coloring = PartialColoring(k)
+            for e, c in enumerate(played.coloring.colors[:-undecided]):
+                if c is None:
+                    coloring.reject(e)
+                else:
+                    coloring.color(played.graph, e, c)
+            trace = engine.Trace(k, "ff", played.graph, coloring)
+            assert not engine.audit_fair(trace) and not engine.audit_fair(trace, first_fit=True)
+            with pytest.raises(ValueError, match="^trace was not produced by first-fit; refusing to certify$"):
+                ff_tree_charge(trace, witness)
+            with pytest.raises(ValueError, match="^trace is not fair; refusing to certify$"):
+                fair_tree_charge(trace, witness)
 
 
 def test_fair_path_floor():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from palette.engine import (
     rp_path_colored_counts,
     run,
 )
-from palette.graph import REJECTED, PartialColoring, build_graph, color_bit, lowest_free_color
+from palette.graph import PartialColoring, build_graph, color_bit, lowest_free_color
 from palette.oracle import opt_bruteforce
 
 
@@ -283,11 +284,11 @@ def test_first_fit_audit_matches_a_first_fit_replay():
         for m in range(1, 6):
             for t, edges in enumerate(harness.tree_reveal_orders(m)):
                 seq = RevealSequence(edges=edges, k=k)
-                replay = run("ff", seq).coloring.state
+                replay = run("ff", seq).coloring.colors
                 for alg in ("ff", "nf", RandomFair()):
                     trace = run(alg, seq, seed=t)
                     verdict = audit_fair(trace, first_fit=True)
-                    assert verdict == (trace.coloring.state == replay), (edges, k, alg)
+                    assert verdict == (trace.coloring.colors == replay), (edges, k, alg)
                     agree[verdict] += 1
     assert agree == {True: 735, False: 747}  # 494 of the agreements are the ff traces
 
@@ -454,8 +455,10 @@ def _pinned_traces():
 def test_trace_records_are_pinned():
     h = hashlib.sha256()
     for trace in _pinned_traces():
+        # the decisions hashed as an {edge: color, or -1 if rejected} dict's repr
+        state = {e: -1 if c is None else c for e, c in enumerate(trace.coloring.colors)}
         h.update(f"{trace.k} {trace.algorithm} {trace.steps!r} {trace.colored_count} "
-                 f"{trace.rejected_count} {trace.coloring.state!r}\n".encode())
+                 f"{trace.rejected_count} {state!r}\n".encode())
         h.update(trace_csv(trace).encode())
     assert h.hexdigest() == TRACE_SHA256
 
@@ -472,6 +475,22 @@ def test_a_path_game_keeps_no_per_edge_objects():
     assert trace.colored_count == 20001
 
 
+def test_a_finished_path_game_retains_little_per_edge():
+    """A finished game keeps its graph and one list of decisions.  The limit
+    sits between decisions kept in a dict keyed by edge id (242.6 bytes per
+    edge on CPython 3.11) and in one color list (190.7)."""
+    script = nf_path_killer(20000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run("nf", script)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / trace.graph.num_edges < 216
+
+
 class AdjacencyFirstFit(FirstFit):
     """First-fit that reads the colors of adjacent edges through the graph's
     adjacency instead of the cached color masks."""
@@ -481,8 +500,8 @@ class AdjacencyFirstFit(FirstFit):
     def decide(self, coloring, g, eid):
         used = 0
         for f in g.adjacent_edges(eid):
-            c = coloring.state.get(f, REJECTED)
-            if c != REJECTED:
+            c = coloring.colors[f]  # f < eid, so decided
+            if c is not None:
                 used |= color_bit(c)
         return lowest_free_color(used, self.k)
 
@@ -557,11 +576,11 @@ def test_mask_strategies_decide_as_their_scan_references_on_every_small_tree():
             orders += 1
             for k in range(2, 6):
                 seq = RevealSequence(edges=edges, k=k)
-                assert run(FirstFit(), seq).colors() == run(ScanFirstFit(), seq).colors()
-                assert run(NextFit(), seq).colors() == run(ScanNextFit(), seq).colors()
+                assert run(FirstFit(), seq).coloring.colors == run(ScanFirstFit(), seq).coloring.colors
+                assert run(NextFit(), seq).coloring.colors == run(ScanNextFit(), seq).coloring.colors
             seq = RevealSequence(edges=edges, k=2)
             for p in (0.5, 0.7, 1):
                 seed = f"{orders}/{p}"
-                fast = run(RandomParity(p), seq, rng=random.Random(seed)).colors()
-                assert fast == run(CaseRandomParity(p), seq, rng=random.Random(seed)).colors()
+                fast = run(RandomParity(p), seq, rng=random.Random(seed)).coloring.colors
+                assert fast == run(CaseRandomParity(p), seq, rng=random.Random(seed)).coloring.colors
     assert orders == 2648  # every reveal-order class of the trees with m <= 6

@@ -139,3 +139,37 @@ def test_hash_agrees_across_coordinate_types(rad, a, b):
     assert len({x, y}) == 1
     if b == 0:
         assert x == a and hash(x) == hash(a) == hash(Fraction(a))
+
+
+def test_equality_is_exact_across_radicands():
+    assert surd(1, 2, 5) != surd(1, 2, 10) and Sqrt5(1, 2) != surd(1, 2, 10)
+    assert surd(0, 2, 5) == surd(0, 1, 20) and hash(surd(0, 2, 5)) == hash(surd(0, 1, 20))
+    assert surd(3, -2, 5) == surd(3, -1, 20) != surd(3, 1, 20)
+    assert surd(4, 0, 3) == surd(4, 0, 7) == 4 and hash(surd(4, 0, 7)) == hash(4)
+    assert len({surd(1, 2, 5), surd(1, 2, 10), surd(0, 2, 5), surd(0, 1, 20)}) == 3
+    # ordering and arithmetic still refuse two radicands, even between equal values
+    for x, y in ((surd(1, 2, 5), surd(1, 2, 10)), (surd(0, 2, 5), surd(0, 1, 20))):
+        for op in (lambda: x < y, lambda: x >= y, lambda: x + y, lambda: x * y, lambda: x / y):
+            with pytest.raises(ValueError, match="cannot mix radicands"):
+                op()
+
+
+@settings(max_examples=150, deadline=None)
+@given(radicands, radicands, fractions, fractions, st.integers(1, 6))
+def test_equality_and_hash_across_radicands_follow_the_value(r1, r2, a, b, n):
+    x, y = surd(a, b * n, r1), surd(a, b, r1 * n * n)  # b*n*sqrt(r1) = b*sqrt(r1*n*n)
+    assert x == y and hash(x) == hash(y)
+    assert (x == surd(a, b, r2)) == (b == 0 or (n, r1) == (1, r2))
+    assert (x == a) == (b == 0)
+
+
+def test_a_surd_is_false_exactly_at_zero():
+    assert not bool(surd(0, 0, 5)) and not bool(Sqrt5(0)) and not surd(0, 0, 3)
+    assert Sqrt5(0, 1) and surd(1, 0, 3) and Sqrt5(Fraction(1, 2), Fraction(-1, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(radicands, fractions, fractions)
+def test_truth_agrees_with_zero(rad, a, b):
+    x = surd(a, b, rad)
+    assert bool(x) == (x != 0) == ((a, b) != (0, 0))

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palette.graph import (
-    REJECTED,
     Graph,
     GraphError,
     PartialColoring,
@@ -21,11 +20,12 @@ from palette.oracle import opt_tree
 
 def is_proper(coloring, g):
     """Reference properness check: edge by edge, ignoring the cached masks."""
-    for eid, c in coloring.state.items():
-        if c == REJECTED:
+    colors = dict(enumerate(coloring.colors))  # undecided edges are absent
+    for eid, c in colors.items():
+        if c is None:
             continue
         for f in g.adjacent_edges(eid):
-            if coloring.state.get(f, REJECTED) == c:
+            if colors.get(f) == c:
                 return False
     return True
 
@@ -105,6 +105,36 @@ def test_double_decision_rejected():
         c.reject(0)
 
 
+def test_decisions_are_one_list_in_reveal_order():
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    c = PartialColoring(2)
+    c.color(g, 0, 1)
+    c.reject(1)
+    c.color(g, 2, 1)
+    assert c.colors == [1, None, 1]
+    assert (c.colored_count, c.rejected_count, c.colored_edges()) == (2, 1, [0, 2])
+
+
+def test_only_the_next_undecided_edge_is_decided():
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    c = PartialColoring(2)
+    for decide in (lambda e: c.color(g, e, 1), c.reject):
+        for eid in (1, 2, 7):  # past edge 0, which is undecided
+            with pytest.raises(GraphError, match=f"^edge {eid} is not the next undecided edge 0$"):
+                decide(eid)
+    c.color(g, 0, 1)
+    for decide in (lambda e: c.color(g, e, 2), c.reject):
+        with pytest.raises(GraphError, match="^edge 0 already decided$"):
+            decide(0)
+        with pytest.raises(GraphError, match="^edge 2 is not the next undecided edge 1$"):
+            decide(2)
+    with pytest.raises(GraphError, match="^edge -1 is not the next undecided edge 1$"):
+        c.reject(-1)
+    assert c.colors == [1]  # no refused call left a trace
+    c.reject(1)
+    assert c.colors == [1, None]
+
+
 def test_lowest_free_color():
     assert lowest_free_color(0b000, 3) == 1
     assert lowest_free_color(0b101, 3) == 2
@@ -136,8 +166,8 @@ def test_cache_coherence_random_runs(seed, k):
         for v2 in range(g.num_vertices):
             recount = 0
             for f in g.incident[v2]:
-                if c.state.get(f, REJECTED) != REJECTED:
-                    recount |= color_bit(c.state[f])
+                if (col := c.colors[f]) is not None:
+                    recount |= color_bit(col)
             assert c.used_mask(v2) == recount
         assert is_proper(c, g)
 
