@@ -38,7 +38,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import chain, groupby
 
 from . import engine
 from .adversaries import RevealSequence
@@ -150,11 +150,11 @@ def edge_classes(trace: engine.Trace, witness: OptWitness):
     'neither'; d_c[v] and d_d[v] count the colored and the double edges at
     vertex v, in two flat int lists.
     """
-    g = trace.graph
+    g, opt_edges = trace.graph, witness.edges
     klass: dict[int, str] = {}
     d_c, d_d = [0] * g.num_vertices, [0] * g.num_vertices
     for e, c in enumerate(trace.coloring.colors):
-        opt = e in witness.edges
+        opt = e in opt_edges
         if c is None:
             klass[e] = "opt-only" if opt else "neither"
             continue
@@ -183,13 +183,12 @@ class _TreeCertificate:
     """Both tree certificates: a per-trace preparation and one state function
     that the per-root pass and the all-roots walk both read.
 
-    Construction reads the graph's walk (`Graph.walk`, the walk from root 0),
-    refuses anything but a tree, audits the witness and derives the edge
-    classes, vertex tallies and initial values.  Values are kept multiplied
-    by `scale`: a colored edge is worth `scale` and C is `target`, both the
-    strategy's times `unit`, lcm(1..d) for the most rejected optimum edges d
-    at one vertex, so each split is exact.  Every value is an int, or at
-    non-square k a surd a + b*sqrt(k) with int a and b.
+    Construction refuses anything but a tree (`Graph.is_tree`), audits the
+    witness and derives the edge classes, vertex tallies and initial values.
+    Values are kept multiplied by `scale`: a colored edge is worth `scale` and
+    C is `target`, both the strategy's times `unit`, lcm(1..d) for the most
+    rejected optimum edges d at one vertex, so each split is exact.  Every
+    value is an int, or at non-square k a surd a + b*sqrt(k) with int a and b.
 
     Each colored edge sends its surplus (`scale`, or `scale - target` for a
     double-colored edge) to its parent endpoint, which passes the strategy's
@@ -202,12 +201,11 @@ class _TreeCertificate:
     """
 
     def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int, target):
-        g, view = trace.graph, trace.graph.walk
-        if g.num_edges + 1 != g.num_vertices or view.parent_edge.count(-1) != 1:
+        g = trace.graph
+        if not g.is_tree():
             raise GraphError("charging strategies for trees require a tree")
         audit_witness(g, trace.k, witness)
         self.trace, self.witness = trace, witness
-        self._view0 = view  # vertex 0 is the first start, so this is the walk from root 0
         self.klass, self.d_c, self.d_d = edge_classes(trace, witness)
         self.colors = colors = trace.coloring.colors
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
@@ -265,7 +263,7 @@ class _TreeCertificate:
 
     def charge(self, root: int) -> VerdictReport:
         g, klass, target = self.trace.graph, self.klass, self.target
-        parent_edge = (self._view0 if root == 0 else rooted_view(g, (root,))).parent_edge
+        parent_edge = (g.walk if root == 0 else rooted_view(g, (root,))).parent_edge  # walk starts at 0
         v_f = [target if kl == "double" else 0 for kl in klass.values()]
         share, residual, guards, state = [0] * g.num_vertices, 0, [], self._state
         for v, p in enumerate(parent_edge):  # each state is dropped once read: no tuples pile up
@@ -292,27 +290,32 @@ class _TreeCertificate:
         `charge` at each root, from one table and one rerooting walk.
 
         The table holds every vertex's `_state` under each incident edge and
-        as the root: slot 2f + i for the end edges[f][i] under parent edge f,
-        slot 2m + v for root v.  Moving the root across an edge changes the
-        states of its two ends only, and with them the v_f of the rejected
-        optimum edges there, the books' balance (checked at every root) and
-        the count of vertices whose guards fail.  At the least root where a
-        guard fails or value leaks, `charge` raises its own error.
+        as the root, one flat list per field: slot 2f + i for the end
+        edges[f][i] under parent edge f, slot 2m + v for root v.  Moving the
+        root across an edge changes the states of its two ends only, and with
+        them the v_f of the rejected optimum edges there, the books' balance
+        (checked at every root) and the count of vertices whose guards fail.
+        At the least root where a guard fails or value leaks, `charge` raises
+        its own error.
         """
         g, klass, target, state = self.trace.graph, self.klass, self.target, self._state
         edges, incident, m, opt_deg = g.edges, g.incident, g.num_edges, self.opt_deg
-        slots = []
-        for f, (u, w) in enumerate(edges):
-            slots += state(u, f), state(w, f)
-        slots += map(state, range(g.num_vertices), repeat(-1))
-        parent_edge = self._view0.parent_edge
+        pays, shares, keeps, fails = [], [], [], []  # one list per field, no tuple per state
+        # slot i < 2m is end i & 1 of edge i >> 1, then come the roots
+        for i, v in enumerate(chain(chain.from_iterable(edges), range(g.num_vertices))):
+            pay, share, keep, guard = state(v, i >> 1 if i < 2 * m else -1)
+            pays.append(pay)
+            shares.append(share)
+            keeps.append(keep)
+            fails.append(guard is not None)
+        parent_edge = g.walk.parent_edge
         at = [2 * m + v if p == -1 else 2 * p + (edges[p][1] == v)
               for v, p in enumerate(parent_edge)]  # each vertex's slot
 
         def value(e):  # paid by the child end, plus the parent end's share
             u, w = edges[e]
-            a, b = slots[at[u]], slots[at[w]]
-            return a[0] + b[1] if at[u] == 2 * e else b[0] + a[1]
+            a, b = at[u], at[w]
+            return pays[a] + shares[b] if a == 2 * e else pays[b] + shares[a]
 
         # a double-colored edge ends at C from every root
         v_f = [value(e) if kl == "opt-only" else target if kl == "double" else 0
@@ -320,8 +323,8 @@ class _TreeCertificate:
         count = Counter(v_f[e] for e in self.witness.edges)
         heap = [v for v, c in count.items() if c]  # holds every value counted, and stale ones
         heapq.heapify(heap)
-        balance = sum(v_f) + sum(slots[i][2] for i in at) - self.total  # as `_close` checks it
-        failing = sum(slots[i][3] is not None for i in at)
+        balance = sum(v_f) + sum(keeps[i] for i in at) - self.total  # as `_close` checks it
+        failing = sum(fails[i] for i in at)
         margins, refused = [None] * len(at), []
 
         def verdict(root):
@@ -335,10 +338,10 @@ class _TreeCertificate:
         def move(r, s, f):  # the root moves from r to its neighbour s across f
             nonlocal balance, failing
             for v, i in ((r, 2 * f + (edges[f][1] == r)), (s, 2 * m + s)):
-                old, new = slots[at[v]], slots[i]
+                old = at[v]
                 at[v] = i
-                balance += new[2] - old[2]
-                failing += (new[3] is not None) - (old[3] is not None)
+                balance += keeps[i] - keeps[old]
+                failing += fails[i] - fails[old]
             for v in (r, s):
                 if opt_deg[v]:
                     for e in incident[v]:
@@ -454,8 +457,7 @@ class FairTreeCertificate(_TreeCertificate):
     parent edge up to C and splits the rest among its rejected-optimum child
     edges.  For each rejected optimum edge whose child endpoint cannot
     already cover C, `_guard` re-checks the case inequalities behind the
-    guarantee exactly on the run's actual vertex tallies, once per distinct
-    (case, tallies of both endpoints) in the certificate's lifetime.
+    guarantee exactly on the run's actual vertex tallies (`_check_fair_case`).
 
     Construction refuses traces that `engine.audit_fair` finds unfair; that
     audit is the one fairness check (each rejected edge arrived with all k
@@ -475,28 +477,20 @@ class FairTreeCertificate(_TreeCertificate):
         if not engine.audit_fair(trace):
             raise ValueError("trace is not fair; refusing to certify")
         root = sqrt(trace.k)
-        self.C = fair_ratio(trace.k)
         super().__init__(trace, witness, 2 * root - 1, 2 * root - 2)
-        self._judged = set()  # (case, d_c(x), d_d(x), d_c(y), d_d(y)) that passed
 
     def _guard(self, v, p, kl, held):
         """The case step at each rejected optimum child edge f of v whose child
-        end y cannot pay C by itself, in the case v's parent edge names; each
-        distinct (case, tallies of both ends) is judged once per certificate."""
+        end y cannot pay C by itself, in the case v's parent edge names."""
         if not self.opt_deg[v]:
             return None
         g, klass, below, d_c, d_d = self.trace.graph, self.klass, self.below, self.d_c, self.d_d
         for f in g.incident[v]:
             if f != p and klass[f] == "opt-only":
                 y = g.other_end(f, v)
-                if below[y] < self.target:
-                    key = (self.case_of_parent[kl], d_c[v], d_d[v], d_c[y], d_d[y])
-                    if key not in self._judged:
-                        try:
-                            _check_fair_case(self.trace.k, self.C, *key, f)
-                        except ChargingError as error:
-                            return f, 0, str(error)
-                        self._judged.add(key)
+                if below[y] < self.target and (failure := _check_fair_case(
+                        self.trace.k, self.case_of_parent[kl], d_c[v], d_d[v], d_c[y], d_d[y])):
+                    return f, 0, f"edge {f}: {failure}"
         return None
 
 
@@ -505,39 +499,40 @@ def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
     return FairTreeCertificate(trace, witness).charge(0)
 
 
-def _check_fair_case(k, C, case, dcx, ddx, dcy, ddy, e):
-    """Re-derive the case inequalities on the run's actual tallies: the
-    colored and double edge counts at parent end x and child end y of e.
+@functools.cache
+def _check_fair_case(k, case, dcx, ddx, dcy, ddy):
+    """Why the case step fails at C = fair_ratio(k) on a rejected optimum edge
+    whose parent end x and child end y have these colored and double edge
+    counts, or None when it holds.
 
     Only binding when the child endpoint cannot already pay C by itself (the
     caller checks that); in that regime every colored edge there must be
     double-colored, and the three inequalities of the matching case must hold.
+    A function of its arguments alone, cached, so each distinct tuple is judged
+    once however many certificates meet it.
     """
     if dcy != ddy:
-        raise ChargingError(
-            f"edge {e}: child endpoint holds less than C yet has a "
-            "single-colored edge"
-        )
+        return "child endpoint holds less than C yet has a single-colored edge"
+    C = fair_ratio(k)
     if case == "1":
-        chain = [
+        holds = [
             dcx + (1 - C) * dcy * (k - ddx - 1) >= C * k,
             dcx + (1 - C) * dcy * (k - dcx - 1) >= C * k,
             dcx + (1 - C) * (k - dcx) * (k - dcx - 1) >= C * k,
         ]
     elif case == "2":
-        chain = [
+        holds = [
             dcx - 1 + (1 - C) * dcy * (k - ddx) >= C * k,
             dcx - 1 + (1 - C) * dcy * (k - (dcx - 1)) >= C * k,
             dcx - 1 + (1 - C) * (k - dcx) * (k - (dcx - 1)) >= C * k,
         ]
     else:  # cases 3 and 4 share the calculation
-        chain = [
+        holds = [
             dcx + C - 1 + (1 - C) * dcy * (k - ddx) >= C * k,
             dcx + C - 1 + (1 - C) * dcy * (k - dcx) >= C * k,
             dcx + C - 1 + (1 - C) * (k - dcx) * (k - dcx) >= C * k,
         ]
-    if not all(chain):
-        raise ChargingError(f"edge {e}: case-{case} inequality chain failed {chain}")
+    return None if all(holds) else f"case-{case} inequality chain failed {holds}"
 
 
 # ---------------------------------------------------------------------------

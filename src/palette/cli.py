@@ -170,9 +170,10 @@ def _instance_graph(args):
 
 def format_trace_csv(edges, colors) -> str:
     """The trace CSV that `opt --out` writes and `nf-order` reads: one row per
-    step, decision C with its color or R with an empty one."""
+    step, decision C with its color or R with an empty one.  Lists of unequal
+    length raise ValueError."""
     rows = ["step,u,v,decision,color"]
-    for i, ((u, v), c) in enumerate(zip(edges, colors)):
+    for i, ((u, v), c) in enumerate(zip(edges, colors, strict=True)):
         rows.append(f"{i},{u},{v},R," if c is None else f"{i},{u},{v},C,{c}")
     return "\n".join(rows) + "\n"
 

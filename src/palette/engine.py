@@ -140,15 +140,19 @@ class Step:
 class Trace:
     """One online run: step i revealed graph.edges[i] and decided coloring.colors[i]."""
 
-    k: int
     algorithm: str
     graph: Graph
     coloring: PartialColoring
 
     @property
+    def k(self) -> int:
+        return self.coloring.k
+
+    @property
     def steps(self) -> list[Step]:
-        """The per-step view, built from the graph and the coloring on each read."""
-        return [Step(e, u, v, c) for e, ((u, v), c) in enumerate(zip(self.graph.edges, self.coloring.colors))]
+        """The per-step view, built on each read; an undecided edge raises ValueError."""
+        steps = zip(self.graph.edges, self.coloring.colors, strict=True)
+        return [Step(e, u, v, c) for e, ((u, v), c) in enumerate(steps)]
 
     @property
     def colored_count(self) -> int:
@@ -189,12 +193,7 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
             reject(eid)
         else:
             color(g, eid, decision)  # raises if improper/unavailable
-    return Trace(
-        k=k,
-        algorithm=getattr(algorithm, "name", type(algorithm).__name__),
-        graph=g,
-        coloring=coloring,
-    )
+    return Trace(getattr(algorithm, "name", type(algorithm).__name__), g, coloring)
 
 
 def audit_fair(trace: Trace, *, first_fit: bool = False) -> bool:

@@ -11,11 +11,11 @@ its endpoints' tuples), so a game whose strategy reads only color masks
 never builds it.  Tuples rather than lists: the cyclic garbage collector
 stops tracking a tuple of ints at its first collection, so a big graph
 leaves it nothing per vertex to sweep.  `rooted_view` is the package's one
-graph walk: components, the tree oracle and both tree certificates read its
-parent edges and its parents-first vertex order, and the walk from every
-vertex in id order is made once per graph and kept until the next edge
-(`Graph.walk`).  On a forest every other incident edge of a vertex is a
-child edge, so a walk records nothing more.
+graph walk: components, the forest and tree tests, the tree oracle and both
+tree certificates read its parent edges and its parents-first vertex order,
+and the walk from every vertex in id order is made once per graph and kept
+until the next edge (`Graph.walk`).  On a forest every other incident edge
+of a vertex is a child edge, so a walk records nothing more.
 """
 
 from __future__ import annotations
@@ -157,10 +157,11 @@ class Graph:
         return comps
 
     def is_forest(self) -> bool:
-        return self.num_edges + len(self.components()) == self.num_vertices
+        """Acyclic: `walk` roots one tree per component, so m + roots == n."""
+        return self.num_edges + self.walk.parent_edge.count(-1) == self.num_vertices
 
     def is_tree(self) -> bool:
-        return self.num_edges + 1 == self.num_vertices and len(self.components()) == 1
+        return self.num_edges + 1 == self.num_vertices and self.is_forest()
 
     def classify(self) -> str:
         """Shape of the final graph: 'path', 'star', 'tree' or 'other'.
@@ -198,8 +199,8 @@ def rooted_view(g: Graph, starts) -> RootedView:
     On a forest the parent relations depend only on the roots, not on the
     order of the walk.  On a graph with cycles the view is a spanning forest
     of what was reached: the walk does not check for cycles, so callers that
-    need a forest compare the root count with the edge count (the tree
-    certificates check once per trace, not once per root).
+    need a forest ask `Graph.is_forest` or `is_tree`, which count `walk`'s
+    roots (the tree certificates ask once per trace, not once per root).
     """
     n, incident, edges = g.num_vertices, g.incident, g.edges
     parent_edge = [-1] * n

@@ -180,7 +180,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
             lambda c, alg, rng: adversaries.path_then_stars(c.k, c.m, alg),
             ("m",),
             lambda c, opt: Fraction(c.k, c.k + 1) + Fraction(c.k, (c.k + 1) * int(opt)),
-            note="adaptive tree capping any algorithm at k/(k+1)",
+            note="adaptive tree capping deterministic-or-fair algorithms at k/(k+1)",
         ),
         Construction(
             "nf-tree",
@@ -382,7 +382,7 @@ def yao_experiment(
 class ExhaustiveSummary:
     """Running tally of an exhaustive sweep: built empty, then every instance
     is folded in through `add`.  Tree sweeps also fold their certificate
-    verdicts into `charges`."""
+    verdicts into `charges`, one instance per charged order."""
 
     mode: str
     max_edges: int
@@ -614,8 +614,8 @@ def random_reveal(rng, edges) -> list[tuple[int, int]]:
 
 @dataclass
 class VerifySummary:
-    """Running tally of a certification sweep: the verdicts that failed and
-    the exact minimum margin over all of them."""
+    """Running tally of a certification sweep: the instances folded in, the
+    verdicts that failed and the exact minimum margin over all of them."""
 
     strategy: str
     instances: int = 0
@@ -626,7 +626,8 @@ class VerifySummary:
         self.fold(not report.passed, report.min_margin)
 
     def fold(self, failures: int, margin) -> None:
-        """Count failed verdicts and keep the least exact margin."""
+        """Count one instance and its failed verdicts; keep the least exact margin."""
+        self.instances += 1
         self.failures += failures
         if margin is not None and (self.min_margin is None or margin < self.min_margin):
             self.min_margin = margin
@@ -685,7 +686,7 @@ def verify_trees(
     _check_sweep(count, max_edges)
     _check_tree_k(k)
     algorithm = TREE_CERTIFICATES[strategy][0]
-    tally = VerifySummary(strategy, count)
+    tally = VerifySummary(strategy)
     for t in range(count):
         rng = engine.derive_rng(seed, strategy, t)
         m = rng.randrange(1, max_edges + 1)
@@ -712,7 +713,7 @@ def verify_fair_trees(
 def verify_rp_paths(count: int, max_edges: int, p, seed=0) -> VerifySummary:
     """Run the analytic pair-strategy ledger on random path reveal orders."""
     _check_sweep(count, max_edges)
-    tally = VerifySummary("rp-path", count)
+    tally = VerifySummary("rp-path")
     for t in range(count):
         rng = engine.derive_rng(seed, "rp-path", t)
         m = rng.randrange(1, max_edges + 1)
@@ -724,14 +725,15 @@ def verify_rp_paths(count: int, max_edges: int, p, seed=0) -> VerifySummary:
 def verify_construction(
     config: ExperimentConfig, *, all_roots: bool = False
 ) -> charging.VerdictReport | VerifySummary:
-    """Let next-fit play the configured tree construction and charge the fair
-    certificate: from root 0 as a verdict report, or from every root as a
-    tally of one instance.  On the nf-tree family the minimum margin is 0."""
-    nf = engine.make_algorithm("nf")
-    trace = engine.run(nf, construction_for(config).build(config, nf, None))
+    """Play the configured tree construction with the fair-tree strategy and
+    charge it: from root 0 as a verdict report, or from every root as a tally
+    of one instance.  On the nf-tree family the minimum margin is 0."""
+    name, certificate = TREE_CERTIFICATES["fair-tree"]
+    algorithm = engine.make_algorithm(name)
+    trace = engine.run(algorithm, construction_for(config).build(config, algorithm, None))
     witness = opt_tree(trace.graph, trace.k)
     if not all_roots:
-        return charging.FairTreeCertificate(trace, witness).charge(0)
-    tally = VerifySummary("fair-tree", 1)
+        return certificate(trace, witness).charge(0)
+    tally = VerifySummary("fair-tree")
     _certify("fair-tree", trace, witness, True, tally)
     return tally

@@ -19,19 +19,22 @@ BRUTE_FORCE_EDGE_LIMIT = 16
 
 @dataclass(frozen=True)
 class OptWitness:
-    """A maximum colorable edge set together with a proper k-coloring of it."""
+    """A maximum colorable edge set, held as its proper k-coloring: the edge set
+    and its size are read from the coloring's keys."""
 
-    edges: frozenset[int]
     coloring: dict[int, int]  # edge id -> color in 1..k
-    count: int
+
+    @property
+    def edges(self):
+        return self.coloring.keys()
+
+    @property
+    def count(self) -> int:
+        return len(self.coloring)
 
 
 def audit_witness(g: Graph, k: int, witness: OptWitness) -> None:
-    """Raise GraphError unless the witness is internally consistent."""
-    if witness.count != len(witness.edges):
-        raise GraphError("witness count does not match its edge set")
-    if set(witness.coloring) != set(witness.edges):
-        raise GraphError("witness coloring does not cover exactly its edges")
+    """Raise GraphError unless the witness's coloring is proper in 1..k."""
     # colors in 1..k that differ at every vertex keep at most k edges there;
     # each (vertex, color) pair, keyed by the int x*k + c - 1, is claimed by
     # one edge, so the check is O(m)
@@ -68,10 +71,9 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = g.num_vertices
-    view = g.walk
-    if g.num_edges + view.parent_edge.count(-1) != n:  # one root per component
+    if not g.is_forest():
         raise GraphError("tree oracle requires an acyclic graph")
+    n, view = g.num_vertices, g.walk
 
     # best count in x's subtree with x's parent edge free to keep / kept, and
     # how many of x's child edges gain 1 when kept: those to children y with
@@ -117,7 +119,7 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
                 take -= 1
                 if not take:
                     break
-    return OptWitness(edges=frozenset(coloring), coloring=coloring, count=len(coloring))
+    return OptWitness(coloring)
 
 
 def _colorable(g: Graph, k: int, subset: tuple[int, ...]) -> dict[int, int] | None:
@@ -183,9 +185,7 @@ def opt_bruteforce(g: Graph, k: int) -> OptWitness:
                 continue
             coloring = _colorable(g, k, subset)
             if coloring is not None:
-                return OptWitness(
-                    edges=frozenset(subset), coloring=coloring, count=size
-                )
+                return OptWitness(coloring)
     raise AssertionError("unreachable: the empty subset is always colorable")
 
 

@@ -5,7 +5,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from palette import adversaries, engine
+from palette import adversaries, engine, oracle
 from palette.exact import Sqrt5
 from palette.graph import Graph
 
@@ -45,3 +45,9 @@ def test_a_trace_exposes_what_the_bench_reads():
     assert [s.color for s in trace.steps] == [1, 2] * 3 + [None] * 5
     assert (trace.k, trace.graph.num_edges) == (2, 11)
     assert len(_tracing().trace_key(trace)) == 16  # hashes k, algorithm and each step
+
+
+def test_a_witness_exposes_what_the_bench_reads():
+    """The large-games check reads an optimum's count: `opt_tree(...).count`."""
+    trace = engine.run("ff", adversaries.star_chain(3, 4, "ff"))
+    assert oracle.opt_tree(trace.graph, trace.k).count == 3 * 4

@@ -203,7 +203,7 @@ def test_fair_values_have_one_type_at_every_k():
     for k, (trace, witness) in cases:
         square = math.isqrt(k) ** 2 == k
         certificate = FairTreeCertificate(trace, witness)
-        reported = [certificate.C]
+        reported = [fair_ratio(k)]
         for root, margin in enumerate(certificate.charge_all()):
             report = certificate.charge(root)
             reported += [report.C, report.min_margin, report.initial(), certificate.exact(margin)]
@@ -232,7 +232,7 @@ def _rejected_part(trace, witness):
     pinned at C, so each root's least margin comes from the moving values."""
     colors = trace.coloring.colors
     kept = {e: c for e, c in witness.coloring.items() if colors[e] is None}
-    return trace, OptWitness(frozenset(kept), kept, len(kept))
+    return trace, OptWitness(kept)
 
 
 def test_charge_all_gives_every_roots_verdict():
@@ -285,10 +285,8 @@ class Unfed(FFTreeCertificate):  # every double edge counts as high-colored
 
 
 def test_charge_all_raises_the_least_refused_roots_guard_error(monkeypatch):
-    def strict(k, C, case, dcx, ddx, dcy, ddy, e):  # one case never holds
-        if case == refused_case:
-            raise charging.ChargingError(f"edge {e}: case-{case} refused")
-        check(k, C, case, dcx, ddx, dcy, ddy, e)
+    def strict(k, case, *tallies):  # one case never holds
+        return f"case-{case} refused" if case == refused_case else check(k, case, *tallies)
 
     check = charging._check_fair_case
     monkeypatch.setattr(charging, "_check_fair_case", strict)
@@ -310,13 +308,13 @@ def test_charge_all_checks_conservation_at_every_root(monkeypatch):
     # a k = 4 star centred at 7 whose rejected optimum edges 4, 5, 6 need a
     # unit of 6 to split exactly; at unit 1 some roots leak, root 0 does not
     edges = [(1, 7), (2, 7), (3, 7), (4, 7), (0, 7), (5, 7), (6, 7)]
-    witness4 = OptWitness(frozenset({3, 4, 5, 6}), {3: 4, 4: 1, 5: 2, 6: 3}, 4)
+    witness4 = OptWitness({3: 4, 4: 1, 5: 2, 6: 3})
     # a k = 5 star centred at 7: two single and three double edges leave the
     # centre 1 + 4*sqrt(5) in ledger units (a colored edge is worth
     # 2*sqrt(5) - 1), which its rejected optimum edges 5 and 6 split exactly
     # only at a unit of 2; from root 0 the centre holds 4*sqrt(5) under the
     # double edge 4, which splits whole
-    witness5 = OptWitness(frozenset({2, 3, 4, 5, 6}), {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}, 5)
+    witness5 = OptWitness({2: 1, 3: 2, 4: 3, 5: 4, 6: 5})
     monkeypatch.setattr(charging.math, "lcm", lambda *counts: 1)
     for k, witness, alg, certify in ((4, witness4, "ff", FFTreeCertificate),
                                      (4, witness4, "nf", FairTreeCertificate),
@@ -392,8 +390,9 @@ def _reference_charge(certificate, root):
     else:
         for e, case in cases.items():
             x, y = parent_side(e)
-            if held[y] < target:  # the child endpoint cannot pay C by itself
-                charging._check_fair_case(k, c.C, case, c.d_c[x], c.d_d[x], c.d_c[y], c.d_d[y], e)
+            if held[y] < target and (failure := charging._check_fair_case(  # y cannot pay C by itself
+                    k, case, c.d_c[x], c.d_d[x], c.d_c[y], c.d_d[y])):
+                raise charging.ChargingError(f"edge {e}: {failure}")
     return charging._close(c.strategy, target, klass, cases, c.v_i, v_f, c.total,
                            c.witness.edges, c.exact, residual)
 
@@ -421,10 +420,8 @@ def test_charge_matches_the_per_root_reference(monkeypatch):
                 _assert_charge_matches_the_reference(FFTreeCertificate(*_played("ff", seq)))
                 _assert_charge_matches_the_reference(FairTreeCertificate(*_played("nf", seq)))
 
-    def strict(k, C, case, dcx, ddx, dcy, ddy, e):  # one case never holds
-        if case == refused_case:
-            raise charging.ChargingError(f"edge {e}: case-{case} refused")
-        check(k, C, case, dcx, ddx, dcy, ddy, e)
+    def strict(k, case, *tallies):  # one case never holds
+        return f"case-{case} refused" if case == refused_case else check(k, case, *tallies)
 
     check = charging._check_fair_case
     monkeypatch.setattr(charging, "_check_fair_case", strict)
@@ -495,7 +492,7 @@ def test_ff_charge_alternative_witnesses():
             coloring = _colorable(g, k, subset)
             if coloring is None:
                 continue
-            witness = OptWitness(frozenset(subset), coloring, best)
+            witness = OptWitness(coloring)
             assert ff_tree_charge(trace, witness).passed
             swept += 1
     assert swept > 50
@@ -582,7 +579,7 @@ def test_certificates_refuse_a_trace_with_an_undecided_edge():
                     coloring.reject(e)
                 else:
                     coloring.color(played.graph, e, c)
-            trace = engine.Trace(k, "ff", played.graph, coloring)
+            trace = engine.Trace("ff", played.graph, coloring)
             assert not engine.audit_fair(trace) and not engine.audit_fair(trace, first_fit=True)
             with pytest.raises(ValueError, match="^trace was not produced by first-fit; refusing to certify$"):
                 ff_tree_charge(trace, witness)
@@ -851,13 +848,12 @@ def test_ff_guard_high_colored_double_edge_is_fed():
 
 
 def test_fair_guard_child_endpoint_has_no_single_colored_edge():
-    with pytest.raises(charging.ChargingError, match="has a single-colored edge"):
-        charging._check_fair_case(4, fair_ratio(4), "1", 1, 1, 2, 1, 0)
+    assert charging._check_fair_case(4, "1", 1, 1, 2, 1) == (
+        "child endpoint holds less than C yet has a single-colored edge")
 
 
 def test_fair_guard_case_chain_must_hold():
-    with pytest.raises(charging.ChargingError, match="case-1 inequality chain failed"):
-        charging._check_fair_case(4, fair_ratio(4), "1", 0, 0, 0, 0, 0)
+    assert charging._check_fair_case(4, "1", 0, 0, 0, 0).startswith("case-1 inequality chain failed")
 
 
 # -- the int ledger: lcm(1..d) makes every split at a vertex exact ----------------
@@ -867,7 +863,7 @@ def test_tree_ledgers_split_three_ways_in_ints(monkeypatch):
     # star at k = 4: four leaf edges take colors 1..4, three more are rejected,
     # and the witness keeps the three rejected ones and the color-4 edge
     edges = [(0, leaf) for leaf in range(1, 8)]
-    witness = OptWitness(frozenset({3, 4, 5, 6}), {3: 4, 4: 1, 5: 2, 6: 3}, 4)
+    witness = OptWitness({3: 4, 4: 1, 5: 2, 6: 3})
     closed, close = [], charging._close
 
     def spy(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0):
@@ -897,7 +893,7 @@ def test_tree_ledgers_split_three_ways_in_ints(monkeypatch):
 def test_ff_guards_keep_their_messages_at_an_lcm_unit():
     # k = 2 star: two leaf edges colored, the two rejected ones are the witness
     star = engine.run("ff", RevealSequence(edges=[(0, leaf) for leaf in range(1, 5)], k=2))
-    certificate = Starved(star, OptWitness(frozenset({2, 3}), {2: 1, 3: 2}, 2))
+    certificate = Starved(star, OptWitness({2: 1, 3: 2}))
     assert certificate.unit == 2
     with pytest.raises(charging.ChargingError, match="vertex 0 holds 0 < 1/2"):
         certificate.charge(0)
@@ -906,7 +902,7 @@ def test_ff_guards_keep_their_messages_at_an_lcm_unit():
     edges = [(0, 1), (0, 2), (3, 4), (2, 3), (1, 5), (1, 6), (1, 7), (1, 8)]
     trace = engine.run("ff", RevealSequence(edges=edges, k=3))
     coloring = {0: 1, 1: 2, 2: 2, 3: 1, 6: 2, 7: 3}
-    certificate = Unrouted(trace, OptWitness(frozenset(coloring), coloring, 6))
+    certificate = Unrouted(trace, OptWitness(coloring))
     assert certificate.unit == 2
     with pytest.raises(charging.ChargingError, match="routed only 0 < 1/3"):
         certificate.charge(0)

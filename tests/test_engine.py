@@ -271,9 +271,27 @@ def test_synthetic_unfair_trace_detected():
     g = build_graph([(0, 1)])
     coloring = PartialColoring(2)
     coloring.reject(0)
-    trace = Trace(k=2, algorithm="synthetic", graph=g, coloring=coloring)
+    trace = Trace(algorithm="synthetic", graph=g, coloring=coloring)
     assert trace.steps == [Step(0, 0, 1, None)]
     assert not audit_fair(trace)
+
+
+def test_a_record_shorter_than_its_edges_is_refused():
+    """The path 0-1-2-3 with only edge 0 decided: its steps and its trace CSV
+    raise rather than drop the undecided edges."""
+    from palette.cli import format_trace_csv
+
+    g = build_graph([(0, 1), (1, 2), (2, 3)])
+    coloring = PartialColoring(2)
+    coloring.color(g, 0, 1)
+    trace = Trace(algorithm="synthetic", graph=g, coloring=coloring)
+    with pytest.raises(ValueError):
+        trace.steps
+    with pytest.raises(ValueError):
+        format_trace_csv(g.edges, coloring.colors)
+    coloring.reject(1)
+    coloring.reject(2)
+    assert [s.color for s in trace.steps] == [1, None, None] and trace.k == 2
 
 
 def test_first_fit_audit_matches_a_first_fit_replay():

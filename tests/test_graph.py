@@ -297,3 +297,50 @@ def test_components_split_the_walk_at_its_roots():
     forest = build_graph([(0, 1), (2, 3), (3, 4)])
     assert len(forest.components()) == 2 and forest.is_forest() and not forest.is_tree()
     assert build_graph([(2, 0), (0, 1), (1, 3)]).is_tree()
+
+
+def _reference_shape(g):
+    """(is_forest, is_tree) from a union-find component count, apart from the
+    walk: a forest has m + components == n, a tree also has one component."""
+    root = list(range(g.num_vertices))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    components = g.num_vertices
+    for u, v in g.edges:
+        a, b = find(u), find(v)
+        if a != b:
+            root[a] = b
+            components -= 1
+    forest = g.num_edges + components == g.num_vertices
+    return forest, forest and components == 1
+
+
+def test_forest_and_tree_tests_agree_with_a_component_count():
+    import random
+
+    from palette import harness
+
+    rng, shapes = random.Random(5), set()
+    for t in range(300):
+        m = rng.randrange(0, 16)
+        edges = harness.random_tree_edges(rng, m)
+        if t % 3 == 1:  # a forest: drop edges, then spread the ids out, leaving isolated ones
+            edges = [e for e in edges if rng.random() < 0.7]
+            ids = sorted(rng.sample(range(3 * m + 3), m + 1))
+            edges = [(ids[u], ids[v]) for u, v in edges]
+        elif t % 3 == 2 and m >= 2:  # one cycle: join two vertices the tree does not join
+            pairs = {(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)}
+            edges.append(rng.choice(sorted(pairs - {tuple(sorted(e)) for e in edges})))
+        rng.shuffle(edges)
+        g = Graph()
+        for u, v in edges:  # each answer is read from the walk cached since the last edge
+            g.add_edge(u, v)
+            shape = (g.is_forest(), g.is_tree())
+            assert shape == _reference_shape(g), g.edges
+            shapes.add(shape)
+    assert shapes == {(True, True), (True, False), (False, False)}
+    assert (Graph().is_forest(), Graph().is_tree()) == (True, False)

@@ -20,7 +20,7 @@ from palette.harness import (
     tree_reveal_orders,
     yao_experiment,
 )
-from palette.oracle import opt_path
+from palette.oracle import opt_path, opt_tree
 
 
 def config(**kw):
@@ -244,11 +244,11 @@ def test_spread_reported_exactly_for_sampled_runs(kw, sampled):
 def test_verify_summary_folds_failures_and_the_exact_minimum():
     from palette.charging import VerdictReport
 
-    tally = harness.VerifySummary("ff-tree", 3)
+    tally = harness.VerifySummary("ff-tree")
     for passed, margin in [(True, Fraction(1, 3)), (True, None), (False, Fraction(-1, 2)),
                            (True, Fraction(0))]:
         tally.add(VerdictReport("ff-tree", Fraction(1, 2), passed, margin, list))
-    assert (tally.instances, tally.failures, tally.min_margin) == (3, 1, Fraction(-1, 2))
+    assert (tally.instances, tally.failures, tally.min_margin) == (4, 1, Fraction(-1, 2))
     assert not tally.passed
 
 
@@ -422,6 +422,21 @@ def test_exhaustive_trees_small():
     assert s.passed
     assert s.min_ratio >= Fraction(1, 2)
     assert s.charge_failures == 0
+
+
+def test_exhaustive_trees_count_the_orders_they_charge():
+    """charges.instances is the number of orders whose witness keeps an edge
+    first-fit rejected: the only orders a certificate is charged on."""
+    charged = Counter()
+    for m in range(1, 6):
+        for edges in tree_reveal_orders(m):
+            for k in (2, 3):
+                trace = engine.run("ff", RevealSequence(edges=edges, k=k))
+                colors = trace.coloring.colors
+                charged[k] += any(colors[e] is None for e in opt_tree(trace.graph, k).edges)
+    summaries = exhaustive_trees(5, ks=(2, 3))
+    assert [(s.k, s.charges.instances) for s in summaries] == sorted(charged.items())
+    assert all(s.charges.instances < s.instances for s in summaries) and charged[3] > 0
 
 
 def test_random_tree_edges_are_trees():
