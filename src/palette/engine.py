@@ -13,8 +13,9 @@ user-supplied strategies through the same interface:
 A run's record, `Trace`, is its graph and its coloring: edge ids are reveal
 steps, `coloring.colors[e]` is step e's color (None where it was rejected),
 and `Trace.steps` builds the per-step `Step` view from the two on read.
-The random-pair kernel, `rp_path_colored_counts`, is the package's only numpy
-reader, and numpy loads at its first call, not with this module.
+The random-pair kernel, `rp_path_colored_counts`, keeps 64 trials to a uint64
+word, one bit plane per color; it is the package's only numpy reader, and
+numpy loads at its first call, not with this module.
 """
 
 from __future__ import annotations
@@ -227,8 +228,6 @@ def audit_fair(trace: Trace, *, first_fit: bool = False) -> bool:
 #: trials per chunk of the random-pair kernel, which bounds its state
 RP_CHUNK_TRIALS = 1 << 14
 _RP_STEP_BLOCK = 32  # steps whose uniforms are drawn in one call
-# (neighbours' color bits | 4 when a fresh draw picks color 2) -> new color bits
-_RP_TABLE = (1, 2, 1, 0, 2, 2, 1, 0)
 
 
 def rp_path_colored_counts(
@@ -242,12 +241,14 @@ def rp_path_colored_counts(
     """Colored-edge counts of many independent random-parity runs on a path.
 
     Vectorizes the runs across trials with numpy, which the first call
-    imports; the reveal order is fixed and must form a path.  The state holds
-    color bits (0 open or rejected, 1 and 2 the colors) in an (m+2, trials)
-    uint8 array, one row per path position plus a sentinel at each end, and
-    each step looks its new bits up in an 8-entry table.  Trials run in chunks
-    of RP_CHUNK_TRIALS: chunk 0 reads ``default_rng(seed)``, the stream of an
-    unchunked run, and chunk c > 0 the c-th child spawned by
+    imports; the reveal order is fixed and must form a path.  The state is
+    bit-sliced, 64 trials to a word: an (m+2, 2, ceil(trials/64)) uint64
+    array, one row per path position plus a zero sentinel at each end, whose
+    plane c-1 has lane t set where trial t colored that edge c.  With n the
+    neighbors' planes OR-ed and f the lanes whose fresh draw picks color 2, a
+    step sets c1 = ~n1 & (n2 | ~f) and c2 = ~n2 & (n1 | f).  Trials run in
+    chunks of RP_CHUNK_TRIALS: chunk 0 reads ``default_rng(seed)``, the
+    stream of an unchunked run, and chunk c > 0 the c-th child spawned by
     ``SeedSequence(seed)``.  ``draws``, when given, is a (trials, m) array of
     the uniform for every (trial, step) pair and overrides the seed; the draw
     at a step is consumed only by trials whose edge has no colored neighbor at
@@ -255,26 +256,33 @@ def rp_path_colored_counts(
     """
     if not 0.5 <= p <= 1:
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
+    m = len(order)
+    if draws is not None and draws.shape != (trials, m):
+        raise ValueError(f"draws has shape {draws.shape}, expected {(trials, m)}")
     import numpy as np
     positions = path_positions(order)
-    m = len(order)
-    table = np.array(_RP_TABLE, dtype=np.uint8)
     root = np.random.SeedSequence(seed)
     counts = np.zeros(trials, dtype=np.int64)
     for lo in range(0, trials, RP_CHUNK_TRIALS):
         n = min(RP_CHUNK_TRIALS, trials - lo)
         gen = np.random.default_rng(root if lo == 0 else root.spawn(1)[0])
         uniforms = np.empty((_RP_STEP_BLOCK, n))
-        state = np.zeros((m + 2, n), dtype=np.uint8)
+        state = np.zeros((m + 2, 2, -(-n // 64)), dtype=np.uint64)
+        picks2 = np.zeros((_RP_STEP_BLOCK, 64 * state.shape[2]), dtype=bool)  # pad lanes stay 0
         for b0 in range(0, m, _RP_STEP_BLOCK):
             steps = positions[b0 : b0 + _RP_STEP_BLOCK]
-            block = (gen.random(out=uniforms[: len(steps)]) if draws is None
-                     else draws[lo : lo + n, b0 : b0 + len(steps)].T)
-            for pos, fresh in zip(steps, (block >= p).view(np.uint8) << 2):
-                row = state[pos]
-                np.bitwise_or(state[pos - 1], state[pos + 1], out=row)
-                row |= fresh
-                np.take(table, row, out=row, mode="clip")
+            s = len(steps)
+            block = (gen.random(out=uniforms[:s]) if draws is None
+                     else draws[lo : lo + n, b0 : b0 + s].T)
+            np.greater_equal(block, p, out=picks2[:s, :n])
+            f2 = np.packbits(picks2[:s], axis=-1, bitorder="little").view(np.uint64)
+            fresh = np.stack((~f2, f2), axis=1)  # plane c-1: lanes whose draw picks color c
+            for pos, f in zip(steps, fresh):
+                near, row = state[pos - 1] | state[pos + 1], state[pos]
+                np.bitwise_or(near[::-1], f, out=row)
+                row &= ~near
         for r0 in range(1, m + 1, _RP_STEP_BLOCK):
-            counts[lo : lo + n] += np.count_nonzero(state[r0 : r0 + _RP_STEP_BLOCK], axis=0)
+            colored = state[r0 : r0 + _RP_STEP_BLOCK, 0] | state[r0 : r0 + _RP_STEP_BLOCK, 1]
+            lanes = np.unpackbits(colored.view(np.uint8), axis=-1, count=n, bitorder="little")
+            counts[lo : lo + n] += lanes.sum(axis=0, dtype=np.int64)
     return counts

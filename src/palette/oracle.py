@@ -34,7 +34,9 @@ class OptWitness:
 
 
 def audit_witness(g: Graph, k: int, witness: OptWitness) -> None:
-    """Raise GraphError unless the witness's coloring is proper in 1..k."""
+    """Raise GraphError unless the witness properly colors edges of g in 1..k."""
+    if witness.coloring and not 0 <= min(witness.coloring) <= max(witness.coloring) < g.num_edges:
+        raise GraphError(f"witness edge ids outside 0..{g.num_edges - 1}")
     # colors in 1..k that differ at every vertex keep at most k edges there;
     # each (vertex, color) pair, keyed by the int x*k + c - 1, is claimed by
     # one edge, so the check is O(m)

@@ -322,28 +322,51 @@ def test_external_plugin_runs():
 # the vectorized path runner
 
 
-def test_vectorized_matches_engine_exactly_with_shared_draws():
-    """On orders where draw steps are history-independent, injecting the same
-    uniforms into both runners must give identical counts trial by trial."""
-    m = 13
-    seq = rp_strategy_oddeven(m)
-    trials = 64
-    rng = np.random.default_rng(12)
-    draws = rng.random((trials, m))
-    counts_vec = rp_path_colored_counts(seq.edges, 0.7, trials, draws=draws)
+class StepDrawParity(RandomParity):
+    """Random parity whose draw at step e is row[e], as the kernel's ``draws``
+    contract reads it."""
 
-    class ListRng:
-        def __init__(self, values):
-            self.values = list(values)
+    def __init__(self, p, row):
+        super().__init__(p)
+        self.row = row
 
-        def random(self):
-            return self.values.pop(0)
+    def reset(self, k, rng):
+        super().reset(k, self)
 
-    draw_steps = [i for i in range(m) if i < (m + 1) // 2]  # phase-one steps
-    for t in range(trials):
-        feed = [draws[t][i] for i in draw_steps]
-        trace = run(RandomParity(0.7), seq, rng=ListRng(feed))
-        assert trace.colored_count == counts_vec[t]
+    def random(self):
+        return self.row[self.eid]
+
+    def decide(self, coloring, g, eid):
+        self.eid = eid
+        return super().decide(coloring, g, eid)
+
+
+def test_vectorized_matches_engine_exactly_with_shared_draws(monkeypatch):
+    """Injecting the same uniforms into both runners gives identical counts
+    trial by trial, at trial counts that leave padding lanes in the last
+    64-trial word (1, 63, 65, 130) or none (64), and with chunks that end on a
+    word edge (64) or inside a word (100)."""
+    rng = random.Random(12)
+    orders = [rp_strategy_oddeven(13).edges]
+    orders += [harness.random_reveal(rng, path_edges(m)) for m in (1, 33, 70)]
+    for i, edges in enumerate(orders):
+        draws = np.random.default_rng(i).random((130, len(edges)))
+        seq = RevealSequence(edges=edges, k=2)
+        expected = [run(StepDrawParity(0.7, row), seq).colored_count for row in draws]
+        for chunk in (engine.RP_CHUNK_TRIALS, 64, 100):
+            monkeypatch.setattr(engine, "RP_CHUNK_TRIALS", chunk)
+            for trials in (1, 63, 64, 65, 130):
+                counts = rp_path_colored_counts(edges, 0.7, trials, draws=draws[:trials])
+                assert counts.tolist() == expected[:trials], (i, chunk, trials)
+
+
+@pytest.mark.parametrize("shape", [(5, 10), (4, 40), (6, 40)])
+def test_kernel_refuses_misshaped_draws(shape):
+    """Too few columns, too few rows and too many rows are each refused with
+    both shapes named, not dropped or broadcast."""
+    draws = np.random.default_rng(0).random(shape)
+    with pytest.raises(ValueError, match=rf"draws has shape \({shape[0]}, {shape[1]}\), expected \(5, 40\)"):
+        rp_path_colored_counts(path_edges(40), 0.7, 5, draws=draws)
 
 
 KERNEL_COUNTS_SHA256 = "7d3a815ed76754914da9ce0546f9331c4ba27582d1315e3cc0608cf7325b2124"
@@ -507,6 +530,21 @@ def test_a_finished_path_game_retains_little_per_edge():
     finally:
         tracemalloc.stop()
     assert retained / trace.graph.num_edges < 216
+
+
+def test_kernel_state_is_bit_sliced():
+    """The kernel's peak sits below half a byte per trial-step: one uint8 per
+    (position, trial) peaked at 1.13, two bit planes per 64 trials at 0.38."""
+    order = rp_strategy_mod3(3001).edges
+    rp_path_colored_counts(path_edges(1), 0.7, 1, seed=1)  # numpy's import is not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rp_path_colored_counts(order, 0.72360679, 10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (len(order) * 10_000) < 0.5
 
 
 class AdjacencyFirstFit(FirstFit):

@@ -172,10 +172,13 @@ def test_opt_value_dispatch():
     ({0, 2}, {0: 1, 2: 3}, 2, "witness color 3 outside 1..2"),
     ({0, 2}, {0: 0, 2: 1}, 2, "witness color 0 outside 1..2"),
     ({0, 1}, {0: 2, 1: 2}, 2, "colors adjacent edges 0,1 alike"),
+    ({-1, 0}, {-1: 1, 0: 1}, 2, "witness edge ids outside 0..2"),  # not read as edge 2
+    ({7}, {7: 1}, 1, "witness edge ids outside 0..2"),  # not an IndexError
 ])
 def test_audit_witness_refuses_bad_witnesses(edges, coloring, count, message):
     """A witness's edge set and count are read from its coloring, which the
-    audit refuses when a color is out of range or repeats at a vertex."""
+    audit refuses when an edge id or a color is out of range or a color
+    repeats at a vertex."""
     g = build_graph([(0, 1), (1, 2), (2, 3)])
     audit_witness(g, 2, OptWitness({0: 1, 1: 2, 2: 1}))
     witness = OptWitness(coloring)
