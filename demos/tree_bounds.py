@@ -1,9 +1,10 @@
 """Tour of the tree results.
 
 Ceilings: star chains cap deterministic-or-fair strategies at (k-1)/k and
-path-then-stars caps everything at k/(k+1).  Floors: the charging ledgers
-certify first-fit at (k-1)/k and any fair strategy at the square-root floor,
-which the star-bunch family shows is exactly right for next-fit.
+path-then-stars caps deterministic-or-fair strategies at k/(k+1).  Floors:
+the charging ledgers certify first-fit at (k-1)/k and any fair strategy at
+the square-root floor, which the star-bunch family shows is exactly right
+for next-fit.
 """
 
 from palette import engine

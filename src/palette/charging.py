@@ -18,9 +18,10 @@ for first-fit and by 2*sqrt(k)-1 for fair, at every k, both times
 lcm(1..d) for the most rejected optimum edges d at a vertex so every split
 is exact; ints counting half-slacks (1-C)/2 for the pair strategy) and end
 in one ledger close, `_close`, which checks that no value leaked and
-decides the verdict in ledger units; the per-edge rows are built when first
-read, which a sweep never does.  A fair value at non-square k is a + b*sqrt(k)
-with int a and b, compared and split in ints.
+judges every ledger the same way, on the exact margin of each distinct final
+value; the per-edge rows are built when first read, which a sweep never does.
+A fair value at non-square k is a + b*sqrt(k) with int a and b, compared and
+split in ints.
 
 All ledger arithmetic is exact, for every k: fractions, extended with
 sqrt(5) where the bias parameter needs it and with sqrt(k) for the fair
@@ -99,8 +100,7 @@ class VerdictReport:
             )
 
 
-def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
-           margin_of=None):
+def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0):
     """Close a strategy's books: the one place a ledger becomes a verdict.
 
     klass maps every edge id, in reveal order, to its class; v_i and v_f give
@@ -108,25 +108,16 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
     without one are absent).  Values, C, total (the sum of v_i) and residual
     (value the redistribution left unassigned) are in the strategy's own
     unit, and exact turns such a value into the exact value reported.  The
-    margins v_f - C (or margin_of(v_f) where exact is not linear) of the
-    judged edges decide the verdict.  Every exact is increasing, so the
-    least margin is exact(min v_f - C), found without converting the rest.
-    The report's initial() is the exact sum of v_i: exact(total) where exact
-    is linear, else the sum over each distinct v_i.
+    margins exact(v_f) - exact(C) of the judged edges decide the verdict,
+    one per distinct final value.  The report's initial() is the exact sum
+    of v_i, over each distinct v_i.
     """
     if sum(v_f) + residual != total:
         raise ChargingError("ledger leaked value during redistribution")
-    if margin_of is None:
-        low = min((v_f[e] for e in judged), default=None)
-        passed = low is None or low >= C
-        min_margin = None if low is None else exact(low - C)
-        margin_of = lambda v: exact(v - C)
-        initial = lambda: exact(total)
-    else:  # one comparison per distinct value, in order of first appearance
-        min_margin = min(map(margin_of, dict.fromkeys(v_f[e] for e in judged)), default=None)
-        passed = min_margin is None or min_margin >= 0
-        parts = [(exact(v), n) for v, n in Counter(v_i).items()]  # so v_i can go with the rows
-        initial = lambda: sum(value * n for value, n in parts)
+    exact_C = exact(C)
+    margin_of = functools.cache(lambda v: exact(v) - exact_C)  # rows share each margin
+    min_margin = min(map(margin_of, dict.fromkeys(v_f[e] for e in judged)), default=None)
+    passed = min_margin is None or min_margin >= 0
 
     def build_rows():
         return [
@@ -135,7 +126,8 @@ def _close(strategy, C, klass, case, v_i, v_f, total, judged, exact, residual=0,
             for e, kl in klass.items()
         ]
 
-    return VerdictReport(strategy, exact(C), passed, min_margin, build_rows, initial)
+    return VerdictReport(strategy, exact_C, passed, min_margin, build_rows,
+                         lambda: sum(exact(v) * n for v, n in Counter(v_i).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +201,12 @@ class _TreeCertificate:
         self.klass, self.d_c, self.d_d = edge_classes(trace, witness)
         self.colors = colors = trace.coloring.colors
         self.opt_only = [e for e, kl in self.klass.items() if kl == "opt-only"]
-        self.opt_deg = [0] * g.num_vertices  # rejected optimum edges at each vertex, <= k
+        # each vertex's rejected optimum edges (at most k), in edge-id order
+        self.opt_at = opt_at = [()] * g.num_vertices
         for e in self.opt_only:
             for x in g.edges[e]:
-                self.opt_deg[x] += 1
-        unit = math.lcm(*range(1, max(self.opt_deg) + 1))
+                opt_at[x] += (e,)
+        unit = math.lcm(*range(1, max(map(len, opt_at)) + 1))
         self.unit, self.scale, self.target = unit, scale * unit, target * unit
         self.v_i = [0 if c is None else self.scale for c in colors]
         self.total = self.scale * trace.colored_count
@@ -249,7 +242,7 @@ class _TreeCertificate:
         message), or None.
         """
         held = self.below[v] - self.through[p]
-        kl, kids = self.klass.get(p, ""), self.opt_deg[v]
+        kl, kids = self.klass.get(p, ""), len(self.opt_at[v])
         pay = share = keep = 0
         if kl == "opt-only":
             pay = held if held < self.target else self.target
@@ -299,7 +292,7 @@ class _TreeCertificate:
         its own error.
         """
         g, klass, target, state = self.trace.graph, self.klass, self.target, self._state
-        edges, incident, m, opt_deg = g.edges, g.incident, g.num_edges, self.opt_deg
+        edges, incident, m, opt_at = g.edges, g.incident, g.num_edges, self.opt_at
         pays, shares, keeps, fails = [], [], [], []  # one list per field, no tuple per state
         # slot i < 2m is end i & 1 of edge i >> 1, then come the roots
         for i, v in enumerate(chain(chain.from_iterable(edges), range(g.num_vertices))):
@@ -342,16 +335,14 @@ class _TreeCertificate:
                 at[v] = i
                 balance += keeps[i] - keeps[old]
                 failing += fails[i] - fails[old]
-            for v in (r, s):
-                if opt_deg[v]:
-                    for e in incident[v]:
-                        if klass[e] == "opt-only" and (new := value(e)) != (old := v_f[e]):
-                            count[old] -= 1
-                            count[new] += 1
-                            v_f[e] = new
-                            balance += new - old
-                            if count[new] == 1:
-                                heapq.heappush(heap, new)
+            for e in chain(opt_at[r], opt_at[s]):
+                if (new := value(e)) != (old := v_f[e]):
+                    count[old] -= 1
+                    count[new] += 1
+                    v_f[e] = new
+                    balance += new - old
+                    if count[new] == 1:
+                        heapq.heappush(heap, new)
 
         verdict(0)
         walk = [(0, iter(incident[0]))]  # depth first from root 0, moving the root along
@@ -482,11 +473,9 @@ class FairTreeCertificate(_TreeCertificate):
     def _guard(self, v, p, kl, held):
         """The case step at each rejected optimum child edge f of v whose child
         end y cannot pay C by itself, in the case v's parent edge names."""
-        if not self.opt_deg[v]:
-            return None
-        g, klass, below, d_c, d_d = self.trace.graph, self.klass, self.below, self.d_c, self.d_d
-        for f in g.incident[v]:
-            if f != p and klass[f] == "opt-only":
+        g, below, d_c, d_d = self.trace.graph, self.below, self.d_c, self.d_d
+        for f in self.opt_at[v]:
+            if f != p:
                 y = g.other_end(f, v)
                 if below[y] < self.target and (failure := _check_fair_case(
                         self.trace.k, self.case_of_parent[kl], d_c[v], d_d[v], d_c[y], d_d[y])):
@@ -613,7 +602,7 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
     bias = _as_exact(p)
     if not (Fraction(1, 2) <= bias <= 1):
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
-    target = rp_competitive_ratio(bias) if C is None else C
+    target = rp_competitive_ratio(bias) if C is None else _as_exact(C)
     positions, by_pos, crit, depth = _path_layout(order)
 
     # a critical edge's initial value: its neighbors agree with probability
@@ -626,7 +615,6 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
         n, b = divmod(key, 3)
         return bases[b] if n == 0 else bases[b] + n * half
 
-    margin_of = functools.cache(lambda key: exact(key) - target)
     m = len(positions)
     klass = dict.fromkeys(range(m), "noncritical")
     v_i, v_f = [0] * m, [0] * m  # base index 0 and no half-slacks moved yet
@@ -659,7 +647,7 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
             v_f[far] -= h
             payers.update((even_n, odd_n, far))
 
-    overdrawn = {key for key in {v_f[step] for step in payers} if margin_of(key) < 0}
+    overdrawn = {key for key in {v_f[step] for step in payers} if exact(key) < target}
     if overdrawn:
         step = min(step for step in payers if v_f[step] in overdrawn)
         raise ChargingError(
@@ -667,5 +655,4 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
             f"< C = {target}"
         )
     # C is a non-critical edge's 1 less two half-slacks
-    return _close("rp-path", -2 * h, klass, case, v_i, v_f, sum(v_i), range(m), exact,
-                  margin_of=margin_of)
+    return _close("rp-path", -2 * h, klass, case, v_i, v_f, sum(v_i), range(m), exact)

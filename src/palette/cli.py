@@ -100,9 +100,14 @@ def cmd_exhaustive(args) -> int:
     ok = True
     for summary in summaries:
         print(summary.summary())
-        if not summary.passed:
-            ok = False
+        if summary.passed:
+            continue
+        ok = False
+        if summary.min_ratio < summary.bound:
             print(f"  FLOOR VIOLATED by order {summary.witness}", file=sys.stderr)
+        else:  # the floor holds; only certificates failed
+            print(f"  CHARGING FAILED: {summary.charge_failures} charge failures above the floor",
+                  file=sys.stderr)
     return 0 if ok else 1
 
 

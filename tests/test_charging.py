@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import time
 import weakref
 from fractions import Fraction
 
@@ -261,6 +262,33 @@ def test_charge_all_follows_margins_that_move_with_the_root():
                         _assert_charge_all_matches(certificate)
                         spreads.append(len(set(certificate.charge_all())))
     assert sum(n > 1 for n in spreads) >= 200  # 228 of 988
+
+
+def _hub(D, k):
+    """Hub 0 meets leaves 1..D, then each of 1..k meets k fresh leaves: the run
+    colors the hub's first k edges, and the optimum drops those for k of the
+    hub's rejected edges, so the hub has degree D and k rejected optimum edges."""
+    edges = [(0, j) for j in range(1, D + 1)]
+    edges += [(i, D + k * (i - 1) + j) for i in range(1, k + 1) for j in range(1, k + 1)]
+    return RevealSequence(edges=edges, k=k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_charge_all_on_hub_trees(k):
+    for alg, certify in (("ff", FFTreeCertificate), ("nf", FairTreeCertificate)):
+        certificate = certify(*_played(alg, _hub(40, k)))
+        assert len(certificate.trace.graph.incident[0]) == 40
+        assert len(certificate.opt_at[0]) == k
+        _assert_charge_all_matches(certificate)
+
+
+def test_charge_all_is_linear_in_a_hubs_degree():
+    for alg, certify in (("ff", FFTreeCertificate), ("nf", FairTreeCertificate)):
+        certificate = certify(*_played(alg, _hub(20_000, 2)))
+        start = time.perf_counter()
+        margins = certificate.charge_all()
+        assert time.perf_counter() - start < 3
+        assert certificate.exact(margins[0]) == certificate.charge(0).min_margin
 
 
 def _least_refused_root(certificate):
@@ -712,6 +740,14 @@ def test_critical_edges_detection():
     assert critical_edges(chain) == set()
 
 
+def test_rp_float_C_keeps_exact_books():
+    # a float C is taken at its exact binary value, as a float p is
+    for C in (0.79, 0.2):
+        report = rp_path_charge(rp_strategy_mod3(28), 0.7, C=C)
+        assert report.C == Fraction(C) and report.passed
+        assert report.min_margin == 0 and type(report.min_margin) is Fraction
+
+
 def test_rp_charge_bisection_matches_formula():
     tight = [rp_strategy_mod3(28), rp_strategy_oddeven(31)]
     for p in (Fraction(1, 2), Fraction(3, 5), Fraction(9, 10)):
@@ -753,7 +789,7 @@ def test_rp_ledger_rows_are_pinned():
 
 
 # ---------------------------------------------------------------------------
-# verdicts decided in ledger units, rows built on first read
+# verdicts decided by one close rule, rows built on first read
 
 
 def test_sweeps_never_build_rows(monkeypatch):

@@ -519,6 +519,18 @@ def test_exhaustive_floor_violation_exits_one(capsys, monkeypatch):
     assert "FLOOR VIOLATED by order [(0, 1), (1, 2)]" in capsys.readouterr().err
 
 
+def test_exhaustive_charge_failure_above_the_floor_exits_one(capsys, monkeypatch):
+    # every certificate fails while every ratio clears the floor
+    monkeypatch.setattr(charging.FFTreeCertificate, "charge_all",
+                        lambda self: [-1] * self.trace.graph.num_vertices)
+    argv = ["exhaustive", "--class", "tree", "--max-edges", "4", "--k", "2", "--all-roots"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "min ratio 3/4" in out and "30 charge failures" in out
+    assert "FLOOR VIOLATED" not in err
+    assert err == "  CHARGING FAILED: 30 charge failures above the floor\n"
+
+
 def test_opt_refuses_an_adaptive_construction(capsys):
     err = _assert_usage_error(capsys, ["opt", "--adv", "star-chain", "--N", "3", "--k", "2"])
     assert "is adaptive" in err
