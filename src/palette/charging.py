@@ -394,7 +394,7 @@ class FFTreeCertificate(_TreeCertificate):
         if not engine.audit_fair(trace, first_fit=True):
             raise ValueError("trace was not produced by first-fit; refusing to certify")
         k, free = trace.k, full_mask(trace.k)
-        self.used = list(map(trace.coloring.used_mask, range(trace.graph.num_vertices)))
+        self.used = trace.coloring.used_masks(trace.graph.num_vertices)
         # the largest color unused at v in the final coloring, else 0
         self.top_free = [(~used & free).bit_length() for used in self.used]
         super().__init__(trace, witness, k, k - 1)

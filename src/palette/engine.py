@@ -129,7 +129,7 @@ def resolve_algorithm(alg):
     return alg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     edge: int
     u: int
@@ -194,6 +194,7 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
             reject(eid)
         else:
             color(g, eid, decision)  # raises if improper/unavailable
+    g.drop_duplicate_index()  # the record keeps only edges and decisions
     return Trace(getattr(algorithm, "name", type(algorithm).__name__), g, coloring)
 
 

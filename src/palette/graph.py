@@ -2,18 +2,21 @@
 
 Vertices and edges are dense 0-based integer ids.  Vertices come into
 existence the first time an edge mentions them; edge ids are assigned in
-reveal order.  Colors are the
-integers ``1..k`` and sets of colors are stored as bitmasks (bit ``c-1``
-set means color ``c`` is present).  A graph's adjacency (`Graph.incident`)
-is one tuple of edge ids per vertex, built from its edge list on first read
-and kept current by `add_edge` after that (each new edge id is appended to
-its endpoints' tuples), so a game whose strategy reads only color masks
-never builds it.  Tuples rather than lists: the cyclic garbage collector
-stops tracking a tuple of ints at its first collection, so a big graph
-leaves it nothing per vertex to sweep.  `rooted_view` is the package's one
-graph walk: components, the forest and tree tests, the tree oracle and both
-tree certificates read its parent edges and its parents-first vertex order,
-and the walk from every vertex in id order is made once per graph and kept
+reveal order.  Colors are the integers ``1..k`` and sets of colors are
+stored as bitmasks (bit ``c-1`` set means color ``c`` is present), one per
+vertex in a list that a coloring grows as it colors.  A graph's edge list
+is its record; its indexes are made from it.  The adjacency
+(`Graph.incident`) is one tuple of edge ids per vertex, built on first
+read and kept current by `add_edge` after that, so a game whose strategy
+reads only color masks never builds it.  Tuples rather than lists: the
+cyclic garbage collector stops tracking a tuple of ints at its first
+collection, so a big graph leaves it nothing per vertex to sweep.  The
+duplicate-edge set, one int per edge, is released by `engine.run` when the
+game ends and rebuilt by the next `add_edge`, so a finished game keeps only
+its edges and decisions.  `rooted_view` is the package's one graph walk:
+components, the forest and tree tests, the tree oracle and both tree
+certificates read its parent edges and its parents-first vertex order, and
+the walk from every vertex in id order is made once per graph and kept
 until the next edge (`Graph.walk`).  On a forest every other incident edge
 of a vertex is a child edge, so a walk records nothing more.
 """
@@ -58,7 +61,7 @@ class Graph:
         self.num_vertices = 0
         self._incident: list[tuple[int, ...]] | None = None  # built on first read
         self._walk: RootedView | None = None  # made on first read, dropped by add_edge
-        self._seen: set[int] = set()  # one int per unordered pair, see add_edge
+        self._seen: set[int] | None = None  # one int per unordered pair, rebuilt by add_edge
 
     @property
     def incident(self) -> list[tuple[int, ...]]:
@@ -104,6 +107,10 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def drop_duplicate_index(self) -> None:
+        """Release the duplicate-edge set; the next `add_edge` rebuilds it, O(m)."""
+        self._seen = None
+
     def add_edge(self, u: int, v: int) -> int:
         """Add edge (u, v), creating vertices as needed; returns its id.  A
         duplicate is found by the int hi*(hi-1)//2 + lo, one per pair lo < hi."""
@@ -112,10 +119,13 @@ class Graph:
         lo, hi = (u, v) if u < v else (v, u)
         if lo < 0:
             raise GraphError(f"negative vertex id in ({u}, {v})")
-        key = hi * (hi - 1) // 2 + lo
-        if key in self._seen:
+        key, seen = hi * (hi - 1) // 2 + lo, self._seen
+        if seen is None:
+            seen = self._seen = {a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
+                                 for a, b in self.edges}
+        if key in seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
-        self._seen.add(key)
+        seen.add(key)
         eid = len(self.edges)
         self.edges.append((u, v))
         if hi >= self.num_vertices:
@@ -245,16 +255,20 @@ class PartialColoring:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k, self._all = k, full_mask(k)
         self.colors: list[int | None] = []  # edge id -> color, None if rejected
-        self._used: dict[int, int] = {}  # vertex -> color bitmask
+        self._used: list[int] = []  # vertex -> color bitmask, grown by color; 0 past its end
 
     def used_mask(self, v: int) -> int:
-        return self._used.get(v, 0)
+        return self._used[v] if 0 <= v < len(self._used) else 0
+
+    def used_masks(self, n: int) -> list[int]:
+        """A new list of the masks of vertices 0..n-1."""
+        return self._used[:n] + [0] * (n - len(self._used))
 
     def available_mask(self, g: Graph, eid: int) -> int:
         """Colors open at both endpoints of eid, as a mask."""
-        u, v = g.edges[eid]
-        used = self._used
-        return ~(used.get(u, 0) | used.get(v, 0)) & self._all
+        (u, v), used = g.edges[eid], self._used
+        n = len(used)
+        return ~((used[u] if u < n else 0) | (used[v] if v < n else 0)) & self._all
 
     def _out_of_turn(self, eid: int) -> GraphError:
         """The refusal of a decision on eid, which is not the next undecided edge."""
@@ -268,8 +282,10 @@ class PartialColoring:
         if eid != len(self.colors):
             raise self._out_of_turn(eid)
         u, v = g.edges[eid]
-        used = self._used
-        mu, mv, bit = used.get(u, 0), used.get(v, 0), 1 << (c - 1)
+        used, hi = self._used, (u if u > v else v)
+        if hi >= len(used):  # an eighth to spare, so a game that adds vertices grows it rarely
+            used += [0] * (hi + 1 - len(used) + (len(used) >> 3))
+        mu, mv, bit = used[u], used[v], 1 << (c - 1)
         if (mu | mv) & bit:
             raise GraphError(
                 f"color {c} already used at an endpoint of edge {eid}"

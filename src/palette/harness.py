@@ -615,7 +615,9 @@ def random_reveal(rng, edges) -> list[tuple[int, int]]:
 @dataclass
 class VerifySummary:
     """Running tally of a certification sweep: the instances folded in, the
-    verdicts that failed and the exact minimum margin over all of them."""
+    verdicts that failed and the exact minimum margin over all of them.  A
+    tree sweep with all_roots counts one failure per failing (order, root)
+    pair, else one per failing order (`_certify`)."""
 
     strategy: str
     instances: int = 0
@@ -669,8 +671,9 @@ TREE_CERTIFICATES = {
 def _certify(strategy: str, trace, witness, all_roots: bool, tally: VerifySummary) -> None:
     """Prepare the strategy's certificate on the trace once and fold its
     verdicts into the tally: from every root in one `charge_all` when
-    all_roots is set (its failures and least margin, made exact once), else
-    from root 0."""
+    all_roots is set (its failing roots and least margin, made exact once),
+    else from root 0: the "charge failures" of a sweep count failing (order,
+    root) pairs with all_roots and failing orders without it."""
     certificate = TREE_CERTIFICATES[strategy][1](trace, witness)
     if not all_roots:
         tally.add(certificate.charge(0))

@@ -64,6 +64,22 @@ def test_colors_at():
     assert c.used_mask(3) == 0
 
 
+def test_uncolored_vertices_have_used_no_color():
+    """A vertex past the mask list, a negative id and a vertex never colored
+    all read 0, and so do the fresh endpoints of an edge."""
+    g = build_graph([(0, 1), (2, 3), (1, 4)])
+    c = PartialColoring(3)
+    c.color(g, 0, 2)
+    c.reject(1)
+    assert [c.used_mask(v) for v in (-1, 0, 1, 2, 3, 4, 5, 10**6)] == [0, 2, 2, 0, 0, 0, 0, 0]
+    assert c.used_masks(6) == [2, 2, 0, 0, 0, 0]
+    assert c.available_mask(g, 1) == full_mask(3)  # fresh endpoints past the list
+    assert c.available_mask(g, 2) == full_mask(3) & ~color_bit(2)
+    c.color(g, 2, 1)
+    assert c.used_masks(3) == [2, 3, 0]
+    assert c.used_mask(4) == color_bit(1)
+
+
 def test_colors_at_ignores_rejected():
     g = build_graph([(0, 1), (1, 2)])
     c = PartialColoring(2)
