@@ -429,7 +429,7 @@ class FFTreeCertificate(_TreeCertificate):
 
 
 def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
-    """Certify a first-fit run on a tree from root 0 (see FFTreeCertificate)."""
+    """Root-0 verdict of FFTreeCertificate, kept for the benchmark, tree demo and tests."""
     return FFTreeCertificate(trace, witness).charge(0)
 
 
@@ -484,7 +484,7 @@ class FairTreeCertificate(_TreeCertificate):
 
 
 def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
-    """Certify a fair run on a tree from root 0 (see FairTreeCertificate)."""
+    """Root-0 verdict of FairTreeCertificate, kept for the benchmark, tree demo and tests."""
     return FairTreeCertificate(trace, witness).charge(0)
 
 

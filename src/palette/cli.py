@@ -28,6 +28,8 @@ def _seed_from(args) -> object:
 
 def _check_out(path) -> None:
     """Refuse an --out path no file can be written to, before any work is done."""
+    if not path:
+        raise ValueError("--out needs a file path")
     if os.path.isdir(path):
         raise ValueError(f"--out {path} is a directory")
     parent = os.path.dirname(path) or "."
@@ -151,7 +153,7 @@ def cmd_verify(args) -> int:
 
 
 def _instance_graph(args):
-    if args.file:
+    if args.file is not None:
         for flag in ("--adv", "--m", "--n", "--N", "--b", "--seed"):
             if getattr(args, flag[2:]) is not None:
                 raise ValueError(f"opt --file does not read {flag}")
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             _check_out(args.out)
         return args.fn(args)
     except (ValueError, GraphError, OSError) as exc:

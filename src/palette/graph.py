@@ -13,12 +13,14 @@ cyclic garbage collector stops tracking a tuple of ints at its first
 collection, so a big graph leaves it nothing per vertex to sweep.  The
 duplicate-edge set, one int per edge, is released by `engine.run` when the
 game ends and rebuilt by the next `add_edge`, so a finished game keeps only
-its edges and decisions.  `rooted_view` is the package's one graph walk:
-components, the forest and tree tests, the tree oracle and both tree
-certificates read its parent edges and its parents-first vertex order, and
-the walk from every vertex in id order is made once per graph and kept
-until the next edge (`Graph.walk`).  On a forest every other incident edge
-of a vertex is a child edge, so a walk records nothing more.
+its edges and decisions.  `rooted_view` walks the adjacency: components,
+the forest and tree tests, the tree oracle and both tree certificates read
+its parent edges and its parents-first vertex order, and the walk from
+every vertex in id order is made once per graph and kept until the next
+edge (`Graph.walk`).  On a forest every other incident edge of a vertex is
+a child edge, so a walk records nothing more.  `path_positions` walks a
+path with no adjacency, by one xor link per vertex, for the random-pair
+kernel and ledger.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as lists of vertex ids (isolated ones too),
-        each from its least vertex, parents first, as `walk` visits them."""
+        each from its least vertex, parents first, as `walk` visits them.
+        The benchmark's tracer wraps it and tests call it; no package code does."""
         view = self.walk
         comps = []
         for x in view.order:
@@ -178,7 +181,8 @@ class Graph:
 
         A path wins over a star for the ambiguous sizes (one or two edges);
         'tree' is any other connected acyclic graph.  A star's size is its
-        edge count.
+        edge count.  The benchmark's tracer wraps it and tests call it; no
+        package code does.
         """
         if self.num_edges == 0:
             return "other"

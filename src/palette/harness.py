@@ -702,14 +702,14 @@ def verify_trees(
 def verify_ff_trees(
     count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
-    """Charge first-fit runs on random trees with random reveal orders."""
+    """verify_trees("ff-tree", ...), kept for the benchmark, tree demo and tests."""
     return verify_trees("ff-tree", count, max_edges, k, seed, all_roots=all_roots)
 
 
 def verify_fair_trees(
     count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
-    """Charge next-fit, a fair algorithm, on random trees."""
+    """verify_trees("fair-tree", ...), kept for the benchmark, tree demo and tests."""
     return verify_trees("fair-tree", count, max_edges, k, seed, all_roots=all_roots)
 
 

@@ -473,6 +473,21 @@ def test_out_in_a_missing_directory_is_refused_before_the_run(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--adv", "nf-path-killer", "--alg", "nf", "--m", "3", "--out", ""],
+    ["yao", "--b", "3", "--out", ""],
+    ["opt", "--adv", "nf-tree", "--k", "4", "--N", "1", "--out", ""],
+    ["nf-order", "--file", "trace.csv", "--k", "2", "--out", ""],
+    ["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "4", "--N", "1", "--out", ""],
+    ["opt", "--adv", "nf-tree", "--k", "4", "--N", "1", "--file", ""],
+])
+def test_an_empty_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trace.csv").write_text(trace_csv(engine.run("nf", nf_path_killer(4))))
+    _assert_usage_error(capsys, argv, silent=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+
 def test_nf_order_refuses_an_improper_coloring(tmp_path, capsys):
     # the trace CSV colors two adjacent edges alike; reading it refuses the second
     src = tmp_path / "trace.csv"

@@ -17,8 +17,7 @@ ALLOWED: dict[str, str] = {
 
 
 def _sources():
-    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
-    return files + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    return [f for d in (PACKAGE, ROOT / "bench", ROOT / "demos") for f in sorted(d.glob("*.py"))]
 
 
 def _docstrings(tree):
@@ -107,10 +106,19 @@ def test_no_test_module_imports_a_name_it_never_uses():
 
 
 def test_no_package_or_demo_module_imports_a_name_it_never_uses():
-    # the package's __init__.py imports names to re-export them
-    modules = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
-    modules += sorted((ROOT / "demos").glob("*.py"))
+    modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     assert [where for path in modules for where in _unused_imports(path)] == []
+
+
+def test_the_package_docstring_and_the_readme_name_every_module():
+    """Each layer is a module under src/palette, and the package docstring
+    and the README's layer list (the text before its first section) each
+    name every one of them as palette.<module>."""
+    modules = {f"palette.{f.stem}" for f in PACKAGE.glob("*.py") if f.stem != "__init__"}
+    docstring = ast.get_docstring(ast.parse((PACKAGE / "__init__.py").read_text()))
+    layers = (ROOT / "README.md").read_text().split("\n## ", 1)[0]
+    assert sorted(m for m in modules if f"`{m}`" not in docstring) == []
+    assert sorted(m for m in modules if f"`{m}`" not in layers) == []
 
 
 def test_the_package_leaves_the_collector_settings_alone():
