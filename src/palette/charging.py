@@ -42,7 +42,6 @@ from fractions import Fraction
 from itertools import chain, groupby
 
 from . import engine
-from .adversaries import RevealSequence
 from .exact import Sqrt5, sqrt
 from .graph import GraphError, color_bit, full_mask, path_positions, rooted_view
 from .oracle import OptWitness, audit_witness
@@ -429,7 +428,7 @@ class FFTreeCertificate(_TreeCertificate):
 
 
 def ff_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
-    """Root-0 verdict of FFTreeCertificate, kept for the benchmark, tree demo and tests."""
+    """Root-0 verdict of FFTreeCertificate, kept for the benchmark and tests."""
     return FFTreeCertificate(trace, witness).charge(0)
 
 
@@ -484,7 +483,7 @@ class FairTreeCertificate(_TreeCertificate):
 
 
 def fair_tree_charge(trace: engine.Trace, witness: OptWitness) -> VerdictReport:
-    """Root-0 verdict of FairTreeCertificate, kept for the benchmark, tree demo and tests."""
+    """Root-0 verdict of FairTreeCertificate, kept for the benchmark and tests."""
     return FairTreeCertificate(trace, witness).charge(0)
 
 
@@ -558,8 +557,7 @@ def _path_layout(order):
     an edge is its distance from the run's earliest-revealed edge plus one,
     so depths alternate parity along the run.
     """
-    edges = order.edges if isinstance(order, RevealSequence) else list(order)
-    positions = path_positions(edges)
+    positions = path_positions(getattr(order, "edges", order))
     by_pos = {pos: step for step, pos in enumerate(positions)}
     crit = {
         step
@@ -582,7 +580,8 @@ def critical_edges(order) -> set[int]:
 
 
 def rp_path_charge(order, p, *, C=None) -> VerdictReport:
-    """Certify the biased random pair strategy on a path reveal order.
+    """Certify the biased random pair strategy on a path reveal order: a
+    reveal sequence (its ``edges`` and ``k``) or a bare edge list, at k = 2.
 
     Initial values are analytic: non-critical edges are always colored;
     a critical edge survives exactly when its two (independent) neighbors
@@ -597,7 +596,7 @@ def rp_path_charge(order, p, *, C=None) -> VerdictReport:
     the int 3n + base index, so conservation is checked on ints and each
     distinct value is made exact once.
     """
-    if isinstance(order, RevealSequence) and order.k != 2:
+    if getattr(order, "k", 2) != 2:
         raise ValueError("the random pair strategy needs k = 2")
     bias = _as_exact(p)
     if not (Fraction(1, 2) <= bias <= 1):

@@ -60,24 +60,23 @@ def _config_from(args) -> harness.ExperimentConfig:
     )
 
 
+def _report_ratios(reports, out) -> int:
+    """Print each report's summary, write --out, and exit 1 on any violated bound."""
+    for report in reports:
+        print(report.summary())
+    if out:
+        _write_out(out, lambda fh: harness.write_ratio_csv(reports, fh))
+    return 1 if any(report.violates_bound() for report in reports) else 0
+
+
 def cmd_run(args) -> int:
-    report = harness.run_experiment(_config_from(args))
-    print(report.summary())
-    if args.out:
-        _write_out(args.out, report.write_csv)
-    return 1 if report.violates_bound() else 0
+    return _report_ratios([harness.run_experiment(_config_from(args))], args.out)
 
 
 def cmd_yao(args) -> int:
     algs = args.alg_list or ["ff", "nf"]
-    reports = harness.yao_experiment(
-        args.b, algorithms=algs, trials=args.trials, seed=_seed_from(args)
-    )
-    for report in reports:
-        print(report.summary())
-    if args.out:
-        _write_out(args.out, lambda fh: harness.write_ratio_csv(reports, fh))
-    return 1 if any(report.violates_bound() for report in reports) else 0
+    reports = harness.yao_experiment(args.b, algs, args.trials, _seed_from(args))
+    return _report_ratios(reports, args.out)
 
 
 def cmd_exhaustive(args) -> int:
@@ -171,6 +170,8 @@ def _instance_graph(args):
             raise ValueError(
                 f"construction {args.adv!r} is adaptive; run it via 'run' instead"
             )
+        if args.seed is not None and not spec.resamples:
+            raise ValueError(f"opt --adv {args.adv} does not read --seed")
         return script.graph()
     raise ValueError("need --file or --adv to define the instance")
 

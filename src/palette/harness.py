@@ -70,9 +70,6 @@ class RatioReport:
         ceiling; the sample describes the run but never judges it."""
         return self.bound is not None and self.expected > self.bound
 
-    def write_csv(self, out) -> None:
-        write_ratio_csv([self], out)
-
     def summary(self) -> str:
         parts = [
             f"{self.construction} vs {self.algorithm} (k={self.k}",
@@ -234,7 +231,7 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     colored/opt its verdict reads.  A sampled run (randomized algorithm or
     resampled construction) needs config.trials >= 2.  rp on a fixed path
     order runs on the vectorized path runner, decision-for-decision the
-    engine's, and yao as yao_experiment does; any other matchup is coin-free
+    engine's, and yao through yao_experiment; any other matchup is coin-free
     (deterministic, or fair against a script its coins cannot steer: see
     adversaries._require_coin_free_opponent), so one play is every trial's
     outcome.  The report carries the k the script played, and a bound only
@@ -258,9 +255,7 @@ def run_experiment(config: ExperimentConfig) -> RatioReport:
     trials = config.trials if sampled else 1
 
     if spec.resamples:
-        draws = _yao_draws(config.b, trials, config.seed)
-        per_trial, expected = _yao_outcomes(config.algorithm, config.b, draws)
-        return _ratio_report(config, 2, per_trial, expected)
+        return yao_experiment(config.b, (config.algorithm,), trials, config.seed)[0]
     script = spec.build(config, algorithm, None)
     if isinstance(script, RevealSequence) and isinstance(algorithm, engine.RandomParity):
         counts = engine.rp_path_colored_counts(
@@ -334,44 +329,31 @@ def _check_yao_b(b: int) -> int:
     return b
 
 
-def _yao_draws(b: int, trials: int, seed) -> list[int]:
-    """The round count L of every trial, in trial order."""
-    _check_yao_b(b)
-    rng = engine.derive_rng(seed, "yao", b)
-    return [adversaries.sample_subphase_count(b, rng) for _ in range(trials)]
-
-
-def _yao_outcomes(algorithm: str, b: int, draws: list[int]) -> tuple[list, Fraction]:
-    """Per-trial (colored, opt) of a deterministic algorithm on the drawn
-    instances, and its exact expected ratio.  The instance depends only on
-    L, so each L in 0..b-1 is played once, shared by every trial that drew
-    it and weighted by P[L] = 2^-min(L+1, b-1) in the expectation."""
-    shared = {}
-    for L in range(b):
-        seq = adversaries.yao_instance(b, L).reveal_sequence()
-        shared[L] = (engine.run(algorithm, seq).colored_count, opt_path(len(seq.edges), seq.k))
-    expected = sum(Fraction(c, o * 2 ** min(L + 1, b - 1)) for L, (c, o) in shared.items())
-    return [shared[L] for L in draws], expected
-
-
 def yao_experiment(
     b: int, algorithms=("ff", "nf"), trials: int = 100_000, seed=0
 ) -> list[RatioReport]:
     """Sample the path-order distribution and report each algorithm's mean
-    over one shared set of draws."""
+    over one shared set of draws, one round count L per trial from one
+    seeded stream.  The instance depends only on L, so each L in 0..b-1 is
+    played once per algorithm, shared by every trial that drew it and
+    weighted by P[L] = 2^-min(L+1, b-1) in the exact expectation."""
     if trials < 2:
         raise ValueError(f"the sampled distribution needs trials >= 2, got {trials}")
     for name in algorithms:
         if not engine.make_algorithm(name, 0.5).deterministic:
             raise ValueError("the distribution experiment needs deterministic algorithms")
-    draws = _yao_draws(b, trials, seed)
-    return [
-        _ratio_report(
-            ExperimentConfig(algorithm=name, adversary="yao", b=b, trials=trials, seed=seed),
-            2, *_yao_outcomes(name, b, draws),
-        )
-        for name in algorithms
-    ]
+    rng = engine.derive_rng(seed, "yao", _check_yao_b(b))
+    draws = [adversaries.sample_subphase_count(b, rng) for _ in range(trials)]
+    reports = []
+    for name in algorithms:
+        shared = {}
+        for L in range(b):
+            seq = adversaries.yao_instance(b, L).reveal_sequence()
+            shared[L] = (engine.run(name, seq).colored_count, opt_path(len(seq.edges), seq.k))
+        expected = sum(Fraction(c, o * 2 ** min(L + 1, b - 1)) for L, (c, o) in shared.items())
+        config = ExperimentConfig(algorithm=name, adversary="yao", b=b, trials=trials, seed=seed)
+        reports.append(_ratio_report(config, 2, [shared[L] for L in draws], expected))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -668,16 +650,20 @@ TREE_CERTIFICATES = {
 }
 
 
-def _certify(strategy: str, trace, witness, all_roots: bool, tally: VerifySummary) -> None:
+def _certify(
+    strategy: str, trace, witness, all_roots: bool, tally: VerifySummary
+) -> charging.VerdictReport | None:
     """Prepare the strategy's certificate on the trace once and fold its
     verdicts into the tally: from every root in one `charge_all` when
     all_roots is set (its failing roots and least margin, made exact once),
-    else from root 0: the "charge failures" of a sweep count failing (order,
-    root) pairs with all_roots and failing orders without it."""
+    else from root 0, whose verdict report it returns: the "charge failures"
+    of a sweep count failing (order, root) pairs with all_roots and failing
+    orders without it."""
     certificate = TREE_CERTIFICATES[strategy][1](trace, witness)
     if not all_roots:
-        tally.add(certificate.charge(0))
-        return
+        report = certificate.charge(0)
+        tally.add(report)
+        return report
     margins = [m for m in certificate.charge_all() if m is not None]
     tally.fold(sum(m < 0 for m in margins), certificate.exact(min(margins)) if margins else None)
 
@@ -702,14 +688,14 @@ def verify_trees(
 def verify_ff_trees(
     count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
-    """verify_trees("ff-tree", ...), kept for the benchmark, tree demo and tests."""
+    """verify_trees("ff-tree", ...), kept for the benchmark and tests."""
     return verify_trees("ff-tree", count, max_edges, k, seed, all_roots=all_roots)
 
 
 def verify_fair_trees(
     count: int, max_edges: int, k: int, seed=0, *, all_roots: bool = False
 ) -> VerifySummary:
-    """verify_trees("fair-tree", ...), kept for the benchmark, tree demo and tests."""
+    """verify_trees("fair-tree", ...), kept for the benchmark and tests."""
     return verify_trees("fair-tree", count, max_edges, k, seed, all_roots=all_roots)
 
 
@@ -731,12 +717,8 @@ def verify_construction(
     """Play the configured tree construction with the fair-tree strategy and
     charge it: from root 0 as a verdict report, or from every root as a tally
     of one instance.  On the nf-tree family the minimum margin is 0."""
-    name, certificate = TREE_CERTIFICATES["fair-tree"]
-    algorithm = engine.make_algorithm(name)
+    algorithm = engine.make_algorithm(TREE_CERTIFICATES["fair-tree"][0])
     trace = engine.run(algorithm, construction_for(config).build(config, algorithm, None))
-    witness = opt_tree(trace.graph, trace.k)
-    if not all_roots:
-        return certificate(trace, witness).charge(0)
     tally = VerifySummary("fair-tree")
-    _certify("fair-tree", trace, witness, True, tally)
-    return tally
+    report = _certify("fair-tree", trace, opt_tree(trace.graph, trace.k), all_roots, tally)
+    return tally if all_roots else report

@@ -690,6 +690,8 @@ def test_nf_order_refuses_non_integer_fields(tmp_path, capsys, row, column):
     ["verify", "--strategy", "fair-tree", "--adv", "nf-tree", "--k", "4", "--N", "2"],
     ["verify", "--strategy", "fair-tree", "--adv", "nf-tree-rounded", "--k", "5", "--N", "2"],
     ["opt", "--file", "path.txt", "--k", "2"],
+    ["opt", "--adv", "nf-path-killer", "--m", "3"],
+    ["opt", "--adv", "nf-tree", "--k", "4", "--N", "1"],
 ])
 def test_seed_is_refused_where_nothing_reads_it(tmp_path, monkeypatch, capsys, argv):
     # these modes play fixed orders with deterministic algorithms

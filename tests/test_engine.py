@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ def test_rp1_is_first_fit():
         ff = run_fixed("ff", edges, 2)
         rp = run(RandomParity(1.0), RevealSequence(edges=edges, k=2), seed=seed)
         assert [s.color for s in ff.steps] == [s.color for s in rp.steps]
+
+
+def test_rp1_is_first_fit_on_every_small_path_order():
+    # at p = 1 every free choice is color 1, first-fit's pick, so the pair
+    # ledger's initial values add up to first-fit's colored count
+    orders = 0
+    for m in range(1, 8):
+        for perm in permutations(range(1, m + 1)):
+            seq = RevealSequence(edges=[(i - 1, i) for i in perm], k=2)
+            ff = run("ff", seq)
+            assert run(RandomParity(1), seq).coloring.colors == ff.coloring.colors
+            assert charging.rp_path_charge(seq, 1).initial() == ff.colored_count
+            orders += 1
+    assert orders == 5913
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,14 @@ def test_coin_free_matchup_is_played_once(monkeypatch, adversary, size, trials, 
 
 def test_report_csv_reproducible():
     a, b = io.StringIO(), io.StringIO()
-    run_experiment(config(adversary="yao", algorithm="ff", m=None, b=3,
-                          trials=200, seed=5)).write_csv(a)
-    run_experiment(config(adversary="yao", algorithm="ff", m=None, b=3,
-                          trials=200, seed=5)).write_csv(b)
+    harness.write_ratio_csv([run_experiment(config(adversary="yao", algorithm="ff", m=None,
+                                                   b=3, trials=200, seed=5))], a)
+    harness.write_ratio_csv([run_experiment(config(adversary="yao", algorithm="ff", m=None,
+                                                   b=3, trials=200, seed=5))], b)
     assert a.getvalue() == b.getvalue()
     c = io.StringIO()
-    run_experiment(config(adversary="yao", algorithm="ff", m=None, b=3,
-                          trials=200, seed=6)).write_csv(c)
+    harness.write_ratio_csv([run_experiment(config(adversary="yao", algorithm="ff", m=None,
+                                                   b=3, trials=200, seed=6))], c)
     assert a.getvalue() != c.getvalue()
 
 
@@ -165,7 +165,7 @@ def _pinned_ratio_reports():
             trials=trials, seed=seed, **size,
         ))
         csv = io.StringIO()
-        report.write_csv(csv)
+        harness.write_ratio_csv([report], csv)
         yield (report.summary(), csv.getvalue(), repr(report.ratio),
                repr(report.colored_mean), repr(report.bound))
 

@@ -159,3 +159,31 @@ def test_only_the_random_pair_kernel_imports_numpy():
     found = [(path.name, scope) for path in sorted(PACKAGE.glob("*.py"))
              for scope in _numpy_import_scopes(ast.parse(path.read_text()))]
     assert found == [("engine.py", "rp_path_colored_counts")]
+
+
+# module -> the palette modules it imports; each layer reads only those below it
+LAYERS = {
+    "graph": set(),
+    "exact": set(),
+    "engine": {"graph"},
+    "oracle": {"graph"},
+    "adversaries": {"engine", "graph"},
+    "charging": {"engine", "exact", "graph", "oracle"},
+    "harness": {"adversaries", "charging", "engine", "oracle"},
+    "cli": {"adversaries", "engine", "graph", "harness", "oracle"},
+}
+
+
+def _package_imports(path):
+    """The palette modules a module imports by relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {a.name for a in node.names} if node.module is None else {node.module}
+    return found
+
+
+def test_each_module_imports_only_its_layers():
+    modules = {f.stem for f in PACKAGE.glob("*.py") if f.stem != "__init__"}
+    assert modules == set(LAYERS)
+    assert {name: _package_imports(PACKAGE / f"{name}.py") for name in LAYERS} == LAYERS
