@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import engine
-from .graph import Graph, PartialColoring, build_graph
+from .graph import Graph, PartialColoring
 
 
 @dataclass
@@ -32,9 +32,6 @@ class RevealSequence:
     def session(self):
         for e in self.edges:
             yield e
-
-    def graph(self) -> Graph:
-        return build_graph(self.edges)
 
 
 def path_edges(m: int) -> list[tuple[int, int]]:
@@ -398,15 +395,14 @@ class BunchPlan:
         return len(self.colored_part.edges) + len(self.joins)
 
 
-def bunch_plan(k: int, N: int, star_size: int | None = None) -> BunchPlan:
-    """Build the k-copy bunch tree; star_size defaults to floor(sqrt(k))."""
+def bunch_plan(k: int, N: int) -> BunchPlan:
+    """Build the k-copy bunch tree with stars of s = ceil(sqrt(k)), which
+    lies in 2..k-2 for every k >= 4."""
     if k < 4:
         raise ValueError(f"k must be >= 4, got {k}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    s = star_size if star_size is not None else math.isqrt(k)
-    if not 2 <= s <= k - 2:
-        raise ValueError(f"star size {s} incompatible with k={k}")
+    s = math.isqrt(k - 1) + 1
 
     g = Graph()
     coloring = PartialColoring(k)
@@ -458,17 +454,11 @@ def nf_tree_worstcase(k: int, N: int) -> RevealSequence:
 
     Requires k to be a perfect square >= 4.
     """
-    s = math.isqrt(k)
-    if s * s != k or k < 4:
+    if math.isqrt(k) ** 2 != k or k < 4:
         raise ValueError(f"k must be a perfect square >= 4, got {k}")
-    return bunch_plan(k, N, s).reveal
+    return bunch_plan(k, N).reveal
 
 
 def nf_tree_worstcase_rounded(k: int, N: int) -> RevealSequence:
-    """Non-square variant of nf_tree_worstcase using ceil(sqrt(k)) stars."""
-    if k < 4:
-        raise ValueError(f"k must be >= 4, got {k}")
-    s = math.isqrt(k)
-    if s * s != k:
-        s += 1
-    return bunch_plan(k, N, s).reveal
+    """Non-square variant of nf_tree_worstcase: the same ceil(sqrt(k)) stars."""
+    return bunch_plan(k, N).reveal

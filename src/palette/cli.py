@@ -172,7 +172,7 @@ def _instance_graph(args):
             )
         if args.seed is not None and not spec.resamples:
             raise ValueError(f"opt --adv {args.adv} does not read --seed")
-        return script.graph()
+        return build_graph(script.edges)
     raise ValueError("need --file or --adv to define the instance")
 
 

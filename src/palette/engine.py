@@ -170,11 +170,15 @@ def run(alg, script, *, seed=None, rng=None) -> Trace:
     ``script`` is anything with a ``k`` attribute and a ``session()`` method
     returning a generator that yields (u, v) pairs and receives each decision
     through ``send`` (fixed reveal sequences simply ignore what is sent).
+    A randomized algorithm needs ``seed`` or ``rng``, so every play can be
+    replayed from what the caller passed.
     """
     algorithm = resolve_algorithm(alg)
     if algorithm.deterministic:
         rng = None  # the contract: a deterministic algorithm never gets one
     elif rng is None:
+        if seed is None:
+            raise ValueError("a randomized algorithm needs seed= or rng= to play reproducibly")
         rng = random.Random(seed)
     k = script.k
     algorithm.reset(k, rng)

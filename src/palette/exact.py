@@ -7,8 +7,10 @@ and the fair tree floor (2*sqrt(k)-2)/(2*sqrt(k)-1) involves sqrt(k) -- so
 plain fractions are not enough either.  This tiny quadratic-field type
 supports the ring operations, division, and exact ordering, which is all
 the ledgers need.  The radicand d is stored per value: `Sqrt5(a, b)` has
-d = 5 and `surd(a, b, d)` any other; `==` is exact across radicands, and
-arithmetic or ordering between values with different radicands raises.  A
+d = 5 and `surd(a, b, d)` any other; `==` is exact across radicands.  A
+surd combines with ints, Fractions and surds of its own radicand, and
+`_coerce`, the one operand rule of every arithmetic and ordering operator,
+refuses anything else with TypeError (another radicand with ValueError).  A
 coordinate is an int or a Fraction: int coordinates stay ints under +, -, *
 and `//`, so a ledger scaled to whole numbers compares and splits in ints,
 and `/` gives Fractions, never floats.
@@ -41,7 +43,7 @@ class Sqrt5:
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other) -> "Sqrt5 | None":
+    def _coerce(self, other) -> "Sqrt5":
         if isinstance(other, Sqrt5):
             if other.d != self.d:
                 raise ValueError(
@@ -50,12 +52,10 @@ class Sqrt5:
             return other
         if isinstance(other, (int, Fraction)):
             return self._like(other, 0)
-        return None
+        raise TypeError(f"a surd combines with int, Fraction or surd, not {type(other).__name__}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return self._like(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
@@ -65,20 +65,14 @@ class Sqrt5:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return self._like(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return self._like(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return self._like(
             self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a
         )
@@ -87,8 +81,6 @@ class Sqrt5:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         # multiply by the conjugate; a Fraction norm a*a - d*b*b keeps ints from dividing to floats
         norm = Fraction(o.a * o.a - o.d * o.b * o.b)
         if norm == 0:
@@ -101,10 +93,7 @@ class Sqrt5:
         return self._like(self.a // n, self.b // n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return self._coerce(other) / self
 
     # -- exact ordering -----------------------------------------------------
 
@@ -126,12 +115,6 @@ class Sqrt5:
         # a < 0 < b: positive iff d b^2 > a^2
         return 1 if dbb > aa else (-1 if dbb < aa else 0)
 
-    def _cmp(self, other) -> int | None:
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o)._sign()
-
     def __eq__(self, other):  # b*sqrt(d) is irrational unless b = 0: compare a, sign(b), b*b*d
         if isinstance(other, Sqrt5):
             return (self.a == other.a and (self.b > 0) == (other.b > 0)
@@ -141,20 +124,16 @@ class Sqrt5:
         return NotImplemented
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
+        return (self - other)._sign() < 0
 
     def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
+        return (self - other)._sign() <= 0
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
+        return (self - other)._sign() > 0
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
+        return (self - other)._sign() >= 0
 
     def __hash__(self):  # equal values share a, the sign of b and b*b*d
         if self.b == 0:

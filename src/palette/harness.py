@@ -339,6 +339,8 @@ def yao_experiment(
     weighted by P[L] = 2^-min(L+1, b-1) in the exact expectation."""
     if trials < 2:
         raise ValueError(f"the sampled distribution needs trials >= 2, got {trials}")
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"each algorithm may be listed once, got {list(algorithms)}")
     for name in algorithms:
         if not engine.make_algorithm(name, 0.5).deterministic:
             raise ValueError("the distribution experiment needs deterministic algorithms")
@@ -434,9 +436,9 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
     """Minimum ratio over every reveal order and every fair decision branch.
 
     Fair means: color whenever any color is open at both endpoints (the
-    choice of color is the branch), reject only when forced.  Runs on a
-    flat per-position array rather than the engine, so it doubles as an
-    independent check of the fair floor.
+    choice of color is the branch), reject only when forced.  Its walker
+    keeps a dict from path position to color rather than running the
+    engine, so it doubles as an independent check of the fair floor.
     """
     _check_order_limit(max_edges)
     summary = ExhaustiveSummary("fair-path", max_edges, k, "any-fair", Fraction(1, 2))

@@ -62,7 +62,7 @@ def test_rp_strategy_oddeven_order():
 
 def test_strategy_orders_form_paths():
     for seq in (nf_path_killer(7), rp_strategy_mod3(13), rp_strategy_oddeven(9)):
-        assert seq.graph().classify() == "path"
+        assert build_graph(seq.edges).classify() == "path"
 
 
 def test_rp_mean_matches_formula_on_mod3_order():
@@ -253,7 +253,7 @@ def test_yao_edge_count_identity():
 
 def test_yao_sample_is_a_path_order():
     seq = yao_sample(4, random.Random(3)).reveal_sequence()
-    assert seq.graph().classify() == "path"
+    assert build_graph(seq.edges).classify() == "path"
     assert len(seq.edges) == 3**4 - 2
 
 
@@ -470,10 +470,28 @@ def test_nf_tree_worstcase_rejects_non_square():
         nf_tree_worstcase(2, 3)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: nf_path_killer(-1), "m must be >= 0, got -1"),
+    (lambda: det_path_killer(0, "ff"), "n must be >= 1, got 0"),
+    (lambda: star_chain(1, 1, "ff"), "k must be >= 2, got 1"),
+    (lambda: star_chain(2, 0, "ff"), "N must be >= 1, got 0"),
+    (lambda: path_then_stars(1, 1, "ff"), "k must be >= 2, got 1"),
+    (lambda: path_then_stars(2, 0, "ff"), "m must be >= 1, got 0"),
+    (lambda: bunch_plan(3, 1), "k must be >= 4, got 3"),
+    (lambda: bunch_plan(4, 0), "N must be >= 1, got 0"),
+    (lambda: nf_tree_worstcase_rounded(3, 1), "k must be >= 4, got 3"),
+    (lambda: yao_sample(0, random.Random(0)), "b must be >= 1, got 0"),
+    (lambda: yao_instance(3, 3), r"L must lie in 0\.\.2, got 3"),
+])
+def test_constructions_refuse_sizes_outside_their_range(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_nf_tree_rounded_for_non_square():
     seq = nf_tree_worstcase_rounded(5, 5)
     trace = engine.run("nf", seq)
-    plan = bunch_plan(5, 5, 3)
+    plan = bunch_plan(5, 5)
     assert trace.colored_count == plan.expected_colored
     assert trace.rejected_count == len(plan.connectors)  # every connector is rejected
     assert trace.graph.classify() == "tree"

@@ -692,6 +692,13 @@ def test_rp_charge_rejects_non_path():
         rp_path_charge(star, Fraction(7, 10))
 
 
+def test_rp_charge_refuses_three_colors_and_a_text_bias():
+    with pytest.raises(ValueError, match="needs k = 2"):
+        rp_path_charge(RevealSequence(edges=path_edges(3), k=3), Fraction(7, 10))
+    with pytest.raises(TypeError, match="unsupported bias parameter type str"):
+        rp_path_charge(RevealSequence(edges=path_edges(3), k=2), "0.7")
+
+
 def test_rp_charge_random_orders_at_optimum():
     rng = random.Random(63)
     for t in range(150):

@@ -226,6 +226,19 @@ def test_yao_refuses_b_past_its_limit_before_building_a_path(b, capsys, monkeypa
         assert message in _assert_usage_error(capsys, argv, silent=True)
 
 
+def test_yao_refuses_a_repeated_alg_before_any_draw(tmp_path, capsys, monkeypatch):
+    # a name listed twice used to be played, printed and written twice
+    def drawn(*args):
+        raise AssertionError("a repeated algorithm reached the sampler")
+
+    monkeypatch.setattr(adversaries, "sample_subphase_count", drawn)
+    out = tmp_path / "y.csv"
+    argv = ["yao", "--b", "3", "--trials", "3", "--alg", "ff", "--alg", "ff", "--out", str(out)]
+    err = _assert_usage_error(capsys, argv, silent=True)
+    assert err == "error: each algorithm may be listed once, got ['ff', 'ff']\n"
+    assert not out.exists()
+
+
 def test_run_yao_samples_as_the_yao_command(tmp_path, capsys):
     a, b = tmp_path / "run.csv", tmp_path / "yao.csv"
     flags = ["--b", "4", "--alg", "ff", "--trials", "300", "--seed", "2"]

@@ -102,8 +102,22 @@ def test_rp_requires_k2_and_valid_p():
         RandomParity(0.3)
     with pytest.raises(ValueError):
         run_fixed("rp", [(0, 1)], 3, seed=0) or None
+    with pytest.raises(ValueError, match="requires k=2, got k=3"):
+        run_fixed(RandomParity(0.7), [(0, 1)], 3, seed=0)
     with pytest.raises(ValueError):
         make_algorithm("rp")
+    with pytest.raises(ValueError, match=r"p must lie in \[1/2, 1\], got 0.3"):
+        rp_path_colored_counts(path_edges(3), 0.3, 10, seed=0)
+
+
+def test_randomized_play_needs_a_seed():
+    """A randomized player with neither seed= nor rng= is refused rather than
+    seeded from OS entropy; the same seed replays the same coloring."""
+    seq = rp_strategy_mod3(31)
+    with pytest.raises(ValueError, match="needs seed= or rng="):
+        run(RandomParity(0.7), seq)
+    plays = [run(RandomParity(0.7), seq, seed=3).coloring.colors for _ in range(2)]
+    assert plays[0] == plays[1]
 
 
 def test_rp_isolated_edge_draw():
@@ -169,7 +183,7 @@ def test_rp1_is_first_fit_on_every_small_path_order():
         for perm in permutations(range(1, m + 1)):
             seq = RevealSequence(edges=[(i - 1, i) for i in perm], k=2)
             ff = run("ff", seq)
-            assert run(RandomParity(1), seq).coloring.colors == ff.coloring.colors
+            assert run(RandomParity(1), seq, seed=0).coloring.colors == ff.coloring.colors
             assert charging.rp_path_charge(seq, 1).initial() == ff.colored_count
             orders += 1
     assert orders == 5913
@@ -367,7 +381,7 @@ def test_vectorized_matches_engine_exactly_with_shared_draws(monkeypatch):
     for i, edges in enumerate(orders):
         draws = np.random.default_rng(i).random((130, len(edges)))
         seq = RevealSequence(edges=edges, k=2)
-        expected = [run(StepDrawParity(0.7, row), seq).colored_count for row in draws]
+        expected = [run(StepDrawParity(0.7, row), seq, seed=0).colored_count for row in draws]
         for chunk in (engine.RP_CHUNK_TRIALS, 64, 100):
             monkeypatch.setattr(engine, "RP_CHUNK_TRIALS", chunk)
             for trials in (1, 63, 64, 65, 130):

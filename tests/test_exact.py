@@ -85,6 +85,13 @@ def test_golden_ratio_constant():
 def test_rejects_unsupported_types():
     with pytest.raises(TypeError):
         Sqrt5(1) + 0.5  # floats stay out of the exact domain
+    with pytest.raises(TypeError):
+        0.5 + Sqrt5(1)  # in either operand order
+    with pytest.raises(TypeError):
+        Sqrt5(1) < 0.5
+    with pytest.raises(TypeError):
+        0.5 < Sqrt5(1)
+    assert (Sqrt5(1) == 0.5) is False  # equality answers, never raises
     with pytest.raises(ValueError):
         Sqrt5(1, 1) + surd(1, 1, 3)  # sqrt(5) and sqrt(3) do not mix
     with pytest.raises(ValueError):

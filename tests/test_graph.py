@@ -194,6 +194,9 @@ def test_path_positions():
     assert path_positions(edges) == [3, 1, 2]
     with pytest.raises(GraphError):
         path_positions([(0, 1), (1, 2), (2, 0)])
+    # a path beside a triangle: degrees <= 2, an end, vertices 0..m; only the walk refuses it
+    with pytest.raises(GraphError, match="edges do not form a path"):
+        path_positions([(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
 
 
 def _path_positions_by_shape(edges):

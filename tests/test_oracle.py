@@ -49,6 +49,11 @@ def test_opt_path_rejects_bad_parameters():
         opt_path(3, 0)
     with pytest.raises(ValueError):
         opt_path(-1, 2)
+    # the tree and brute-force optima refuse k < 1 too
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        opt_tree(build_graph([(0, 1)]), 0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        opt_bruteforce(build_graph([(0, 1)]), 0)
 
 
 def test_opt_tree_star_degree_cap():

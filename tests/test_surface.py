@@ -87,6 +87,68 @@ def test_every_allowed_name_is_still_unread():
     assert set(ALLOWED) <= set(_unread().values())
 
 
+# module.function(parameter) -> why the defaulted parameter stays although no
+# call in the package, the bench or the demos sets it
+UNSET_OPTIONS: dict[str, str] = {
+    "cli.main(argv)": "tests drive the CLI in process",
+    "engine.run(seed)": "criterion 10 and the engine tests seed their plays",
+    "engine.rp_path_colored_counts(draws)": "tests feed the kernel and the engine the same uniforms",
+}
+
+
+def _defaulted_parameters():
+    """(module.function(parameter), name calls use, position in a call or None
+    for keyword-only) of every parameter with a default in the package; an
+    __init__ is called by its class's name, and a method's self takes no
+    position."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner in ast.walk(ast.parse(path.read_text())):
+            body = getattr(owner, "body", None)
+            for node in body if isinstance(body, list) else ():
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                method = isinstance(owner, ast.ClassDef)
+                called = owner.name if method and node.name == "__init__" else node.name
+                a = node.args
+                positional = a.posonlyargs + a.args
+                shift = int(method and bool(positional) and positional[0].arg == "self")
+                first = len(positional) - len(a.defaults)
+                named = [(arg, i - shift) for i, arg in enumerate(positional) if i >= first]
+                named += [(arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [(f"{path.stem}.{node.name}({arg.arg})", called, arg.arg, i) for arg, i in named]
+    return found
+
+
+def _calls():
+    """(name called, keywords it passes, positions it fills) of every call in
+    the code the CLI, the demos and the benchmark run; a ** splat passes every
+    keyword and a * splat fills every position."""
+    calls = []
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                keywords = {kw.arg for kw in node.keywords}
+                star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls.append((name, keywords, float("inf") if star else len(node.args)))
+    return calls
+
+
+def _unset_options():
+    calls = _calls()
+    return {where for where, called, param, i in _defaulted_parameters()
+            if not any(name == called and (param in kws or None in kws or i is not None and i < n)
+                       for name, kws, n in calls)}
+
+
+def test_every_option_is_set_by_some_caller():
+    """An option with one value in use is a constant: every defaulted
+    parameter is set by some call, by keyword or by position, or is allowed
+    with a reason; an allowed one that gained a caller is stale."""
+    assert _unset_options() == set(UNSET_OPTIONS)
+
+
 def _unused_imports(path):
     """Names a module imports and never mentions again."""
     tree = ast.parse(path.read_text())
