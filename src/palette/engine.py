@@ -258,9 +258,12 @@ def rp_path_colored_counts(
     the uniform for every (trial, step) pair and overrides the seed; the draw
     at a step is consumed only by trials whose edge has no colored neighbor at
     that moment, which matches the sequential engine's behavior edge for edge.
+    A call with neither is refused, as `run` refuses an unseeded player.
     """
     if not 0.5 <= p <= 1:
         raise ValueError(f"p must lie in [1/2, 1], got {p}")
+    if seed is None and draws is None:
+        raise ValueError("the random-pair kernel needs seed= or draws= to run reproducibly")
     m = len(order)
     if draws is not None and draws.shape != (trials, m):
         raise ValueError(f"draws has shape {draws.shape}, expected {(trials, m)}")

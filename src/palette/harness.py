@@ -19,6 +19,7 @@ from itertools import permutations
 
 from . import adversaries, charging, engine
 from .adversaries import RevealSequence, path_edges
+from .graph import PartialColoring, build_graph
 from .oracle import opt_path, opt_tree
 
 ORDER_EXHAUSTIVE_LIMIT = 8
@@ -448,11 +449,7 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
             summary.add(colored, opt, order)
             return
         pos = order[i]
-        used = set()
-        for npos in (pos - 1, pos + 1):
-            c = colors.get(npos)
-            if c:
-                used.add(c)
+        used = (colors.get(pos - 1), colors.get(pos + 1))
         open_colors = [c for c in range(1, k + 1) if c not in used]
         if not open_colors:
             explore(order, colors, i + 1, colored)
@@ -473,8 +470,26 @@ def exhaustive_fair_paths(max_edges: int, k: int = 2) -> ExhaustiveSummary:
 # -- canonical enumeration of tree reveal orders ----------------------------
 
 
-def tree_reveal_orders(m: int):
-    """Every reveal order of every tree with m edges, one per isomorphism class.
+class _FirstFitWalk:
+    """First-fit at one k along the walker's prefix, each edge decided once,
+    as the coloring `engine.FirstFit.decide` reads: flat used-color masks."""
+
+    def __init__(self, m: int, k: int):
+        self.used, self.all, self.colors = [0] * (m + 1), (1 << k) - 1, []
+
+    def available_mask(self, seq, eid: int) -> int:
+        u, v = seq[eid]
+        return ~(self.used[u] | self.used[v]) & self.all
+
+    def flip(self, u: int, v: int, c: int | None) -> None:
+        if c:
+            self.used[u] ^= 1 << c - 1
+            self.used[v] ^= 1 << c - 1
+
+
+def tree_reveal_orders(m: int, ks=()):
+    """Every reveal order of every tree with m edges, one per isomorphism
+    class, as (edges, [first-fit's `coloring.colors` at k for k in ks]).
 
     Sequences are canonical: vertices are numbered by first appearance and
     the sequence is the lexicographically least of its relabelings that keep
@@ -487,29 +502,23 @@ def tree_reveal_orders(m: int):
     behave identically for any online algorithm, so enumerating classes
     covers all labeled instances.
     """
-    if m == 0:
-        return
+    walks = [_FirstFitWalk(m, k) for k in ks]
+    decide = engine.FirstFit().decide  # it reads only the coloring it is given
 
     # fixers: the relabelings (label lists) that map seq onto itself
     def rec(seq, comp, fixers):
         if len(seq) == m:
             if len(set(comp)) == 1:
-                yield list(seq)
+                yield list(seq), [walk.colors[:] for walk in walks]
             return
-        remaining = m - len(seq)
         nverts = len(comp)
-        candidates = []
-        for u in range(nverts):  # attach a fresh leaf
-            candidates.append(((u, nverts), comp + [comp[u]]))
-        fresh = max(comp, default=-1) + 1  # isolated fresh edge
+        fresh = max(comp, default=-1) + 1  # the component of an isolated fresh edge
+        candidates = [((u, nverts), comp + [comp[u]]) for u in range(nverts)]  # a fresh leaf
         candidates.append(((nverts, nverts + 1), comp + [fresh, fresh]))
-        for u in range(nverts):  # join two components
-            for v in range(u + 1, nverts):
-                if comp[u] != comp[v]:
-                    merged = [comp[u] if c == comp[v] else c for c in comp]
-                    candidates.append(((u, v), merged))
+        candidates += [((u, v), [comp[u] if c == comp[v] else c for c in comp])  # a join
+                       for u in range(nverts) for v in range(u + 1, nverts) if comp[u] != comp[v]]
         for edge, comp2 in candidates:
-            if len(set(comp2)) - 1 > remaining - 1:
+            if len(set(comp2)) > m - len(seq):
                 continue  # not enough edges left to connect everything
             u, v = edge
             grown = list(range(nverts, len(comp2)))  # the edge's fresh vertices
@@ -525,7 +534,12 @@ def tree_reveal_orders(m: int):
                 if len(grown) == 2:  # a fresh-fresh edge: its endpoints may swap too
                     kept += [fix + grown[::-1] for fix in fixers]
                 seq.append(edge)
+                for walk in walks:
+                    walk.colors.append(decide(walk, seq, len(seq) - 1))
+                    walk.flip(u, v, walk.colors[-1])
                 yield from rec(seq, comp2, kept)
+                for walk in walks:
+                    walk.flip(u, v, walk.colors.pop())
                 seq.pop()
 
     yield from rec([], [], [[]])
@@ -538,20 +552,29 @@ def exhaustive_trees(
 
     Checks the colored count against the (k-1)/k floor and certifies every
     instance where the optimum keeps a rejected edge (instances without such
-    edges pass vacuously).  all_roots re-certifies from every root, covering
-    every labeled instance's default-root run.
+    edges pass vacuously, and where all m edges are colored the optimum is
+    not computed).  all_roots re-certifies from every root, covering every
+    labeled instance's default-root run.  ks names each k once.
     """
     _check_order_limit(max_edges)
+    if not ks or len(set(ks)) != len(ks):
+        raise ValueError(f"ks must name at least one k, each once, got {list(ks)}")
     _check_tree_k(*ks)
     summaries = [ExhaustiveSummary("tree", max_edges, k, "ff", Fraction(k - 1, k)) for k in ks]
-    # the classes do not depend on k: enumerate them once and play each for every k
     for m in range(1, max_edges + 1):
-        for edges in tree_reveal_orders(m):
-            for summary in summaries:
-                trace = engine.run("ff", RevealSequence(edges=edges, k=summary.k))
-                witness = opt_tree(trace.graph, summary.k)
-                summary.add(trace.colored_count, witness.count, edges)
-                if None in map(trace.coloring.colors.__getitem__, witness.edges):
+        for edges, decisions in tree_reveal_orders(m, ks):
+            g = build_graph(edges)
+            for summary, colors in zip(summaries, decisions):
+                if None not in colors:  # colored = m >= opt: the ratio is 1
+                    summary.add(m, m, edges)
+                    continue
+                witness = opt_tree(g, summary.k)
+                summary.add(m - colors.count(None), witness.count, edges)
+                if None in map(colors.__getitem__, witness.edges):
+                    coloring = PartialColoring(summary.k)
+                    for eid, c in enumerate(colors):
+                        coloring.reject(eid) if c is None else coloring.color(g, eid, c)
+                    trace = engine.Trace("ff", g, coloring)
                     _certify("ff-tree", trace, witness, all_roots, summary.charges)
     return summaries
 
@@ -640,9 +663,8 @@ def _check_sweep(count: int, max_edges: int) -> None:
 
 def _check_tree_k(*ks) -> None:
     # the floor (k-1)/k is 0 at k = 1, so such a sweep would certify nothing
-    for k in ks:
-        if k < 2:
-            raise ValueError(f"the tree floors need k >= 2, got k={k}")
+    if min(ks) < 2:
+        raise ValueError(f"the tree floors need k >= 2, got k={min(ks)}")
 
 
 # strategy name -> (algorithm that plays, certificate that judges it)

@@ -95,14 +95,14 @@ def opt_tree(g: Graph, k: int) -> OptWitness:
             if fy == tight[y]:
                 up += 1
         gainers[x] = up
-        free[x] = base + min(up, k)
-        tight[x] = base + min(up, k - 1)
+        free[x] = base + (up if up < k else k)
+        tight[x] = base + (up if up < k else k - 1)
 
     coloring: dict[int, int] = {}
     parent_color = [0] * n  # color of x's kept parent edge, 0 if none
     for x in view.order:
-        pc = parent_color[x]
-        take = min(gainers[x], k - 1 if pc else k)
+        pc, take = parent_color[x], gainers[x]
+        take = take if take < k else (k - 1 if pc else k)  # x keeps at most k edges
         if not take:
             continue
         c, pe = 0, parent_edge[x]

@@ -160,7 +160,7 @@ def test_prepared_certificates_reproduce_per_root_verdicts():
         _played("ff", RevealSequence(edges=edges, k=k))
         for k in (2, 3)
         for m in range(1, 6)
-        for edges in harness.tree_reveal_orders(m)
+        for edges, _ in harness.tree_reveal_orders(m)
     ]
     assert _all_roots_digest(FFTreeCertificate, ff_cases) == (2884, FF_ALL_ROOTS_SHA256)
     fair_cases = [
@@ -199,7 +199,8 @@ def test_fair_values_have_one_type_at_every_k():
     and a surd of radicand k otherwise, whatever the sums behind it; the
     ledger itself holds int coordinates."""
     cases = [(k, _played("nf", RevealSequence(edges=edges, k=k)))
-             for k in (2, 3, 4, 5) for m in range(1, 5) for edges in harness.tree_reveal_orders(m)]
+             for k in (2, 3, 4, 5) for m in range(1, 5)
+             for edges, _ in harness.tree_reveal_orders(m)]
     cases.append((5, _played("nf", nf_tree_worstcase_rounded(5, 2))))
     for k, (trace, witness) in cases:
         square = math.isqrt(k) ** 2 == k
@@ -238,7 +239,7 @@ def _rejected_part(trace, witness):
 
 def test_charge_all_gives_every_roots_verdict():
     for m in range(1, 6):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             for k in (2, 3, 4, 5):
                 seq = RevealSequence(edges=edges, k=k)
                 _assert_charge_all_matches(FFTreeCertificate(*_played("ff", seq)))
@@ -253,7 +254,7 @@ def test_charge_all_gives_every_roots_verdict():
 def test_charge_all_follows_margins_that_move_with_the_root():
     spreads = []  # distinct least margins over the roots of each certificate
     for m in range(1, 6):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             for k in (2, 3):
                 seq = RevealSequence(edges=edges, k=k)
                 for certify, alg in ((FFTreeCertificate, "ff"), (FairTreeCertificate, "nf")):
@@ -320,7 +321,7 @@ def test_charge_all_raises_the_least_refused_roots_guard_error(monkeypatch):
     monkeypatch.setattr(charging, "_check_fair_case", strict)
     refused = {Unfed: [], FairTreeCertificate: []}
     for m in range(1, 6):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             seq = RevealSequence(edges=edges, k=3)
             refused[Unfed].append(_least_refused_root(Unfed(*_played("ff", seq))))
             for refused_case in "12":
@@ -442,7 +443,7 @@ def _assert_charge_matches_the_reference(certificate):
 
 def test_charge_matches_the_per_root_reference(monkeypatch):
     for m in range(1, 6):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             for k in (2, 3):
                 seq = RevealSequence(edges=edges, k=k)
                 _assert_charge_matches_the_reference(FFTreeCertificate(*_played("ff", seq)))
@@ -454,7 +455,7 @@ def test_charge_matches_the_per_root_reference(monkeypatch):
     check = charging._check_fair_case
     monkeypatch.setattr(charging, "_check_fair_case", strict)
     for m in range(1, 6):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             seq = RevealSequence(edges=edges, k=3)
             _assert_charge_matches_the_reference(Unfed(*_played("ff", seq)))
             for refused_case in "12":

@@ -100,7 +100,7 @@ def test_nf_c_last_survives_rejections():
 def test_rp_requires_k2_and_valid_p():
     with pytest.raises(ValueError):
         RandomParity(0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a bias parameter p"):
         run_fixed("rp", [(0, 1)], 3, seed=0) or None
     with pytest.raises(ValueError, match="requires k=2, got k=3"):
         run_fixed(RandomParity(0.7), [(0, 1)], 3, seed=0)
@@ -108,6 +108,14 @@ def test_rp_requires_k2_and_valid_p():
         make_algorithm("rp")
     with pytest.raises(ValueError, match=r"p must lie in \[1/2, 1\], got 0.3"):
         rp_path_colored_counts(path_edges(3), 0.3, 10, seed=0)
+
+
+def test_random_pair_kernel_needs_a_seed_or_draws():
+    """Like an unseeded randomized play, an unseeded kernel run is refused
+    rather than seeded from OS entropy."""
+    with pytest.raises(ValueError, match="needs seed= or draws="):
+        rp_path_colored_counts(path_edges(3), 0.7, 10)
+    assert rp_path_colored_counts(path_edges(3), 0.7, 10, seed=0).shape == (10,)
 
 
 def test_randomized_play_needs_a_seed():
@@ -329,7 +337,7 @@ def test_first_fit_audit_matches_a_first_fit_replay():
     agree = {True: 0, False: 0}
     for k in (2, 3):
         for m in range(1, 6):
-            for t, edges in enumerate(harness.tree_reveal_orders(m)):
+            for t, (edges, _) in enumerate(harness.tree_reveal_orders(m)):
                 seq = RevealSequence(edges=edges, k=k)
                 replay = run("ff", seq).coloring.colors
                 for alg in ("ff", "nf", RandomFair()):
@@ -699,7 +707,7 @@ class CaseRandomParity(RandomParity):
 def test_mask_strategies_decide_as_their_scan_references_on_every_small_tree():
     orders = 0
     for m in range(1, 7):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             orders += 1
             for k in range(2, 6):
                 seq = RevealSequence(edges=edges, k=k)

@@ -10,6 +10,7 @@ import pytest
 from palette import engine, harness
 from palette.adversaries import RevealSequence
 from palette.exact import PHI_OVER_SQRT5
+from palette.graph import build_graph
 from palette.harness import (
     CONSTRUCTIONS,
     ExperimentConfig,
@@ -365,7 +366,7 @@ TREE_ORDERS_SHA256 = "cdd1589070ce0f0d0349eafdbba847220d278ea92bb5172e86870def0e
 def test_tree_reveal_orders_are_pinned():
     h = hashlib.sha256()
     for m in range(1, 8):
-        for seq in tree_reveal_orders(m):
+        for seq, _ in tree_reveal_orders(m):
             h.update(f"{m}:{seq}\n".encode())
     assert h.hexdigest() == TREE_ORDERS_SHA256
 
@@ -401,7 +402,7 @@ def test_tree_reveal_orders_cover_all_labeled_instances():
                      for u, v in seq)
 
     for m in (2, 3, 4, 5):
-        mine = [tuple(seq) for seq in tree_reveal_orders(m)]
+        mine = [tuple(seq) for seq, _ in tree_reveal_orders(m)]
         # each class once, as its least relabeling over every vertex bijection
         classes, seen = [], set()
         for tree in all_labeled_trees(m + 1):
@@ -413,6 +414,41 @@ def test_tree_reveal_orders_cover_all_labeled_instances():
                 classes.append(min(orbit))
         assert len(mine) == len(set(mine)) == len(classes)
         assert set(mine) == set(classes)
+
+
+def test_tree_walker_decides_as_first_fit_plays():
+    """The walker's first-fit decisions, made once per shared prefix, are
+    engine.run's on every order with m <= 7, decision for decision."""
+    orders = 0
+    for m in range(1, 8):
+        for edges, decisions in tree_reveal_orders(m, (2, 3)):
+            orders += 1
+            played = [engine.run("ff", RevealSequence(edges=edges, k=k)).coloring.colors
+                      for k in (2, 3)]
+            assert decisions == played, edges
+    assert orders == 35416
+
+
+def test_a_fully_colored_order_has_opt_m():
+    """exhaustive_trees skips the optimum where first-fit colored every edge:
+    there opt_tree finds all m edges too."""
+    full = 0
+    for m in range(1, 7):
+        for edges, decisions in tree_reveal_orders(m, (2, 3, 4, 5)):
+            g = build_graph(edges)
+            for k, colors in zip((2, 3, 4, 5), decisions):
+                if None not in colors:
+                    full += 1
+                    assert opt_tree(g, k).count == m, (edges, k)
+    assert full > 2648
+
+
+def test_exhaustive_trees_refuse_an_empty_or_repeated_k():
+    for ks in ((), (2, 2), (3, 2, 3)):
+        with pytest.raises(ValueError, match=r"^ks must name at least one k, each once, got \["):
+            exhaustive_trees(5, ks=ks)
+    with pytest.raises(ValueError, match="order-exhaustive mode"):  # the size is checked first
+        exhaustive_trees(9, ks=())
 
 
 def test_exhaustive_trees_small():
@@ -429,7 +465,7 @@ def test_exhaustive_trees_count_the_orders_they_charge():
     first-fit rejected: the only orders a certificate is charged on."""
     charged = Counter()
     for m in range(1, 6):
-        for edges in tree_reveal_orders(m):
+        for edges, _ in tree_reveal_orders(m):
             for k in (2, 3):
                 trace = engine.run("ff", RevealSequence(edges=edges, k=k))
                 colors = trace.coloring.colors
@@ -440,8 +476,6 @@ def test_exhaustive_trees_count_the_orders_they_charge():
 
 
 def test_random_tree_edges_are_trees():
-    from palette.graph import build_graph
-
     rng = random.Random(12)
     for _ in range(50):
         m = rng.randrange(1, 15)

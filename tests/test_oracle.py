@@ -202,7 +202,7 @@ def scan_refuses(g, k, witness) -> bool:
 def test_audit_witness_refuses_what_the_adjacent_edge_scan_refuses():
     refused = seen = 0
     for m in range(1, 5):
-        for edges in harness.tree_reveal_orders(m):
+        for edges, _ in harness.tree_reveal_orders(m):
             g = build_graph(edges)
             for size in range(m + 1):
                 for subset, colors in product(combinations(range(m), size), product((1, 2, 3), repeat=size)):

@@ -231,7 +231,7 @@ LAYERS = {
     "oracle": {"graph"},
     "adversaries": {"engine", "graph"},
     "charging": {"engine", "exact", "graph", "oracle"},
-    "harness": {"adversaries", "charging", "engine", "oracle"},
+    "harness": {"adversaries", "charging", "engine", "graph", "oracle"},
     "cli": {"adversaries", "engine", "graph", "harness", "oracle"},
 }
 
