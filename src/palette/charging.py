@@ -174,8 +174,8 @@ class _TreeCertificate:
     """Both tree certificates: a per-trace preparation and one state function
     that the per-root pass and the all-roots walk both read.
 
-    Construction refuses anything but a tree (`Graph.is_tree`), audits the
-    witness and derives the edge classes, vertex tallies and initial values.
+    Construction first makes the per-trace refusals (`audit`), then derives
+    the edge classes, vertex tallies and initial values.
     Values are kept multiplied by `scale`: a colored edge is worth `scale` and
     C is `target`, both the strategy's times `unit`, lcm(1..d) for the most
     rejected optimum edges d at one vertex, so each split is exact.  Every
@@ -192,10 +192,8 @@ class _TreeCertificate:
     """
 
     def __init__(self, trace: engine.Trace, witness: OptWitness, scale: int, target):
+        self.audit(trace, witness)
         g = trace.graph
-        if not g.is_tree():
-            raise GraphError("charging strategies for trees require a tree")
-        audit_witness(g, trace.k, witness)
         self.trace, self.witness = trace, witness
         self.klass, self.d_c, self.d_d = edge_classes(trace, witness)
         self.colors = colors = trace.coloring.colors
@@ -228,6 +226,15 @@ class _TreeCertificate:
                 below[u] += t - cu
                 below[w] += t - cw
         self.below, self.through, self.fed = below, through, fed
+
+    @classmethod
+    def audit(cls, trace: engine.Trace, witness: OptWitness) -> None:
+        """The per-trace refusals: a run the strategy did not play, a non-tree, a bad witness."""
+        if not engine.audit_fair(trace, first_fit=cls.first_fit):
+            raise ValueError(f"trace {cls.unplayed}; refusing to certify")
+        if not trace.graph.is_tree():
+            raise GraphError("charging strategies for trees require a tree")
+        audit_witness(trace.graph, trace.k, witness)
 
     def _state(self, v: int, p: int):
         """v settled under parent edge p (-1 at the root): (pay, share, keep, guard).
@@ -384,14 +391,12 @@ class FFTreeCertificate(_TreeCertificate):
     values stay ints throughout.
     """
 
-    strategy = "ff-tree"
+    strategy, first_fit, unplayed = "ff-tree", True, "was not produced by first-fit"
     # rejected non-optimum parent edges move no value, same as absent ones
     case_of_parent = {"double": "1", "single": "2", "opt-only": "3",
                       "neither": "2", "": "2"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        if not engine.audit_fair(trace, first_fit=True):
-            raise ValueError("trace was not produced by first-fit; refusing to certify")
         k, free = trace.k, full_mask(trace.k)
         self.used = trace.coloring.used_masks(trace.graph.num_vertices)
         # the largest color unused at v in the final coloring, else 0
@@ -458,14 +463,12 @@ class FairTreeCertificate(_TreeCertificate):
     a + b*sqrt(k) with int a and b otherwise.
     """
 
-    strategy = "fair-tree"
+    strategy, first_fit, unplayed = "fair-tree", False, "is not fair"
     # rejected non-optimum parent edges move no value, same as absent ones
     case_of_parent = {"opt-only": "1", "single": "2", "double": "3",
                       "neither": "4", "": "4"}
 
     def __init__(self, trace: engine.Trace, witness: OptWitness):
-        if not engine.audit_fair(trace):
-            raise ValueError("trace is not fair; refusing to certify")
         root = sqrt(trace.k)
         super().__init__(trace, witness, 2 * root - 1, 2 * root - 2)
 

@@ -101,6 +101,8 @@ def cmd_exhaustive(args) -> int:
     ok = True
     for summary in summaries:
         print(summary.summary())
+        if args.klass == "tree":  # the tally's instances are the charged orders
+            print(f"  {summary.charges.summary()}; {summary.classes} outcome classes certified")
         if summary.passed:
             continue
         ok = False

@@ -241,6 +241,31 @@ def rooted_view(g: Graph, starts) -> RootedView:
     return RootedView(parent_edge, order)
 
 
+def tree_form(g: Graph, labels, *, centred: bool = False) -> tuple:
+    """Canonical form of a tree with an int label per edge id (Aho, Hopcroft and
+    Ullman, 1974): a vertex's is its child edges' sorted (label, form) pairs, the
+    tree's is vertex 0's or, with centred, the least of its centres'.  Labelled
+    trees share it iff a relabelling (fixing 0 unless centred) maps one to the other."""
+    incident, roots = g.incident, [0]
+    if centred:  # peel every leaf at once until one or two centres are left
+        deg, roots = [len(f) for f in incident], set(range(len(incident)))
+        while len(roots) > 2:
+            roots.difference_update(leaves := [v for v in roots if deg[v] < 2])
+            for v in leaves:
+                for f in incident[v]:
+                    deg[g.other_end(f, v)] -= 1
+    forms = []
+    for root in roots:
+        view = g.walk if root == 0 else rooted_view(g, (root,))
+        kids = [[] for _ in incident]
+        for v in reversed(view.order):  # children before parents, the root last
+            form, p = tuple(sorted(kids[v])), view.parent_edge[v]
+            if p >= 0:
+                kids[g.other_end(p, v)].append((labels[p], form))
+        forms.append(form)
+    return min(forms)
+
+
 class PartialColoring:
     """A game's decisions plus the per-vertex used-color masks.
 

@@ -19,7 +19,7 @@ from itertools import permutations
 
 from . import adversaries, charging, engine
 from .adversaries import RevealSequence, path_edges
-from .graph import PartialColoring, build_graph
+from .graph import PartialColoring, build_graph, tree_form
 from .oracle import opt_path, opt_tree
 
 ORDER_EXHAUSTIVE_LIMIT = 8
@@ -378,6 +378,7 @@ class ExhaustiveSummary:
     least: tuple[int, int] | None = None  # (colored, opt) of the least ratio so far
     witness: object = None  # the first reveal order attaining min_ratio
     charges: VerifySummary = field(default_factory=lambda: VerifySummary("ff-tree"))
+    classes: int = 0  # the charged outcomes up to relabelling, one certificate each
 
     def add(self, colored: int, opt: int, order) -> None:
         """Fold in one instance; ratios are compared by cross-multiplying
@@ -551,16 +552,17 @@ def exhaustive_trees(
     """First-fit over every tree reveal order (up to isomorphism) per k.
 
     Checks the colored count against the (k-1)/k floor and certifies every
-    instance where the optimum keeps a rejected edge (instances without such
-    edges pass vacuously, and where all m edges are colored the optimum is
-    not computed).  all_roots re-certifies from every root, covering every
-    labeled instance's default-root run.  ks names each k once.
+    instance whose optimum keeps a rejected edge, the others passing (opt is
+    skipped where all m edges are colored), with one certificate per outcome
+    up to isomorphism (`tree_form`) and an `audit` per order.  all_roots
+    certifies from every root, as every labeled instance's run.  ks names each k once.
     """
     _check_order_limit(max_edges)
     if not ks or len(set(ks)) != len(ks):
         raise ValueError(f"ks must name at least one k, each once, got {list(ks)}")
     _check_tree_k(*ks)
     summaries = [ExhaustiveSummary("tree", max_edges, k, "ff", Fraction(k - 1, k)) for k in ks]
+    ledger = {}  # (k, outcome form) -> the tally of its one certificate
     for m in range(1, max_edges + 1):
         for edges, decisions in tree_reveal_orders(m, ks):
             g = build_graph(edges)
@@ -575,7 +577,15 @@ def exhaustive_trees(
                     for eid, c in enumerate(colors):
                         coloring.reject(eid) if c is None else coloring.color(g, eid, c)
                     trace = engine.Trace("ff", g, coloring)
-                    _certify("ff-tree", trace, witness, all_roots, summary.charges)
+                    labels = [2 * (c or 0) + (e in witness.edges) for e, c in enumerate(colors)]
+                    key = summary.k, tree_form(g, labels, centred=all_roots)
+                    if key not in ledger:  # the first of its class builds the certificate
+                        summary.classes += 1
+                        ledger[key] = first = VerifySummary("ff-tree")
+                        _certify("ff-tree", trace, witness, all_roots, first)
+                    else:  # the others make its per-trace refusals and share its verdict
+                        charging.FFTreeCertificate.audit(trace, witness)
+                    summary.charges.fold(ledger[key].failures, ledger[key].min_margin)
     return summaries
 
 

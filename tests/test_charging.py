@@ -815,6 +815,31 @@ def test_sweeps_never_build_rows(monkeypatch):
     assert report.rows is report.rows and len(built) == 2
 
 
+def test_the_tree_sweep_builds_one_certificate_per_outcome_class(monkeypatch):
+    """m <= 6, k = 2 and 3: 1,338 charged orders, one certificate per outcome
+    class (100 centred with all_roots, 148 rooted at 0 without), and the
+    certificate's audit on every charged order."""
+    built, audited = [], []
+    init, audit = FFTreeCertificate.__init__, FFTreeCertificate.audit.__func__
+
+    def counted_init(self, trace, witness):
+        built.append(trace)
+        init(self, trace, witness)
+
+    def counted_audit(cls, trace, witness):
+        audited.append(trace)
+        audit(cls, trace, witness)
+
+    monkeypatch.setattr(FFTreeCertificate, "__init__", counted_init)
+    monkeypatch.setattr(FFTreeCertificate, "audit", classmethod(counted_audit))
+    for all_roots, classes in ((True, 100), (False, 148)):
+        built.clear()
+        audited.clear()
+        summaries = harness.exhaustive_trees(6, ks=(2, 3), all_roots=all_roots)
+        assert len(built) == sum(s.classes for s in summaries) == classes
+        assert len(audited) == sum(s.charges.instances for s in summaries) == 1338
+
+
 def _assert_verdict_matches_rows(report):
     margins = [r.margin for r in report.rows if r.margin is not None]
     low = min(margins, default=None)

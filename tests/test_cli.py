@@ -286,6 +286,15 @@ def test_exhaustive_tree_command(capsys):
     assert main(["exhaustive", "--class", "tree", "--max-edges", "3", "--k", "2"]) == 0
 
 
+def test_exhaustive_tree_command_counts_its_outcome_classes(capsys):
+    assert main(["exhaustive", "--class", "tree", "--max-edges", "6", "--k", "2",
+                 "--all-roots"]) == 0
+    # the ff-tree tally's instances are the charged orders
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "  ff-tree: 1191 instances, 0 failures, min margin 0 (= 0.000000); "
+        "75 outcome classes certified")
+
+
 def test_verify_commands(capsys):
     assert main(["verify", "--strategy", "ff-tree", "--random", "25",
                  "--max-edges", "9", "--k", "3", "--seed", "5"]) == 0

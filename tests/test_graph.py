@@ -14,6 +14,7 @@ from palette.graph import (
     parse_edge_list,
     path_positions,
     rooted_view,
+    tree_form,
 )
 from palette.oracle import opt_tree
 
@@ -363,3 +364,45 @@ def test_forest_and_tree_tests_agree_with_a_component_count():
             shapes.add(shape)
     assert shapes == {(True, True), (True, False), (False, False)}
     assert (Graph().is_forest(), Graph().is_tree()) == (True, False)
+
+
+def _relabelled(edges, labels, rng, fix_zero):
+    """The same labelled tree under a random vertex bijection (one fixing 0
+    when fix_zero) with its edges, and so their ids, shuffled."""
+    n = len(edges) + 1
+    perm = list(range(1, n)) if fix_zero else list(range(n))
+    rng.shuffle(perm)
+    perm = [0] + perm if fix_zero else perm
+    pairs = [((perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]), label)
+             for (u, v), label in zip(edges, labels)]
+    rng.shuffle(pairs)
+    return build_graph([e for e, _ in pairs]), [label for _, label in pairs]
+
+
+def test_tree_form_is_kept_by_relabelling_and_moved_by_any_label():
+    """Labels as the tree sweep keys its outcomes: 2 * (color or 0) + (in the
+    witness).  A relabelled tree keeps its form, rooted at 0 under bijections
+    fixing 0 and centred under any; one edge's color or witness membership
+    flipped moves both forms."""
+    import random
+
+    rng = random.Random(35)
+    for _ in range(300):
+        m = rng.randrange(1, 10)
+        edges = [(rng.randrange(v), v) for v in range(1, m + 1)]
+        labels = [2 * rng.randrange(4) + rng.randrange(2) for _ in edges]
+        g = build_graph(edges)
+        for centred in (False, True):
+            form = tree_form(g, labels, centred=centred)
+            h, moved = _relabelled(edges, labels, rng, fix_zero=not centred)
+            assert tree_form(h, moved, centred=centred) == form, (edges, labels)
+            e = rng.randrange(m)
+            for flipped in (labels[e] ^ 1, labels[e] + 2 if labels[e] < 2 else labels[e] - 2):
+                changed = labels[:e] + [flipped] + labels[e + 1:]
+                assert tree_form(g, changed, centred=centred) != form, (edges, labels, e)
+
+
+def test_tree_form_at_root_zero_tells_a_path_end_from_its_middle():
+    end, middle = build_graph([(0, 1), (1, 2)]), build_graph([(1, 0), (0, 2)])
+    assert tree_form(end, [2, 2]) != tree_form(middle, [2, 2])
+    assert tree_form(end, [2, 2], centred=True) == tree_form(middle, [2, 2], centred=True)

@@ -10,7 +10,8 @@ import pytest
 from palette import engine, harness
 from palette.adversaries import RevealSequence
 from palette.exact import PHI_OVER_SQRT5
-from palette.graph import build_graph
+from palette.charging import FFTreeCertificate
+from palette.graph import build_graph, tree_form
 from palette.harness import (
     CONSTRUCTIONS,
     ExperimentConfig,
@@ -473,6 +474,30 @@ def test_exhaustive_trees_count_the_orders_they_charge():
     summaries = exhaustive_trees(5, ks=(2, 3))
     assert [(s.k, s.charges.instances) for s in summaries] == sorted(charged.items())
     assert all(s.charges.instances < s.instances for s in summaries) and charged[3] > 0
+
+
+def test_isomorphic_outcomes_share_their_verdicts():
+    """What exhaustive_trees shares: on every charged order with m <= 6 at
+    k = 2 and 3, charge_all's sorted exact per-root margins match the first
+    order with the same centred outcome form, and charge(0)'s verdict the
+    first with the same root-0 form."""
+    firsts = {}
+    for m in range(1, 7):
+        for edges, decisions in tree_reveal_orders(m, (2, 3)):
+            for k, colors in zip((2, 3), decisions):
+                trace = engine.run("ff", RevealSequence(edges=edges, k=k))
+                witness = opt_tree(trace.graph, k)
+                if all(colors[e] is not None for e in witness.edges):
+                    continue
+                certificate = FFTreeCertificate(trace, witness)
+                report = certificate.charge(0)
+                labels = [2 * (c or 0) + (e in witness.edges) for e, c in enumerate(colors)]
+                for centred, verdict in (
+                        (True, sorted(map(certificate.exact, certificate.charge_all()))),
+                        (False, (report.passed, report.min_margin))):
+                    key = k, centred, tree_form(trace.graph, labels, centred=centred)
+                    assert firsts.setdefault(key, verdict) == verdict, (edges, k)
+    assert Counter(centred for _, centred, _ in firsts) == {True: 100, False: 148}
 
 
 def test_random_tree_edges_are_trees():
